@@ -24,16 +24,13 @@ from .errors import (
     SgpdError,
     WrongCaseError,
 )
-from .field import FieldElement, PrimeField, is_prime
+from .field import PrimeField, is_prime
 from .blocks import (
     AugmentationLayout,
     AugmentedPair,
     BlockMatrix,
     augment,
-    augment_tall,
-    augment_wide,
     augmentation_layout,
-    multiply,
     partition,
     read_matrix,
     write_matrix,
@@ -47,7 +44,6 @@ from .codec import (
     LoadReport,
     WorkerResult,
     build_plan,
-    closed_form_thresholds,
     code_geometry,
     communication_load,
     decode,
@@ -91,7 +87,6 @@ __all__ = [
     "EncodingPlan",
     "ExponentAuditReport",
     "ExponentMap",
-    "FieldElement",
     "FieldMismatchError",
     "FixedSet",
     "LatencyModel",
@@ -108,11 +103,8 @@ __all__ = [
     "audit",
     "audit_all_subsets",
     "augment",
-    "augment_tall",
-    "augment_wide",
     "augmentation_layout",
     "build_plan",
-    "closed_form_thresholds",
     "code_geometry",
     "communication_load",
     "decode",
@@ -120,7 +112,6 @@ __all__ = [
     "exponent_audit",
     "is_prime",
     "latency_sweep",
-    "multiply",
     "naive_secure_threshold",
     "partition",
     "read_matrix",

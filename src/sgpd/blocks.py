@@ -2,21 +2,25 @@
 
 A matrix is cut into a t x s grid of equally sized dense blocks.  Before
 encoding, confidential inputs are augmented with uniformly random blocks so
-that any P_C colluding workers learn nothing; exactly P_C of the appended
-blocks on each side stay random, the rest are forced to zero by a boolean
-mask.  Three regimes exist:
+that any P_C colluding workers learn nothing.  The layout records, for every
+block of the augmented grids A* and B*, whether it is live: the data always
+fill the top-left t x s corner of A* and s x d corner of B*, exactly P_C
+appended blocks per side stay random, and the rest are structurally zero.
+Three regimes exist:
 
 * ``gpd``  -- P_C = 0, nothing appended.
 * ``tall`` -- s < t.  Random block rows are stacked under A and random block
   columns appended right of B.  When s does not divide P_C the surplus blocks
   are zeroed from the highest polynomial exponent downwards (rightmost blocks
-  of R's last row, topmost blocks of R's last column).
+  of the last appended row of A, topmost blocks of the last appended column
+  of B).
 * ``wide`` -- s >= t.  Random block columns are appended right of A and
   random block rows under B.  Placement depends on min(t, d):
 
-  - min(t, d) == 1: P_C random columns/rows; only the last block row of R and
-    the last block column of R' stay live.  Their polynomial exponents sit
-    past every data exponent they could interfere with.
+  - min(t, d) == 1: P_C random columns/rows; only the last block row of the
+    appended A columns and the last block column of the appended B rows stay
+    live.  Their polynomial exponents sit past every data exponent they could
+    interfere with.
   - min(t, d) >= 2: the appended band is split in two.  A carries randomness
     in its first ceil(P_C/t) appended columns, B in its last ceil(P_C/d)
     appended rows, and each side is structurally zero where the other side is
@@ -33,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, FieldMismatchError, WrongCaseError
+from .errors import ConfigurationError, FieldMismatchError
 from .field import PrimeField
 
 
@@ -86,29 +90,18 @@ def partition(matrix: np.ndarray, grid: tuple[int, int], field: PrimeField) -> B
     return BlockMatrix(np.asarray(matrix), grid, field)
 
 
-def multiply(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
-    """Exact block-wise product; the reference answer every decode is checked against."""
-    if a.field != b.field:
-        raise FieldMismatchError("operands live in different fields")
-    if a.shape[1] != b.shape[0] or a.grid[1] != b.grid[0]:
-        raise ConfigurationError(
-            f"inner dimensions do not match: {a.shape}/{a.grid} vs {b.shape}/{b.grid}"
-        )
-    return BlockMatrix(a.field.matmul(a.data, b.data), (a.grid[0], b.grid[1]), a.field)
-
-
 # ---------------------------------------------------------------------------
 # augmentation layout
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentationLayout:
-    """Where random blocks go for a given (t, s, d, P_C), and which are zeroed.
+    """Which blocks of A* and B* are live for a given (t, s, d, P_C).
 
-    ``a_zero_mask`` covers the appended block grid on the A side (tall: delta
-    rows x s, wide: t x width); True marks a structurally zero block.  The
-    B-side mask is laid out the same way (tall: s x delta, wide: width x d).
+    ``a_live`` covers A*'s whole block grid (t* x s_w) and ``b_live`` B*'s
+    (s_w x d*); False marks a structurally zero block.  Data blocks sit in
+    the top-left t x s and s x d corners and are always live.
     """
 
     case: str  # "gpd" | "tall" | "wide"
@@ -118,50 +111,17 @@ class AugmentationLayout:
     p_c: int
     delta: int  # tall: appended block rows of A / columns of B
     width: int  # wide: appended block columns of A / rows of B
-    delta_a: int  # wide, min(t,d) >= 2: random band width on the A side
-    delta_b: int  # wide, min(t,d) >= 2: random band width on the B side
-    a_zero_mask: np.ndarray
-    b_zero_mask: np.ndarray
+    a_live: np.ndarray
+    b_live: np.ndarray
 
-    @property
-    def t_star(self) -> int:
-        return self.t + self.delta
+    def __post_init__(self):
+        self.a_live.setflags(write=False)
+        self.b_live.setflags(write=False)
 
-    @property
-    def d_star(self) -> int:
-        return self.d + self.delta
 
-    @property
-    def s_wide(self) -> int:
-        return self.s + self.width
-
-    @property
-    def live_a(self) -> list[tuple[int, int]]:
-        """Appended A-side grid positions that stay random, row-major."""
-        return [tuple(ix) for ix in np.argwhere(~self.a_zero_mask)]
-
-    @property
-    def live_b(self) -> list[tuple[int, int]]:
-        return [tuple(ix) for ix in np.argwhere(~self.b_zero_mask)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AugmentationLayout):
-            return NotImplemented
-        return (
-            (self.case, self.t, self.s, self.d, self.p_c,
-             self.delta, self.width, self.delta_a, self.delta_b)
-            == (other.case, other.t, other.s, other.d, other.p_c,
-                other.delta, other.width, other.delta_a, other.delta_b)
-            and np.array_equal(self.a_zero_mask, other.a_zero_mask)
-            and np.array_equal(self.b_zero_mask, other.b_zero_mask)
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.case, self.t, self.s, self.d, self.p_c,
-             self.delta, self.width, self.delta_a, self.delta_b,
-             self.a_zero_mask.tobytes(), self.b_zero_mask.tobytes())
-        )
+def _first_live(n: int, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols band whose first n blocks in row-major order are live."""
+    return (np.arange(rows * cols) < n).reshape(rows, cols)
 
 
 def augmentation_layout(t: int, s: int, d: int, p_c: int) -> AugmentationLayout:
@@ -172,44 +132,40 @@ def augmentation_layout(t: int, s: int, d: int, p_c: int) -> AugmentationLayout:
         raise ConfigurationError(f"collusion tolerance must be >= 0, got {p_c}")
 
     if p_c == 0:
-        empty = np.zeros((0, 0), dtype=bool)
-        return AugmentationLayout("gpd", t, s, d, 0, 0, 0, 0, 0, empty, empty)
+        return AugmentationLayout(
+            "gpd", t, s, d, 0, 0, 0, np.ones((t, s), bool), np.ones((s, d), bool)
+        )
 
     if s < t:
         delta = ceil(p_c / s)
-        surplus = s * delta - p_c
-        a_mask = np.zeros((delta, s), dtype=bool)
-        b_mask = np.zeros((s, delta), dtype=bool)
-        if surplus:
-            a_mask[delta - 1, s - surplus :] = True  # rightmost of the last row
-            b_mask[:surplus, delta - 1] = True  # topmost of the last column
-        return AugmentationLayout("tall", t, s, d, p_c, delta, 0, 0, 0, a_mask, b_mask)
+        a_live = np.ones((t + delta, s), bool)
+        b_live = np.ones((s, d + delta), bool)
+        # surplus: rightmost blocks of A's last row, topmost of B's last column
+        a_live[t:, :] = _first_live(p_c, delta, s)
+        b_live[:, d:] = _first_live(p_c, delta, s).T[::-1]
+        return AugmentationLayout("tall", t, s, d, p_c, delta, 0, a_live, b_live)
 
     if min(t, d) == 1:
         width = p_c
-        a_mask = np.ones((t, width), dtype=bool)
-        a_mask[t - 1, :] = False  # live randomness sits in the last block row
-        b_mask = np.ones((width, d), dtype=bool)
-        b_mask[:, d - 1] = False  # and in the last block column
-        return AugmentationLayout("wide", t, s, d, p_c, 0, width, width, width, a_mask, b_mask)
+        a_live = np.ones((t, s + width), bool)
+        a_live[: t - 1, s:] = False  # live randomness sits in the last block row
+        b_live = np.ones((s + width, d), bool)
+        b_live[s:, : d - 1] = False  # and in the last block column
+        return AugmentationLayout("wide", t, s, d, p_c, 0, width, a_live, b_live)
 
     delta_a = ceil(p_c / t)
     delta_b = ceil(p_c / d)
     width = delta_a + delta_b
-    a_mask = np.ones((t, width), dtype=bool)
-    a_mask[:, :delta_a] = False
-    for _ in range(t * delta_a - p_c):  # surplus dies highest exponent first
-        live = np.argwhere(~a_mask[:, :delta_a])
-        i, j = max(live, key=lambda ix: (ix[0], ix[1]))
-        a_mask[i, j] = True
-    b_mask = np.ones((width, d), dtype=bool)
-    b_mask[delta_a:, :] = False
-    for _ in range(d * delta_b - p_c):
-        live = np.argwhere(~b_mask[delta_a:, :])
-        # exponent of appended row r in column l is t*s_w*l + (width-1-r)
-        r, l = max(live, key=lambda ix: (ix[1], -ix[0]))
-        b_mask[delta_a + r, l] = True
-    return AugmentationLayout("wide", t, s, d, p_c, 0, width, delta_a, delta_b, a_mask, b_mask)
+    # Surplus dies highest exponent first.  A's appended block (i, j) has
+    # exponent s_w*i + s + j; row r of B's random band in column l has
+    # exponent t*s_w*l + (delta_b - 1 - r).
+    a_live = np.ones((t, s + width), bool)
+    a_live[:, s:] = False
+    a_live[:, s : s + delta_a] = _first_live(p_c, t, delta_a)
+    b_live = np.ones((s + width, d), bool)
+    b_live[s:, :] = False
+    b_live[s + delta_a :, :] = _first_live(p_c, d, delta_b).T[::-1]
+    return AugmentationLayout("wide", t, s, d, p_c, 0, width, a_live, b_live)
 
 
 # ---------------------------------------------------------------------------
@@ -224,32 +180,16 @@ class AugmentedPair:
     layout: AugmentationLayout
     a_star: BlockMatrix
     b_star: BlockMatrix
-    random_a: np.ndarray  # appended element rows/columns of a_star, post-mask
-    random_b: np.ndarray
 
     @property
     def original_a(self) -> np.ndarray:
-        if self.layout.case == "wide":
-            return self.a_star.data[:, : self._split_a]
-        return self.a_star.data[: self._split_a, :]
+        br, bc = self.a_star.block_shape
+        return self.a_star.data[: self.layout.t * br, : self.layout.s * bc]
 
     @property
     def original_b(self) -> np.ndarray:
-        if self.layout.case == "wide":
-            return self.b_star.data[: self._split_b, :]
-        return self.b_star.data[:, : self._split_b]
-
-    @property
-    def _split_a(self) -> int:
-        if self.layout.case == "wide":
-            return self.a_star.shape[1] - self.random_a.shape[1]
-        return self.a_star.shape[0] - self.random_a.shape[0]
-
-    @property
-    def _split_b(self) -> int:
-        if self.layout.case == "wide":
-            return self.b_star.shape[0] - self.random_b.shape[0]
-        return self.b_star.shape[1] - self.random_b.shape[1]
+        br, bc = self.b_star.block_shape
+        return self.b_star.data[: self.layout.s * br, : self.layout.d * bc]
 
 
 def _validate_operands(a: BlockMatrix, b: BlockMatrix) -> tuple[int, int, int]:
@@ -264,67 +204,29 @@ def _validate_operands(a: BlockMatrix, b: BlockMatrix) -> tuple[int, int, int]:
     return t, s, d
 
 
-def _apply_mask(blocks: np.ndarray, mask: np.ndarray, block_shape: tuple[int, int]) -> np.ndarray:
-    out = blocks.copy()
-    br, bc = block_shape
-    for i, j in np.argwhere(mask):
-        out[i * br : (i + 1) * br, j * bc : (j + 1) * bc] = 0
-    return out
-
-
-def augment_tall(
-    a: BlockMatrix, b: BlockMatrix, p_c: int, rng: np.random.Generator
-) -> AugmentedPair:
-    """Stack random block rows under A and random block columns right of B."""
-    t, s, d = _validate_operands(a, b)
-    if s >= t:
-        raise WrongCaseError(f"tall augmentation needs s < t, got s={s}, t={t}")
-    layout = augmentation_layout(t, s, d, p_c)
-    field = a.field
-    br, bc = a.block_shape
-    rb_rows, rb_cols = b.block_shape
-    r_a = field.random_array((layout.delta * br, a.shape[1]), rng)
-    r_b = field.random_array((b.shape[0], layout.delta * rb_cols), rng)
-    r_a = _apply_mask(r_a, layout.a_zero_mask, (br, bc))
-    r_b = _apply_mask(r_b, layout.b_zero_mask, (rb_rows, rb_cols))
-    a_star = BlockMatrix(np.vstack([a.data, r_a]), (layout.t_star, s), field)
-    b_star = BlockMatrix(np.hstack([b.data, r_b]), (s, layout.d_star), field)
-    return AugmentedPair(layout, a_star, b_star, r_a, r_b)
-
-
-def augment_wide(
-    a: BlockMatrix, b: BlockMatrix, p_c: int, rng: np.random.Generator
-) -> AugmentedPair:
-    """Append random block columns right of A and random block rows under B."""
-    t, s, d = _validate_operands(a, b)
-    if s < t:
-        raise WrongCaseError(f"wide augmentation needs s >= t, got s={s}, t={t}")
-    layout = augmentation_layout(t, s, d, p_c)
-    field = a.field
-    br, bc = a.block_shape
-    rb_rows, rb_cols = b.block_shape
-    r_a = field.random_array((a.shape[0], layout.width * bc), rng)
-    r_b = field.random_array((layout.width * rb_rows, b.shape[1]), rng)
-    r_a = _apply_mask(r_a, layout.a_zero_mask, (br, bc))
-    r_b = _apply_mask(r_b, layout.b_zero_mask, (rb_rows, rb_cols))
-    a_star = BlockMatrix(np.hstack([a.data, r_a]), (t, layout.s_wide), field)
-    b_star = BlockMatrix(np.vstack([b.data, r_b]), (layout.s_wide, d), field)
-    return AugmentedPair(layout, a_star, b_star, r_a, r_b)
+def _pad(m: BlockMatrix, live: np.ndarray, rng: np.random.Generator) -> BlockMatrix:
+    """Zero-extend m to the grid of ``live``, fill the appended strip with
+    uniform randomness, then zero every block that is not live."""
+    br, bc = m.block_shape
+    rows, cols = m.shape
+    out = np.zeros((live.shape[0] * br, live.shape[1] * bc), dtype=np.int64)
+    out[:rows, :cols] = m.data
+    strip = out[rows:, :] if out.shape[0] > rows else out[:, cols:]
+    strip[...] = m.field.random_array(strip.shape, rng)
+    out.reshape(live.shape[0], br, live.shape[1], bc).swapaxes(1, 2)[~live] = 0
+    return BlockMatrix(out, live.shape, m.field)
 
 
 def augment(
     a: BlockMatrix, b: BlockMatrix, p_c: int, rng: np.random.Generator
 ) -> AugmentedPair:
-    """Case dispatch: tall when s < t, wide otherwise.  Total for every grid."""
-    t, s, _ = _validate_operands(a, b)
-    if p_c == 0:
-        layout = augmentation_layout(t, s, b.grid[1], 0)
-        none_a = np.zeros((0, a.shape[1]) if s < t else (a.shape[0], 0), dtype=np.int64)
-        none_b = np.zeros((b.shape[0], 0) if s < t else (0, b.shape[1]), dtype=np.int64)
-        return AugmentedPair(layout, a, b, none_a, none_b)
-    if s < t:
-        return augment_tall(a, b, p_c, rng)
-    return augment_wide(a, b, p_c, rng)
+    """Pad A and B to the layout of (t, s, d, P_C), drawing A's strip first.
+
+    Tall (s < t) when the inner split is smaller than A's block rows, wide
+    otherwise; with P_C = 0 nothing is drawn.  Total for every grid."""
+    t, s, d = _validate_operands(a, b)
+    layout = augmentation_layout(t, s, d, p_c)
+    return AugmentedPair(layout, _pad(a, layout.a_live, rng), _pad(b, layout.b_live, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +242,30 @@ def write_matrix(path: str | Path, matrix: np.ndarray, modulus: int) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def parse_entries(path, tokens, modulus: int) -> np.ndarray:
+    """Text tokens as matrix entries; each must be an integer in [0, modulus)."""
+    try:
+        vals = np.array([int(x) for x in tokens], dtype=np.int64)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: non-integer entry ({exc})") from None
+    except OverflowError:
+        raise ConfigurationError(f"{path}: an entry lies outside [0, {modulus})") from None
+    bad = (vals < 0) | (vals >= modulus)
+    if bad.any():
+        raise ConfigurationError(f"{path}: entry {vals[bad][0]} lies outside [0, {modulus})")
+    return vals
+
+
 def read_matrix(path: str | Path) -> tuple[np.ndarray, int]:
     tokens = Path(path).read_text().split()
     if len(tokens) < 3:
         raise ConfigurationError(f"{path}: truncated matrix file")
     try:
         rows, cols, modulus = (int(x) for x in tokens[:3])
-        vals = [int(x) for x in tokens[3:]]
     except ValueError as exc:
         raise ConfigurationError(f"{path}: non-integer entry ({exc})") from None
-    if len(vals) != rows * cols:
+    if len(tokens) - 3 != rows * cols:
         raise ConfigurationError(
-            f"{path}: expected {rows * cols} entries, found {len(vals)}"
+            f"{path}: expected {rows * cols} entries, found {len(tokens) - 3}"
         )
-    return np.array(vals, dtype=np.int64).reshape(rows, cols), modulus
+    return parse_entries(path, tokens[3:], modulus).reshape(rows, cols), modulus

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -42,6 +41,10 @@ _BOOL_KEYS = {"negative_control"}
 _INT_LIST_KEYS = {"pc_list", "responders"}
 
 
+def _int_list(raw: str) -> list:
+    return [int(x) for x in raw.split(",") if x.strip() != ""]
+
+
 def _convert(key: str, raw: str):
     try:
         if key in _INT_KEYS:
@@ -55,7 +58,7 @@ def _convert(key: str, raw: str):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
         if key in _INT_LIST_KEYS:
-            return [int(x) for x in raw.split(",") if x.strip() != ""]
+            return _int_list(raw)
         return raw
     except ValueError as exc:
         raise ConfigurationError(f"config key {key!r}: {exc}") from None
@@ -192,7 +195,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"recovery_threshold={plan.recovery_threshold}",
         f"normalized_load={plan.normalized_load}",
     ]
-    lines += [f"diagnostic={note}" for note in plan.diagnostics]
     lines += report.lines()
     print("\n".join(lines))
     if report.success and merged["out"]:
@@ -245,10 +247,6 @@ def sweep_rows(m: int, n: int, n_workers: int, pc_list) -> list:
     return rows
 
 
-def _format_load(load: Fraction) -> str:
-    return str(load)  # exact rational: "71" or "25/4"
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     merged, _ = _resolve(args, _SWEEP_DEFAULTS)
     _require(merged, ["m", "n", "workers"])
@@ -262,7 +260,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ",".join(
                 [
                     str(r["pc"]), str(r["t"]), str(r["s"]), str(r["d"]), r["case"],
-                    str(r["P_R"]), _format_load(r["C_L_over_TD"]),
+                    str(r["P_R"]), str(r["C_L_over_TD"]),
                     "" if r["naive_P_R"] is None else str(r["naive_P_R"]),
                     "true" if r["feasible"] else "false",
                     "true" if r["frontier"] else "false",
@@ -304,10 +302,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-
-def _int_list(raw: str) -> list:
-    return [int(x) for x in raw.split(",") if x.strip() != ""]
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

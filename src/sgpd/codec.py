@@ -27,8 +27,7 @@ Exponent layout per case (0-based indices throughout):
 
 recovery_threshold is always derived from the construction: the degree of
 F*G over live (non-masked) blocks, plus one.  Closed-form expressions exist
-for most regimes and are cross-checked as diagnostics; where a closed form
-disagrees, the construction value wins.
+for most regimes; the tests cross-check them against the construction.
 """
 
 from __future__ import annotations
@@ -40,7 +39,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import AugmentationLayout, AugmentedPair, BlockMatrix, augmentation_layout
+from .blocks import (
+    AugmentationLayout,
+    AugmentedPair,
+    BlockMatrix,
+    augmentation_layout,
+    parse_entries,
+)
 from .errors import (
     ConfigurationError,
     FieldMismatchError,
@@ -61,71 +66,37 @@ _CASE_LABELS = {"gpd": "non-secure", "tall": "secure-tall", "wide": "secure-wide
 class ExponentMap:
     """One monomial exponent per block of A* and of B*, plus the read-out spots.
 
-    ``a_live``/``b_live`` are False where a block is structurally zero (either
-    a masked random block or a zero-facing band); those blocks contribute
-    nothing to the product degree.
+    Which blocks are live is the layout's business: structurally zero blocks
+    carry an exponent here but contribute nothing to the product.
     """
 
     a_exponents: np.ndarray
     b_exponents: np.ndarray
-    a_live: np.ndarray
-    b_live: np.ndarray
     extraction: np.ndarray  # (t, d): coefficient of z**extraction[i,l] is C_{i,l}
 
     def __post_init__(self):
-        for arr in (self.a_exponents, self.b_exponents, self.a_live, self.b_live, self.extraction):
+        for arr in (self.a_exponents, self.b_exponents, self.extraction):
             arr.setflags(write=False)
-
-    @property
-    def max_degree_a(self) -> int:
-        return int(self.a_exponents[self.a_live].max())
-
-    @property
-    def max_degree_b(self) -> int:
-        return int(self.b_exponents[self.b_live].max())
 
 
 def _exponent_maps(layout: AugmentationLayout) -> ExponentMap:
+    """Plain GPD exponents over the augmented grid, then the per-case changes."""
     t, s, d = layout.t, layout.s, layout.d
-
-    if layout.case == "gpd":
-        a = s * np.arange(t)[:, None] + np.arange(s)[None, :]
-        b = (s - 1 - np.arange(s))[:, None] + t * s * np.arange(d)[None, :]
-        ext = s * (np.arange(t) + 1)[:, None] - 1 + t * s * np.arange(d)[None, :]
-        return ExponentMap(a, b, np.ones((t, s), bool), np.ones((s, d), bool), ext)
-
+    rows, width = layout.a_live.shape  # t* and s_w
+    band = rows * width * np.arange(layout.b_live.shape[1])[None, :]
+    k = np.arange(width)[:, None]
+    a = width * np.arange(rows)[:, None] + np.arange(width)[None, :]
+    b = (width - 1 - k) + band
+    ext = width * (np.arange(t) + 1)[:, None] - 1 + band[:, :d]
     if layout.case == "tall":
-        t_star, d_star, delta = layout.t_star, layout.d_star, layout.delta
-        a = s * np.arange(t_star)[:, None] + np.arange(s)[None, :]
-        a_live = np.ones((t_star, s), bool)
-        a_live[t:, :] = ~layout.a_zero_mask
-        b = np.empty((s, d_star), dtype=np.int64)
-        k = np.arange(s)[:, None]
-        b[:, :d] = (s - 1 - k) + t_star * s * np.arange(d)[None, :]
-        if delta:
-            cols = np.arange(d, d_star)[None, :]
-            b[:, d:] = t_star * s * d + s * (cols - d + 1) - k - 1
-        b_live = np.ones((s, d_star), bool)
-        b_live[:, d:] = ~layout.b_zero_mask
-        ext = s * (np.arange(t) + 1)[:, None] - 1 + t_star * s * np.arange(d)[None, :]
-        return ExponentMap(a, b, a_live, b_live, ext)
-
-    s_w = layout.s_wide
-    a = s_w * np.arange(t)[:, None] + np.arange(s_w)[None, :]
-    a_live = np.ones((t, s_w), bool)
-    a_live[:, s:] = ~layout.a_zero_mask
-    b = np.empty((s_w, d), dtype=np.int64)
-    b_live = np.ones((s_w, d), bool)
-    b_live[s:, :] = ~layout.b_zero_mask
-    band = t * s_w * np.arange(d)[None, :]
-    if min(t, d) == 1:
-        b[:s, :] = (s - 1 - np.arange(s))[:, None] + band
-        b[s:, :] = np.arange(s, s_w)[:, None] + band
-        ext = s_w * np.arange(t)[:, None] + (s - 1) + t * s_w * np.arange(d)[None, :]
-    else:
-        b[:, :] = (s_w - 1 - np.arange(s_w))[:, None] + band
-        ext = s_w * (np.arange(t) + 1)[:, None] - 1 + t * s_w * np.arange(d)[None, :]
-    return ExponentMap(a, b, a_live, b_live, ext)
+        # appended columns are parked above every extraction exponent
+        b[:, d:] = (width - 1 - k) + rows * width * d + width * np.arange(layout.delta)
+    elif layout.case == "wide" and min(t, d) == 1:
+        # random rows ascend within each band; read-out at the data alignment
+        b[:s, :] = (s - 1 - k[:s]) + band
+        b[s:, :] = k[s:] + band
+        ext = width * np.arange(t)[:, None] + (s - 1) + band
+    return ExponentMap(a, b, ext)
 
 
 @dataclass(frozen=True)
@@ -142,7 +113,7 @@ class CodeGeometry:
     d: int
     p_c: int
     layout: AugmentationLayout
-    exponents: ExponentMap
+    exponent_map: ExponentMap
 
     @property
     def case(self) -> str:
@@ -150,7 +121,9 @@ class CodeGeometry:
 
     @property
     def recovery_threshold(self) -> int:
-        return self.exponents.max_degree_a + self.exponents.max_degree_b + 1
+        """Degree of F*G over live blocks, plus one."""
+        emap, lay = self.exponent_map, self.layout
+        return int(emap.a_exponents[lay.a_live].max() + emap.b_exponents[lay.b_live].max()) + 1
 
     @property
     def normalized_load(self) -> Fraction:
@@ -161,46 +134,6 @@ class CodeGeometry:
 def code_geometry(t: int, s: int, d: int, p_c: int) -> CodeGeometry:
     layout = augmentation_layout(t, s, d, p_c)
     return CodeGeometry(t, s, d, p_c, layout, _exponent_maps(layout))
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-# ---------------------------------------------------------------------------
-
-
-def closed_form_thresholds(t: int, s: int, d: int, p_c: int) -> dict:
-    """Closed-form threshold expressions for cross-checking a construction.
-
-    Keys ending in ``_variant`` are alternative printed forms of the same
-    quantity that disagree with the construction for some parameters; they
-    are evaluated for diagnostic reports and never asserted.
-    """
-    out: dict = {}
-    if p_c == 0:
-        out["unsecured"] = t * s * d + s - 1
-        return out
-    if s < t:
-        delta = ceil(p_c / s)
-        t_star, d_star = t + delta, d + delta
-        z = s * delta - p_c
-        if z == 0:
-            out["tall"] = t_star * s * (d + 1) + s * delta - 1
-            out["tall_degree_variant"] = t_star * s * (d + 1) + s * delta - 1
-        else:
-            out["tall"] = t_star * s * (d + 1) - s * delta + 2 * p_c - 1
-            out["tall_degree_variant"] = d * s * t_star - s * delta + 2 * p_c + t - 2
-        out["naive_tall"] = t_star * s * d_star + s - 1 - 2 * z
-        if z > 0:
-            out["naive_tall_variant"] = d * s * t_star + s - 1 - 2 * z
-    else:
-        delta_w = ceil(p_c / min(t, d))
-        s_star = s + delta_w
-        out["wide_general"] = t * d * s_star + s_star - 1
-        if t == d:
-            out["wide_special"] = s_star * (t * t + 1) - 3
-            out["wide_special_applies_div_s"] = delta_w * s > p_c
-            out["wide_special_applies_div_min"] = delta_w * min(t, d) > p_c
-    return out
 
 
 def naive_secure_threshold(t: int, s: int, d: int, p_c: int) -> int:
@@ -222,83 +155,15 @@ def naive_secure_threshold(t: int, s: int, d: int, p_c: int) -> int:
 
 
 @dataclass(frozen=True)
-class EncodingPlan:
-    geometry: CodeGeometry
+class EncodingPlan(CodeGeometry):
+    """A code geometry bound to a field and a pool of evaluation points."""
+
     field: PrimeField
     n_workers: int
-    evaluation_points: np.ndarray
-    diagnostics: tuple = ()
+    evaluation_points: np.ndarray  # worker w (1-based) evaluates at [w - 1]
 
     def __post_init__(self):
         self.evaluation_points.setflags(write=False)
-
-    @property
-    def t(self) -> int:
-        return self.geometry.t
-
-    @property
-    def s(self) -> int:
-        return self.geometry.s
-
-    @property
-    def d(self) -> int:
-        return self.geometry.d
-
-    @property
-    def p_c(self) -> int:
-        return self.geometry.p_c
-
-    @property
-    def case(self) -> str:
-        return self.geometry.case
-
-    @property
-    def layout(self) -> AugmentationLayout:
-        return self.geometry.layout
-
-    @property
-    def exponent_map(self) -> ExponentMap:
-        return self.geometry.exponents
-
-    @property
-    def recovery_threshold(self) -> int:
-        return self.geometry.recovery_threshold
-
-    @property
-    def t_star(self):
-        return self.layout.t_star if self.layout.case == "tall" else None
-
-    @property
-    def d_star(self):
-        return self.layout.d_star if self.layout.case == "tall" else None
-
-    @property
-    def s_star(self):
-        return self.layout.s_wide if self.layout.case == "wide" else None
-
-    @property
-    def normalized_load(self) -> Fraction:
-        return self.geometry.normalized_load
-
-
-def _threshold_diagnostics(geometry: CodeGeometry) -> tuple:
-    p_r = geometry.recovery_threshold
-    forms = closed_form_thresholds(geometry.t, geometry.s, geometry.d, geometry.p_c)
-    notes = []
-    for key in ("unsecured", "tall", "wide_general"):
-        if key in forms and forms[key] != p_r:
-            notes.append(
-                f"closed form '{key}'={forms[key]} differs from construction "
-                f"recovery_threshold={p_r}; construction value is authoritative"
-            )
-    if "wide_special" in forms and forms["wide_special"] != p_r:
-        notes.append(
-            f"closed form 'wide_special'={forms['wide_special']} "
-            f"(applies_div_s={forms['wide_special_applies_div_s']}, "
-            f"applies_div_min={forms['wide_special_applies_div_min']}) differs "
-            f"from construction recovery_threshold={p_r}; recorded only"
-        )
-    return tuple(notes)
 
 
 def build_plan(
@@ -312,8 +177,7 @@ def build_plan(
 ) -> EncodingPlan:
     """Validate parameters and assemble the full code description.
 
-    The recovery threshold comes from the exponent maps after masking; the
-    closed forms are compared and any mismatch lands in plan.diagnostics.
+    The recovery threshold comes from the exponent maps over live blocks.
     """
     geometry = code_geometry(t, s, d, p_c)
     p_r = geometry.recovery_threshold
@@ -348,7 +212,9 @@ def build_plan(
         points = points % field.p
         if np.any(points == 0) or len(np.unique(points)) != n_workers:
             raise ConfigurationError("evaluation points must be distinct and nonzero")
-    return EncodingPlan(geometry, field, n_workers, points, _threshold_diagnostics(geometry))
+    return EncodingPlan(
+        t, s, d, p_c, geometry.layout, geometry.exponent_map, field, n_workers, points
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +267,8 @@ def encode(plan: EncodingPlan, pair: AugmentedPair) -> list:
     if (
         pair.a_star.grid != emap.a_exponents.shape
         or pair.b_star.grid != emap.b_exponents.shape
-        or pair.layout != plan.layout
+        or (pair.layout.t, pair.layout.s, pair.layout.d, pair.layout.p_c)
+        != (plan.t, plan.s, plan.d, plan.p_c)
     ):
         raise ConfigurationError(
             f"augmented grids {pair.a_star.grid}/{pair.b_star.grid} do not match "
@@ -465,11 +332,22 @@ def _lagrange_coefficient_matrix(field: PrimeField, xs) -> np.ndarray:
 def decode(plan: EncodingPlan, results) -> BlockMatrix:
     """Interpolate the product polynomial and read the extraction coefficients.
 
-    Exactly recovery_threshold results are consumed; any surplus is dropped
+    Each result is evaluated at the plan's point for its worker id, which
+    must lie in 1..P and agree with the point the result carries.  Exactly
+    recovery_threshold results are consumed; any surplus is dropped
     deterministically, keeping the lowest worker ids.
     """
     by_id: dict = {}
     for r in results:
+        if not 1 <= r.worker_id <= plan.n_workers:
+            raise ConfigurationError(
+                f"worker {r.worker_id} is outside the pool 1..{plan.n_workers}"
+            )
+        expected = int(plan.evaluation_points[r.worker_id - 1])
+        if r.point != expected:
+            raise ConfigurationError(
+                f"worker {r.worker_id} carries point {r.point}, but the plan assigns {expected}"
+            )
         if r.worker_id in by_id:
             raise ConfigurationError(f"duplicate result for worker {r.worker_id}")
         by_id[r.worker_id] = r
@@ -477,9 +355,7 @@ def decode(plan: EncodingPlan, results) -> BlockMatrix:
     if len(by_id) < p_r:
         raise NotEnoughResults(len(by_id), p_r)
     chosen = [by_id[w] for w in sorted(by_id)][:p_r]
-    points = [r.point for r in chosen]
-    if len(set(points)) != p_r:
-        raise ConfigurationError("results carry duplicate evaluation points")
+    points = [int(plan.evaluation_points[r.worker_id - 1]) for r in chosen]
     shapes = {r.product.shape for r in chosen}
     if len(shapes) != 1:
         raise ConfigurationError(f"results disagree on product shape: {sorted(shapes)}")
@@ -514,39 +390,20 @@ class ExponentAuditReport:
         return not self.collisions
 
 
-def _classify_blocks(geometry: CodeGeometry):
-    """Live blocks as (grid index, exponent, is_data, data row/col, inner index)."""
-    emap = geometry.exponents
-    s = geometry.s
-    wide = geometry.layout.case == "wide"
-    a_list = []
-    for (i, j), e in np.ndenumerate(emap.a_exponents):
-        if not emap.a_live[i, j]:
-            continue
-        is_data = (j < s) if wide else (i < geometry.t)
-        a_list.append((int(e), is_data, i, j))
-    b_list = []
-    for (k, l), e in np.ndenumerate(emap.b_exponents):
-        if not emap.b_live[k, l]:
-            continue
-        is_data = (k < s) if wide else (l < geometry.d)
-        b_list.append((int(e), is_data, k, l))
-    return a_list, b_list
-
-
-def exponent_audit(plan_or_geometry) -> ExponentAuditReport:
+def exponent_audit(geometry: CodeGeometry) -> ExponentAuditReport:
     """Exhaustively check that extraction coefficients receive exactly the
     intended data products: one (A_{i,k}, B_{k,l}) pair per inner index k and
-    nothing from any random block."""
-    geometry = getattr(plan_or_geometry, "geometry", plan_or_geometry)
-    emap = geometry.exponents
-    s = geometry.s
+    nothing from any random block.  A plan is a geometry and is accepted too."""
+    emap, lay = geometry.exponent_map, geometry.layout
+    t, s, d = geometry.t, geometry.s, geometry.d
     findings = []
     for name, arr in (("a", emap.a_exponents), ("b", emap.b_exponents)):
         flat = arr.ravel()
         if len(np.unique(flat)) != flat.size:
             findings.append(f"{name}-side exponents are not distinct")
-    a_list, b_list = _classify_blocks(geometry)
+    a_blocks = np.argwhere(lay.a_live)  # row-major, so findings keep loop order
+    b_blocks = np.argwhere(lay.b_live)
+    sums = np.add.outer(emap.a_exponents[lay.a_live], emap.b_exponents[lay.b_live])
     p_r = geometry.recovery_threshold
     ext = emap.extraction
     if len(np.unique(ext.ravel())) != ext.size:
@@ -555,42 +412,32 @@ def exponent_audit(plan_or_geometry) -> ExponentAuditReport:
         findings.append(
             f"extraction exponent {int(ext.max())} outside degree range {p_r - 1}"
         )
-    for i in range(ext.shape[0]):
-        for l in range(ext.shape[1]):
-            target = int(ext[i, l])
-            inner_seen = []
-            for ea, a_data, ai, aj in a_list:
-                for eb, b_data, bk, bl in b_list:
-                    if ea + eb != target:
-                        continue
-                    if not (a_data and b_data):
-                        findings.append(
-                            f"C[{i},{l}] at exponent {target} receives "
-                            f"a[{ai},{aj}] x b[{bk},{bl}] "
-                            f"({'data' if a_data else 'random'} x "
-                            f"{'data' if b_data else 'random'})"
-                        )
-                        continue
-                    a_inner = aj
-                    b_inner = bk
-                    a_out = ai
-                    b_out = bl
-                    if a_out != i or b_out != l or a_inner != b_inner:
-                        findings.append(
-                            f"C[{i},{l}] at exponent {target} receives misaligned "
-                            f"data pair a[{ai},{aj}] x b[{bk},{bl}]"
-                        )
-                        continue
-                    inner_seen.append(a_inner)
-            if sorted(inner_seen) != list(range(s)):
+    for (i, l), target in np.ndenumerate(ext):
+        inner_seen = []
+        for x, y in np.argwhere(sums == target):
+            ai, aj = (int(v) for v in a_blocks[x])
+            bk, bl = (int(v) for v in b_blocks[y])
+            a_data = ai < t and aj < s  # data fill the top-left corners
+            b_data = bk < s and bl < d
+            if not (a_data and b_data):
                 findings.append(
-                    f"C[{i},{l}] inner-sum terms {sorted(inner_seen)} != 0..{s - 1}"
+                    f"C[{i},{l}] at exponent {target} receives "
+                    f"a[{ai},{aj}] x b[{bk},{bl}] "
+                    f"({'data' if a_data else 'random'} x "
+                    f"{'data' if b_data else 'random'})"
                 )
-    return ExponentAuditReport(
-        (geometry.t, geometry.s, geometry.d, geometry.p_c),
-        len(a_list) * len(b_list),
-        tuple(findings),
-    )
+            elif ai != i or bl != l or aj != bk:
+                findings.append(
+                    f"C[{i},{l}] at exponent {target} receives misaligned "
+                    f"data pair a[{ai},{aj}] x b[{bk},{bl}]"
+                )
+            else:
+                inner_seen.append(aj)
+        if sorted(inner_seen) != list(range(s)):
+            findings.append(
+                f"C[{i},{l}] inner-sum terms {sorted(inner_seen)} != 0..{s - 1}"
+            )
+    return ExponentAuditReport((t, s, d, geometry.p_c), sums.size, tuple(findings))
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +482,13 @@ def read_share(path, field: PrimeField) -> CodedShare:
     tokens = Path(path).read_text().split()
     if len(tokens) < 6:
         raise ConfigurationError(f"{path}: truncated share file")
-    worker_id, point, ra, ca, rb, cb = (int(x) for x in tokens[:6])
-    vals = [int(x) for x in tokens[6:]]
-    if len(vals) != ra * ca + rb * cb:
+    try:
+        worker_id, point, ra, ca, rb, cb = (int(x) for x in tokens[:6])
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: non-integer entry ({exc})") from None
+    if len(tokens) - 6 != ra * ca + rb * cb:
         raise ConfigurationError(f"{path}: expected {ra * ca + rb * cb} entries")
-    a = np.array(vals[: ra * ca], dtype=np.int64).reshape(ra, ca)
-    b = np.array(vals[ra * ca :], dtype=np.int64).reshape(rb, cb)
+    vals = parse_entries(path, tokens[6:], field.p)
+    a = vals[: ra * ca].reshape(ra, ca)
+    b = vals[ra * ca :].reshape(rb, cb)
     return CodedShare(worker_id, point, a, b, field)

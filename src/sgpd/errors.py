@@ -12,7 +12,7 @@ class ConfigurationError(SgpdError, ValueError):
 
 
 class WrongCaseError(ConfigurationError):
-    """An augmentation routine was called on the wrong partition-shape regime."""
+    """A computation was asked for outside the partition-shape regime it is defined for."""
 
 
 class FieldMismatchError(SgpdError, ValueError):

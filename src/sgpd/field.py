@@ -1,17 +1,14 @@
 """Exact arithmetic over a prime field GF(p).
 
-Scalars are wrapped in :class:`FieldElement`; bulk matrix work stays on raw
-``numpy`` int64 arrays reduced mod p, with products chunked so intermediate
-sums never overflow 63 bits.
+Elements are entries of ``numpy`` int64 arrays reduced mod p; matrix
+products are chunked so intermediate sums never overflow 63 bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigurationError, FieldMismatchError
+from .errors import ConfigurationError
 
 MAX_MODULUS = 2**31
 
@@ -54,52 +51,6 @@ class PrimeField:
         self.p = p
         # Largest inner-dimension chunk whose int64 dot product cannot overflow.
         self._chunk = max(1, (2**62) // ((p - 1) ** 2 or 1))
-
-    # -- scalar operations ---------------------------------------------------
-
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(value % self.p, self)
-
-    def zero(self) -> FieldElement:
-        return FieldElement(0, self)
-
-    def one(self) -> FieldElement:
-        return FieldElement(1 % self.p, self)
-
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        return FieldElement((a.value + b.value) % self.p, self)
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        return FieldElement((a.value - b.value) % self.p, self)
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        return FieldElement(a.value * b.value % self.p, self)
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        if a.value == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(p)")
-        return FieldElement(pow(a.value, self.p - 2, self.p), self)
-
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
-        self._check(a)
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        # pow(0, 0, p) == 1, which is the convention we want.
-        return FieldElement(pow(a.value, e, self.p), self)
-
-    def sample_uniform(self, rng: np.random.Generator) -> FieldElement:
-        return FieldElement(int(rng.integers(0, self.p)), self)
-
-    def _check(self, *elems: FieldElement) -> None:
-        for e in elems:
-            if e.field.p != self.p:
-                raise FieldMismatchError(
-                    f"element of GF({e.field.p}) used with GF({self.p})"
-                )
 
     # -- array operations ----------------------------------------------------
 
@@ -144,31 +95,3 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of GF(p); operations between mismatched fields raise."""
-
-    value: int
-    field: PrimeField
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        return self.field.add(self, other)
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        return self.field.sub(self, other)
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        return self.field.mul(self, other)
-
-    def __pow__(self, e: int) -> FieldElement:
-        return self.field.pow(self, e)
-
-    def inverse(self) -> FieldElement:
-        return self.field.inv(self)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"

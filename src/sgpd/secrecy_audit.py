@@ -87,13 +87,16 @@ class AuditInstance:
     def evaluation_points(self) -> np.ndarray:
         return np.arange(1, self.n_workers + 1, dtype=np.int64)
 
-    def entry_counts(self):
-        """(data entries, random entries actually enumerated)."""
+    def _entry_sizes(self) -> tuple[int, int, int]:
+        """(entries per A block, entries per B block, data entries of A and B)."""
         ea = (self.big_t // self.t) * (self.big_s // self.s)
         eb = (self.big_s // self.s) * (self.big_d // self.d)
-        n_data = self.big_t * self.big_s + self.big_s * self.big_d
-        n_random = 0 if self.negative_control else self.p_c * ea + self.p_c * eb
-        return n_data, n_random
+        return ea, eb, self.big_t * self.big_s + self.big_s * self.big_d
+
+    def entry_counts(self):
+        """(data entries, random entries actually enumerated)."""
+        ea, eb, n_data = self._entry_sizes()
+        return n_data, 0 if self.negative_control else self.p_c * (ea + eb)
 
     def cases_per_subset(self) -> int:
         n_data, n_random = self.entry_counts()
@@ -103,9 +106,7 @@ class AuditInstance:
         """Budget estimate: always counts the claimed randomness dimension, so
         a negative control is charged the same as the instance it mimics (the
         count table it builds is that large either way)."""
-        ea = (self.big_t // self.t) * (self.big_s // self.s)
-        eb = (self.big_s // self.s) * (self.big_d // self.d)
-        n_data = self.big_t * self.big_s + self.big_s * self.big_d
+        ea, eb, n_data = self._entry_sizes()
         return self.field.p ** (n_data + self.p_c * (ea + eb))
 
 
@@ -126,19 +127,11 @@ class AuditVerdict:
     cases_per_subset: int
 
 
-def _live_random_positions(geometry: CodeGeometry):
-    """Grid coordinates of live random blocks, in layout (row-major) order."""
-    lay = geometry.layout
-    t, s = geometry.t, geometry.s
-    if lay.case == "gpd":
-        return [], []
-    if lay.case == "tall":
-        a_pos = [(t + i, j) for i, j in lay.live_a]
-        b_pos = [(k, geometry.d + c) for k, c in lay.live_b]
-    else:
-        a_pos = [(i, s + j) for i, j in lay.live_a]
-        b_pos = [(s + r, l) for r, l in lay.live_b]
-    return a_pos, b_pos
+def _random_blocks(live: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Live blocks outside the top-left data corner, in row-major order."""
+    data_corner = np.zeros(live.shape, bool)
+    data_corner[:rows, :cols] = True
+    return np.argwhere(live & ~data_corner)
 
 
 def _observation_matrix(instance: AuditInstance, subset) -> np.ndarray:
@@ -148,16 +141,16 @@ def _observation_matrix(instance: AuditInstance, subset) -> np.ndarray:
     (A side, B side).  Data first, so an assignment's (A, B) part is its low
     mixed-radix digits."""
     geo = instance.geometry
-    emap = geo.exponents
+    emap = geo.exponent_map
     field = instance.field
     t, s, d = geo.t, geo.s, geo.d
-    ea = (instance.big_t // t) * (instance.big_s // s)
-    eb = (instance.big_s // s) * (instance.big_d // d)
+    ea, eb, _ = instance._entry_sizes()
     n_a = t * s * ea
     n_b = s * d * eb
-    a_rand, b_rand = _live_random_positions(geo)
+    a_rand = _random_blocks(geo.layout.a_live, t, s)
+    b_rand = _random_blocks(geo.layout.b_live, s, d)
     if instance.negative_control:
-        a_rand, b_rand = [], []
+        a_rand, b_rand = a_rand[:0], b_rand[:0]
     n_vars = n_a + n_b + len(a_rand) * ea + len(b_rand) * eb
 
     a_data_pos = [(i, j) for i in range(t) for j in range(s)]

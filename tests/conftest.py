@@ -4,9 +4,13 @@ The oracles recompute what the library claims by a different route: matrix
 products by explicit integer triple loops, shares by symbolic polynomial
 evaluation built straight from the exponent maps, and the product polynomial
 by term-by-term convolution.  None of them call the code paths under test.
+The closed-form thresholds are an independent oracle for the construction's
+recovery threshold.
 """
 
 from __future__ import annotations
+
+from math import ceil
 
 import numpy as np
 import pytest
@@ -56,7 +60,8 @@ def product_coefficients(pair, geometry) -> dict:
     Returns {exponent: coefficient block} for f_A(x) * f_B(x), summing
     A-block x B-block products over every pair of live monomials.
     """
-    exps = geometry.exponents
+    exps = geometry.exponent_map
+    a_live, b_live = geometry.layout.a_live, geometry.layout.b_live
     p = pair.a_star.field.p
     out_shape = (pair.a_star.block_shape[0], pair.b_star.block_shape[1])
     coeffs: dict = {}
@@ -64,13 +69,13 @@ def product_coefficients(pair, geometry) -> dict:
     rows_b, cols_b = pair.b_star.grid
     for i in range(rows_a):
         for j in range(cols_a):
-            if not exps.a_live[i, j]:
+            if not a_live[i, j]:
                 continue
             e_a = int(exps.a_exponents[i, j])
             blk_a = pair.a_star.block(i, j)
             for k in range(rows_b):
                 for l in range(cols_b):
-                    if not exps.b_live[k, l]:
+                    if not b_live[k, l]:
                         continue
                     g = e_a + int(exps.b_exponents[k, l])
                     term = small_matmul(blk_a, pair.b_star.block(k, l), p)
@@ -97,6 +102,41 @@ def encoding_terms(block_matrix, exponents: np.ndarray, live: np.ndarray) -> dic
             if live[i, j]:
                 terms[int(exponents[i, j])] = block_matrix.block(i, j)
     return terms
+
+
+def closed_form_thresholds(t: int, s: int, d: int, p_c: int) -> dict:
+    """Closed-form threshold expressions for cross-checking a construction.
+
+    Keys ending in ``_variant`` are alternative printed forms of the same
+    quantity that disagree with the construction for some parameters; they
+    feed the report that acceptance criterion 2 writes and are never asserted.
+    """
+    out: dict = {}
+    if p_c == 0:
+        out["unsecured"] = t * s * d + s - 1
+        return out
+    if s < t:
+        delta = ceil(p_c / s)
+        t_star, d_star = t + delta, d + delta
+        z = s * delta - p_c
+        if z == 0:
+            out["tall"] = t_star * s * (d + 1) + s * delta - 1
+            out["tall_degree_variant"] = t_star * s * (d + 1) + s * delta - 1
+        else:
+            out["tall"] = t_star * s * (d + 1) - s * delta + 2 * p_c - 1
+            out["tall_degree_variant"] = d * s * t_star - s * delta + 2 * p_c + t - 2
+        out["naive_tall"] = t_star * s * d_star + s - 1 - 2 * z
+        if z > 0:
+            out["naive_tall_variant"] = d * s * t_star + s - 1 - 2 * z
+    else:
+        delta_w = ceil(p_c / min(t, d))
+        s_star = s + delta_w
+        out["wide_general"] = t * d * s_star + s_star - 1
+        if t == d:
+            out["wide_special"] = s_star * (t * t + 1) - 3
+            out["wide_special_applies_div_s"] = delta_w * s > p_c
+            out["wide_special_applies_div_min"] = delta_w * min(t, d) > p_c
+    return out
 
 
 def make_pair(t, s, d, p_c, field, rng, bt=1, bs=1, bd=1):

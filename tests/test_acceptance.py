@@ -21,7 +21,6 @@ from sgpd import (
     PrimeField,
     audit_all_subsets,
     build_plan,
-    closed_form_thresholds,
     code_geometry,
     decode,
     encode,
@@ -31,7 +30,7 @@ from sgpd import (
 )
 from sgpd.cli import sweep_rows
 
-from conftest import make_pair
+from conftest import closed_form_thresholds, make_pair
 
 REPORTS = Path(__file__).resolve().parents[1] / "reports"
 
@@ -235,10 +234,10 @@ def test_criterion_6_exponent_collision_audit():
             report = exponent_audit(code_geometry(t, s, d, p_c))
             assert report.clean, (t, s, d, p_c, report.collisions[:2])
     geo = code_geometry(3, 2, 2, 2)
-    bad_b = geo.exponents.b_exponents.copy()
+    bad_b = geo.exponent_map.b_exponents.copy()
     bad_b[0, 2] = bad_b[0, 0]  # random column collides with a data column
     corrupted = dataclasses.replace(
-        geo, exponents=dataclasses.replace(geo.exponents, b_exponents=bad_b)
+        geo, exponent_map=dataclasses.replace(geo.exponent_map, b_exponents=bad_b)
     )
     assert len(exponent_audit(corrupted).collisions) >= 1
 

@@ -9,18 +9,14 @@ from sgpd import (
     ConfigurationError,
     FieldMismatchError,
     PrimeField,
-    WrongCaseError,
     augment,
-    augment_tall,
-    augment_wide,
     augmentation_layout,
-    multiply,
     partition,
     read_matrix,
     write_matrix,
 )
 
-from conftest import make_pair, small_matmul, triple_loop_product
+from conftest import make_pair, small_matmul
 
 
 def test_partition_blocks_are_views(field257):
@@ -49,23 +45,6 @@ def test_block_matrix_reduces_and_freezes(field5):
         bm.data[0, 0] = 3
 
 
-def test_multiply_matches_triple_loop(field257):
-    rng = np.random.default_rng(1)
-    a = partition(field257.random_array((4, 6), rng), (2, 3), field257)
-    b = partition(field257.random_array((6, 2), rng), (3, 1), field257)
-    got = multiply(a, b)
-    assert got.grid == (2, 1)
-    assert np.array_equal(got.data, triple_loop_product(a.data, b.data, 257))
-
-
-def test_multiply_rejects_mismatches(field257, field5):
-    a = partition(np.zeros((4, 6)), (2, 3), field257)
-    with pytest.raises(ConfigurationError):
-        multiply(a, partition(np.zeros((4, 2)), (2, 1), field257))
-    with pytest.raises(FieldMismatchError):
-        multiply(a, partition(np.zeros((6, 2)), (3, 1), field5))
-
-
 # ---------------------------------------------------------------------------
 # augmentation layouts
 # ---------------------------------------------------------------------------
@@ -74,52 +53,55 @@ def test_multiply_rejects_mismatches(field257, field5):
 def test_layout_gpd_appends_nothing():
     lay = augmentation_layout(3, 2, 2, 0)
     assert lay.case == "gpd"
-    assert lay.a_zero_mask.size == 0 and lay.b_zero_mask.size == 0
+    assert lay.a_live.shape == (3, 2) and lay.b_live.shape == (2, 2)
+    assert lay.a_live.all() and lay.b_live.all()
 
 
 def test_layout_tall_partial_band_zeroes_surplus():
     # delta=1 appended band of 2 blocks per side, only 1 may stay random
     lay = augmentation_layout(3, 2, 2, 1)
-    assert (lay.case, lay.delta, lay.t_star, lay.d_star) == ("tall", 1, 4, 3)
-    assert lay.a_zero_mask.tolist() == [[False, True]]  # rightmost zeroed
-    assert lay.b_zero_mask.tolist() == [[True], [False]]  # topmost zeroed
-    assert lay.live_a == [(0, 0)] and lay.live_b == [(1, 0)]
+    assert (lay.case, lay.delta, lay.a_live.shape, lay.b_live.shape) == (
+        "tall", 1, (4, 2), (2, 3)
+    )
+    assert lay.a_live[3:].tolist() == [[True, False]]  # rightmost zeroed
+    assert lay.b_live[:, 2:].tolist() == [[False], [True]]  # topmost zeroed
+    assert np.argwhere(~lay.a_live).tolist() == [[3, 1]]
+    assert np.argwhere(~lay.b_live).tolist() == [[0, 2]]
 
 
 def test_layout_tall_full_band_keeps_everything():
     lay = augmentation_layout(3, 2, 2, 2)
-    assert not lay.a_zero_mask.any() and not lay.b_zero_mask.any()
-    assert len(lay.live_a) == 2 and len(lay.live_b) == 2
+    assert lay.a_live.shape == (4, 2) and lay.b_live.shape == (2, 3)
+    assert lay.a_live.all() and lay.b_live.all()
 
 
 def test_layout_tall_two_band_surplus_sits_in_last_band():
     lay = augmentation_layout(3, 2, 2, 3)
     assert lay.delta == 2
-    assert lay.a_zero_mask.tolist() == [[False, False], [False, True]]
-    assert lay.b_zero_mask.tolist() == [[False, True], [False, False]]
+    assert lay.a_live[3:].tolist() == [[True, True], [True, False]]
+    assert lay.b_live[:, 2:].tolist() == [[True, False], [True, True]]
 
 
 def test_layout_wide_single_output_row_keeps_corner():
     lay = augmentation_layout(2, 3, 1, 2)
-    assert (lay.case, lay.width, lay.s_wide) == ("wide", 2, 5)
-    assert lay.a_zero_mask.tolist() == [[True, True], [False, False]]
-    assert lay.b_zero_mask.tolist() == [[False], [False]]
+    assert (lay.case, lay.width, lay.a_live.shape[1]) == ("wide", 2, 5)
+    assert lay.a_live[:, 3:].tolist() == [[False, False], [True, True]]
+    assert lay.b_live[3:].tolist() == [[True], [True]]
 
 
 def test_layout_wide_padded_bands_face_zeros():
     lay = augmentation_layout(2, 2, 2, 2)
-    assert (lay.delta_a, lay.delta_b, lay.width) == (1, 1, 2)
-    assert lay.a_zero_mask.tolist() == [[False, True], [False, True]]
-    assert lay.b_zero_mask.tolist() == [[True, True], [False, False]]
+    assert lay.width == 2
+    assert lay.a_live[:, 2:].tolist() == [[True, False], [True, False]]
+    assert lay.b_live[2:].tolist() == [[False, False], [True, True]]
 
 
 def test_layout_wide_padded_surplus_masking():
     lay = augmentation_layout(3, 3, 3, 2)
-    assert (lay.delta_a, lay.delta_b) == (1, 1)
-    assert lay.a_zero_mask[:, 0].tolist() == [False, False, True]
-    assert lay.a_zero_mask[:, 1].all()
-    assert lay.b_zero_mask[0].all()
-    assert lay.b_zero_mask[1].tolist() == [False, False, True]
+    assert lay.a_live[:, 3].tolist() == [True, True, False]
+    assert not lay.a_live[:, 4].any()
+    assert not lay.b_live[3].any()
+    assert lay.b_live[4].tolist() == [True, True, False]
 
 
 def test_layout_rejects_negative_collusion():
@@ -137,7 +119,8 @@ def test_augment_no_collusion_is_identity(field257):
     a_arr, b_arr, pair = make_pair(2, 3, 2, 0, field257, rng, bt=2, bs=1, bd=2)
     assert np.array_equal(pair.a_star.data, a_arr)
     assert np.array_equal(pair.b_star.data, b_arr)
-    assert pair.random_a.size == 0 and pair.random_b.size == 0
+    assert np.array_equal(pair.original_a, a_arr)
+    assert np.array_equal(pair.original_b, b_arr)
 
 
 def test_augment_tall_shapes_and_data_preserved(field257):
@@ -156,10 +139,10 @@ def test_augment_tall_shapes_and_data_preserved(field257):
 def test_augment_tall_product_embeds_true_product(field257):
     rng = np.random.default_rng(5)
     a_arr, b_arr, pair = make_pair(4, 1, 2, 3, field257, rng, bt=1, bs=3, bd=2)
-    full = multiply(pair.a_star, pair.b_star)
+    full = small_matmul(pair.a_star.data, pair.b_star.data, 257)
     want = small_matmul(a_arr, b_arr, 257)
     rows, cols = want.shape
-    assert np.array_equal(full.data[:rows, :cols], want)
+    assert np.array_equal(full[:rows, :cols], want)
 
 
 def test_augment_wide_corner_shapes(field257):
@@ -178,20 +161,16 @@ def test_augment_wide_padded_product_is_exact(field257):
     # facing zeros cancel every random contribution in the full product
     rng = np.random.default_rng(7)
     a_arr, b_arr, pair = make_pair(2, 2, 2, 2, field257, rng, bt=2, bs=2, bd=2)
-    full = multiply(pair.a_star, pair.b_star)
-    assert np.array_equal(full.data, small_matmul(a_arr, b_arr, 257))
+    full = small_matmul(pair.a_star.data, pair.b_star.data, 257)
+    assert np.array_equal(full, small_matmul(a_arr, b_arr, 257))
 
 
 def test_augment_case_dispatch(field257):
     rng = np.random.default_rng(8)
     a = partition(field257.random_array((4, 2), rng), (4, 2), field257)
     b = partition(field257.random_array((2, 2), rng), (2, 2), field257)
-    with pytest.raises(WrongCaseError):
-        augment_wide(a, b, 1, rng)
     wide_a = partition(field257.random_array((2, 4), rng), (2, 4), field257)
     wide_b = partition(field257.random_array((4, 2), rng), (4, 2), field257)
-    with pytest.raises(WrongCaseError):
-        augment_tall(wide_a, wide_b, 1, rng)
     assert augment(a, b, 1, rng).layout.case == "tall"
     assert augment(wide_a, wide_b, 1, rng).layout.case == "wide"
 
@@ -214,13 +193,11 @@ def test_augment_live_random_count_is_exactly_pc(t, s, d, p_c, seed):
     rng = np.random.default_rng(seed)
     a_arr, b_arr, pair = make_pair(t, s, d, p_c, field, rng)
     lay = pair.layout
-    if p_c == 0:
-        assert lay.case == "gpd"
-        return
-    # exactly p_c live random blocks per side; the rest of the band is zero
-    assert len(lay.live_a) == p_c and len(lay.live_b) == p_c
-    assert lay.a_zero_mask.sum() == lay.a_zero_mask.size - p_c
-    assert lay.b_zero_mask.sum() == lay.b_zero_mask.size - p_c
+    assert (lay.case == "gpd") == (p_c == 0)
+    # the data corner is live, plus exactly p_c random blocks per side
+    assert lay.a_live[:t, :s].all() and lay.b_live[:s, :d].all()
+    assert lay.a_live.sum() == t * s + p_c and lay.b_live.sum() == s * d + p_c
+    assert pair.a_star.grid == lay.a_live.shape and pair.b_star.grid == lay.b_live.shape
     assert np.array_equal(pair.original_a, a_arr)
     assert np.array_equal(pair.original_b, b_arr)
 
@@ -254,3 +231,12 @@ def test_matrix_file_rejects_garbage(tmp_path):
     path.write_text("2 2 257\n1 2\n3 x\n")
     with pytest.raises(ConfigurationError):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("entry", ["-1", "9", "7", str(2**70)])
+def test_matrix_file_rejects_entries_outside_field(tmp_path, entry):
+    path = tmp_path / "bad.mat"
+    path.write_text(f"2 2 7\n1 2\n3 {entry}\n")
+    with pytest.raises(ConfigurationError, match="outside") as info:
+        read_matrix(path)
+    assert str(path) in str(info.value)

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, config precedence, exit codes, CSV."""
 
+import os
 import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,16 @@ def test_run_writes_verified_product(tmp_path, capsys):
     assert "# command=run" in text
     decoded, modulus = read_matrix(out)
     assert modulus == 257 and decoded.shape == (6, 6)
+
+
+def test_run_without_collusion_verifies_wide_grid(capsys):
+    # s >= t with P_C = 0: the verify step must compare against all of A and B
+    code = run_cli(
+        "run", "--t", "2", "--s", "2", "--d", "2", "--pc", "0", "--P", "12",
+        "--T", "4", "--S", "4", "--D", "4", "--seed", "3",
+    )
+    assert code == 0
+    assert "success=True" in capsys.readouterr().out
 
 
 def test_run_from_files_checks_out_exactly(tmp_path):
@@ -193,7 +207,17 @@ def test_sweep_rejects_bad_dimensions(capsys):
     assert run_cli("sweep", "--m", "0", "--n", "4", "--P", "10") == 2
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def test_console_script_help_runs():
-    proc = subprocess.run(["sgpd", "--help"], capture_output=True, text=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgpd", "--help"], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sweep" in proc.stdout and "audit" in proc.stdout
+    # the installed `sgpd` script runs the same entry point
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"]["sgpd"] == "sgpd.cli:main"

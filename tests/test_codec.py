@@ -15,7 +15,6 @@ from sgpd import (
     WrongCaseError,
     augment,
     build_plan,
-    closed_form_thresholds,
     code_geometry,
     communication_load,
     decode,
@@ -30,6 +29,7 @@ from sgpd import (
 from sgpd.codec import WorkerResult, _lagrange_coefficient_matrix
 
 from conftest import (
+    closed_form_thresholds,
     encoding_terms,
     evaluate_terms,
     make_pair,
@@ -46,17 +46,17 @@ from conftest import (
 
 def test_exponent_map_plain_grid():
     geo = code_geometry(2, 3, 2, 0)
-    exps = geo.exponents
+    exps = geo.exponent_map
     assert exps.a_exponents.tolist() == [[0, 1, 2], [3, 4, 5]]
     assert exps.b_exponents.tolist() == [[2, 8], [1, 7], [0, 6]]
     assert exps.extraction.tolist() == [[2, 8], [5, 11]]
-    assert exps.a_live.all() and exps.b_live.all()
+    assert geo.layout.a_live.all() and geo.layout.b_live.all()
     assert geo.recovery_threshold == 14
 
 
 def test_exponent_map_tall():
     geo = code_geometry(3, 2, 2, 2)
-    exps = geo.exponents
+    exps = geo.exponent_map
     assert exps.a_exponents.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
     assert exps.b_exponents.tolist() == [[1, 9, 17], [0, 8, 16]]
     assert exps.extraction.tolist() == [[1, 9], [3, 11], [5, 13]]
@@ -65,7 +65,7 @@ def test_exponent_map_tall():
 
 def test_exponent_map_wide_corner():
     geo = code_geometry(1, 2, 1, 1)
-    exps = geo.exponents
+    exps = geo.exponent_map
     assert exps.a_exponents.tolist() == [[0, 1, 2]]
     assert exps.b_exponents.tolist() == [[1], [0], [2]]
     assert exps.extraction.tolist() == [[1]]
@@ -187,8 +187,8 @@ def test_encode_matches_polynomial_oracle(t, s, d, p_c, field257):
     _, _, pair = make_pair(t, s, d, p_c, field257, rng, bt=2, bs=1, bd=2)
     plan = build_plan(t, s, d, p_c, code_geometry(t, s, d, p_c).recovery_threshold + 3, field257)
     exps = plan.exponent_map
-    a_terms = encoding_terms(pair.a_star, exps.a_exponents, exps.a_live)
-    b_terms = encoding_terms(pair.b_star, exps.b_exponents, exps.b_live)
+    a_terms = encoding_terms(pair.a_star, exps.a_exponents, plan.layout.a_live)
+    b_terms = encoding_terms(pair.b_star, exps.b_exponents, plan.layout.b_live)
     for share in encode(plan, pair):
         x = share.point
         assert np.array_equal(
@@ -216,7 +216,7 @@ def test_product_polynomial_oracle(t, s, d, p_c, field257):
     bc = b_arr.shape[1] // d
     for i in range(t):
         for l in range(d):
-            g = int(geo.exponents.extraction[i, l])
+            g = int(geo.exponent_map.extraction[i, l])
             assert np.array_equal(
                 coeffs[g], want[i * br : (i + 1) * br, l * bc : (l + 1) * bc]
             ), (i, l)
@@ -349,6 +349,26 @@ def test_decode_rejects_malformed_product(field257):
         decode(plan, [bad, results[1]])
 
 
+def test_decode_rejects_point_that_disagrees_with_plan(field257):
+    rng = np.random.default_rng(71)
+    _, _, pair = make_pair(3, 2, 2, 2, field257, rng)
+    plan = build_plan(3, 2, 2, 2, 30, field257)
+    results = [worker_compute(sh) for sh in encode(plan, pair)][:25]
+    results[3] = dataclasses.replace(results[3], point=results[3].point + 100)
+    with pytest.raises(ConfigurationError, match="worker 4"):
+        decode(plan, results)
+
+
+def test_decode_rejects_worker_outside_pool(field257):
+    rng = np.random.default_rng(73)
+    _, _, pair = make_pair(3, 2, 2, 2, field257, rng)
+    plan = build_plan(3, 2, 2, 2, 30, field257)
+    results = [worker_compute(sh) for sh in encode(plan, pair)][:25]
+    results[0] = dataclasses.replace(results[0], worker_id=99)
+    with pytest.raises(ConfigurationError, match="worker 99"):
+        decode(plan, results)
+
+
 # ---------------------------------------------------------------------------
 # plan validation
 # ---------------------------------------------------------------------------
@@ -381,10 +401,11 @@ def test_build_plan_custom_points(field257):
 
 
 def test_plan_star_dimensions(field257):
+    # the augmented grids are the shapes of the layout's live masks
     tall = build_plan(3, 2, 2, 2, 30, field257)
-    assert (tall.t_star, tall.d_star, tall.s_star) == (4, 3, None)
+    assert (tall.layout.a_live.shape, tall.layout.b_live.shape) == ((4, 2), (2, 3))
     wide = build_plan(2, 2, 2, 2, 20, field257)
-    assert (wide.t_star, wide.d_star, wide.s_star) == (None, None, 4)
+    assert (wide.layout.a_live.shape, wide.layout.b_live.shape) == ((2, 4), (4, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +426,10 @@ def test_exponent_audit_accepts_plan(field257):
 
 def test_exponent_audit_detects_duplicate_exponents():
     geo = code_geometry(3, 2, 2, 2)
-    bad_a = geo.exponents.a_exponents.copy()
+    bad_a = geo.exponent_map.a_exponents.copy()
     bad_a[1, 0] = bad_a[0, 0]  # two A blocks now share a monomial
     corrupted = dataclasses.replace(
-        geo, exponents=dataclasses.replace(geo.exponents, a_exponents=bad_a)
+        geo, exponent_map=dataclasses.replace(geo.exponent_map, a_exponents=bad_a)
     )
     report = exponent_audit(corrupted)
     assert not report.clean and len(report.collisions) >= 1
@@ -418,10 +439,10 @@ def test_exponent_audit_detects_random_contamination():
     # drop a live random B column onto a data exponent: products containing it
     # now collide with extraction coefficients
     geo = code_geometry(3, 2, 2, 2)
-    bad_b = geo.exponents.b_exponents.copy()
+    bad_b = geo.exponent_map.b_exponents.copy()
     bad_b[0, 2] = bad_b[0, 1]
     corrupted = dataclasses.replace(
-        geo, exponents=dataclasses.replace(geo.exponents, b_exponents=bad_b)
+        geo, exponent_map=dataclasses.replace(geo.exponent_map, b_exponents=bad_b)
     )
     report = exponent_audit(corrupted)
     assert not report.clean and len(report.collisions) >= 1
@@ -449,6 +470,25 @@ def test_share_file_round_trip(tmp_path, field257):
     assert back.worker_id == share.worker_id and back.point == share.point
     assert np.array_equal(back.a_share, share.a_share)
     assert np.array_equal(back.b_share, share.b_share)
+
+
+@pytest.mark.parametrize(
+    "token,message",
+    [("x", "non-integer"), ("300", "outside"), ("-2", "outside")],
+)
+def test_share_file_rejects_bad_entries(tmp_path, field257, token, message):
+    path = tmp_path / "w.share"
+    path.write_text(f"1 1 1 2 2 1\n5 {token}\n7\n8\n")
+    with pytest.raises(ConfigurationError, match=message) as info:
+        read_share(path, field257)
+    assert str(path) in str(info.value)
+
+
+def test_share_file_rejects_non_integer_header(tmp_path, field257):
+    path = tmp_path / "w.share"
+    path.write_text("1 one 1 1 1 1\n5\n7\n")
+    with pytest.raises(ConfigurationError, match="non-integer"):
+        read_share(path, field257)
 
 
 def test_communication_load(field257):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgpd import ConfigurationError, FieldMismatchError, PrimeField, is_prime
+from sgpd import ConfigurationError, PrimeField, is_prime
 
 from conftest import triple_loop_product
 
@@ -33,29 +33,23 @@ def test_field_rejects_oversized_modulus():
 @given(st.sampled_from([5, 257, 65537]), st.data())
 @settings(max_examples=60)
 def test_element_axioms(p, data):
+    # field elements are int64 array entries: add/sub via reduce, mul via matmul
     field = PrimeField(p)
-    a = field.element(data.draw(st.integers(0, p - 1)))
-    b = field.element(data.draw(st.integers(0, p - 1)))
-    c = field.element(data.draw(st.integers(0, p - 1)))
-    assert int(a + b) == (int(a) + int(b)) % p
-    assert int(a - b) == (int(a) - int(b)) % p
-    assert int(a * b) == (int(a) * int(b)) % p
-    assert (a + b) + c == a + (b + c)
-    assert a * (b + c) == a * b + a * c
-    if int(a) != 0:
-        assert int(a * a.inverse()) == 1
-        assert int(a ** (p - 1)) == 1  # Fermat
-    assert int(a**0) == 1
+    a, b, c = (data.draw(st.integers(0, p - 1)) for _ in range(3))
 
+    def mul(x, y):
+        return int(field.matmul(np.array([[x]]), np.array([[y]]))[0, 0])
 
-def test_zero_has_no_inverse(field5):
-    with pytest.raises(ZeroDivisionError):
-        field5.zero().inverse()
+    def add(x, y):
+        return int(field.reduce(np.array([x + y]))[0])
 
-
-def test_mixed_field_elements_rejected(field5, field257):
-    with pytest.raises(FieldMismatchError):
-        field5.one() + field257.one()
+    assert add(a, b) == (a + b) % p
+    assert int(field.reduce(np.array([a - b]))[0]) == (a - b) % p
+    assert mul(a, b) == (a * b) % p
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert mul(a, b) == mul(b, a)
+    assert int(field.powers(a, 1)[0]) == 1
 
 
 def test_reduce_handles_negatives(field5):
@@ -108,9 +102,3 @@ def test_sample_uniform_chi_square(field5):
     expected = n / 5
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 4 + 5 * np.sqrt(8.0)
-
-
-def test_sample_uniform_scalar(field5):
-    rng = np.random.default_rng(7)
-    vals = {int(field5.sample_uniform(rng)) for _ in range(200)}
-    assert vals == {0, 1, 2, 3, 4}
