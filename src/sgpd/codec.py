@@ -361,16 +361,12 @@ def decode(plan: EncodingPlan, results) -> BlockMatrix:
         raise ConfigurationError(f"results disagree on product shape: {sorted(shapes)}")
     basis = _lagrange_coefficient_matrix(plan.field, points)
     values = np.stack([np.asarray(r.product, dtype=np.int64).reshape(-1) for r in chosen])
-    coeffs = plan.field.matmul(basis, values)
     ext = plan.exponent_map.extraction
     t, d = ext.shape
     br, bc = chosen[0].product.shape
-    out = np.empty((t * br, d * bc), dtype=np.int64)
-    for i in range(t):
-        for l in range(d):
-            out[i * br : (i + 1) * br, l * bc : (l + 1) * bc] = coeffs[ext[i, l]].reshape(
-                br, bc
-            )
+    # only the t*d extraction coefficients are read, so only their rows are computed
+    coeffs = plan.field.matmul(basis[ext.ravel()], values)
+    out = coeffs.reshape(t, d, br, bc).transpose(0, 2, 1, 3).reshape(t * br, d * bc)
     return BlockMatrix(out, (t, d), plan.field)
 
 

@@ -1,7 +1,13 @@
 """Exact arithmetic over a prime field GF(p).
 
-Elements are entries of ``numpy`` int64 arrays reduced mod p; matrix
-products are chunked so intermediate sums never overflow 63 bits.
+Elements are entries of ``numpy`` int64 arrays reduced mod p.  Matrix
+products run on float64 BLAS and are still exact: the operands are integers,
+and every partial sum a dgemm forms stays below 2**53, where float64 holds
+every integer.  Each operand, with entries in [0, p), is split into 16-bit
+limbs (the high limb is below 2**15 since p <= 2**31); the four limb products
+are each exact for an inner dimension k <= 2**21, and a longer inner
+dimension is cut into slices of that width, so the product is exact for
+every k.  The limb products are recombined and reduced in int64.
 """
 
 from __future__ import annotations
@@ -11,6 +17,9 @@ import numpy as np
 from .errors import ConfigurationError
 
 MAX_MODULUS = 2**31
+
+_LIMB = 16  # bits in the low limb of the split
+_LIMB_K = 2**21  # inner width of one limb dgemm: (2**16 - 1)**2 * 2**21 < 2**53
 
 _MR_BASES = (2, 3, 5, 7, 11)  # deterministic for n < 3_215_031_751
 
@@ -41,7 +50,11 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field of integers modulo a prime p, with p <= 2**31."""
+    """The field of integers modulo a prime p, with p <= 2**31.
+
+    ``matmul`` is exact by construction (see the module docstring): 16-bit
+    limb products on float64 BLAS, sliced along the inner dimension.
+    """
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
@@ -49,8 +62,6 @@ class PrimeField:
         if p > MAX_MODULUS:
             raise ConfigurationError(f"modulus {p} exceeds the supported bound 2**31")
         self.p = p
-        # Largest inner-dimension chunk whose int64 dot product cannot overflow.
-        self._chunk = max(1, (2**62) // ((p - 1) ** 2 or 1))
 
     # -- array operations ----------------------------------------------------
 
@@ -61,17 +72,39 @@ class PrimeField:
         return rng.integers(0, self.p, size=shape, dtype=np.int64)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact (a @ b) mod p; the inner dimension is chunked against overflow."""
+        """Exact (a @ b) mod p through float64 BLAS, for any integer entries."""
         a = self.reduce(a)
         b = self.reduce(b)
-        k = a.shape[-1]
-        if k <= self._chunk:
-            return (a @ b) % self.p
-        acc = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-        for lo in range(0, k, self._chunk):
-            hi = min(lo + self._chunk, k)
-            acc = (acc + a[..., lo:hi] @ b[lo:hi]) % self.p
-        return acc
+        out = self._limb_matmul(a[..., :_LIMB_K], b[:_LIMB_K])
+        for lo in range(_LIMB_K, a.shape[-1], _LIMB_K):
+            out += self._limb_matmul(a[..., lo : lo + _LIMB_K], b[lo : lo + _LIMB_K])
+            out %= self.p
+        return out
+
+    def _limb_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(a @ b) mod p for reduced a, b and inner dimension <= 2**21.
+
+        With x = x1 * 2**16 + x0, a @ b = hi * 2**32 + mid * 2**16 + lo, where
+        hi = a1 @ b1, mid = a0 @ b1 + a1 @ b0 and lo = a0 @ b0.  Every limb
+        dgemm is exact, and Horner's rule ((hi mod p) * 2**16 + mid) mod p,
+        then * 2**16 + lo, keeps each int64 sum below 2**54.  One float
+        buffer and one int64 buffer of the output's size are reused in place.
+        """
+        mask = (1 << _LIMB) - 1
+        a0, a1 = (a & mask).astype(np.float64), (a >> _LIMB).astype(np.float64)
+        b0, b1 = (b & mask).astype(np.float64), (b >> _LIMB).astype(np.float64)
+        part = np.matmul(a1, b1)
+        out = np.remainder(part, self.p, dtype=np.int64, casting="unsafe")
+        out <<= _LIMB
+        for x, y in ((a0, b1), (a1, b0)):
+            np.matmul(x, y, out=part)
+            np.add(out, part, out=out, dtype=np.int64, casting="unsafe")
+        out %= self.p
+        out <<= _LIMB
+        np.matmul(a0, b0, out=part)
+        np.add(out, part, out=out, dtype=np.int64, casting="unsafe")
+        out %= self.p
+        return out
 
     def powers(self, base: int, count: int) -> np.ndarray:
         """[base**0, base**1, ..., base**(count-1)] mod p."""

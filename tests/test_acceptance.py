@@ -30,7 +30,7 @@ from sgpd import (
 )
 from sgpd.cli import sweep_rows
 
-from conftest import closed_form_thresholds, make_pair
+from conftest import closed_form_thresholds, make_pair, triple_loop_product
 
 REPORTS = Path(__file__).resolve().parents[1] / "reports"
 
@@ -54,7 +54,8 @@ def test_criterion_1_end_to_end_exactness():
         results = [worker_compute(sh) for sh in encode(plan, pair)]
         picked = [results[i] for i in rng.permutation(pool)[:p_r]]
         got = decode(plan, picked)
-        assert np.array_equal(got.data, field.matmul(a_arr, b_arr)), (t, s, d, p_c)
+        want = triple_loop_product(a_arr, b_arr, field.p)
+        assert np.array_equal(got.data, want), (t, s, d, p_c)
         seen_cases.add(plan.case)
         seen_p_c.add(p_c)
         runs += 1

@@ -249,9 +249,9 @@ def test_lagrange_matrix_recovers_coefficients(field257):
     coeffs = field257.random_array((n, 5), rng)
     xs = np.array([1, 3, 5, 7, 9, 11, 100, 200, 250, 256, 2, 4], dtype=np.int64)
     vander = np.array([[pow(int(x), e, 257) for e in range(n)] for x in xs])
-    values = field257.matmul(vander, coeffs)
+    values = triple_loop_product(vander, coeffs, 257)
     basis = _lagrange_coefficient_matrix(field257, xs)
-    assert np.array_equal(field257.matmul(basis, values), coeffs)
+    assert np.array_equal(triple_loop_product(basis, values, 257), coeffs)
 
 
 def test_lagrange_matrix_large_prime():
@@ -264,9 +264,9 @@ def test_lagrange_matrix_large_prime():
     while len(xs) < n:  # pragma: no cover - astronomically unlikely
         xs = np.append(xs, int(xs[-1]) + 1)
     vander = np.array([[pow(int(x), e, field.p) for e in range(n)] for x in xs])
-    values = field.matmul(vander, coeffs)
+    values = triple_loop_product(vander, coeffs, field.p)
     basis = _lagrange_coefficient_matrix(field, xs)
-    assert np.array_equal(field.matmul(basis, values), coeffs)
+    assert np.array_equal(triple_loop_product(basis, values, field.p), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +298,26 @@ def test_decode_round_trip(t, s, d, p_c, bt, bs, bd, field257):
     got = decode(plan, [results[i] for i in picked])
     assert got.grid == (t, d)
     assert np.array_equal(got.data, want)
+
+
+@pytest.mark.parametrize(
+    "p,t,s,d,p_c,bt,bs,bd",
+    [
+        (2147483647, 2, 2, 2, 0, 2, 3, 2),  # plain
+        (2147483647, 3, 2, 2, 1, 1, 4, 2),  # tall
+        (2147483647, 2, 4, 2, 2, 2, 3, 2),  # wide, two bands
+    ],
+)
+def test_decode_exact_at_large_moduli(p, t, s, d, p_c, bt, bs, bd):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1000 + t)
+    a_arr, b_arr, pair = make_pair(t, s, d, p_c, field, rng, bt=bt, bs=bs, bd=bd)
+    p_r = code_geometry(t, s, d, p_c).recovery_threshold
+    plan = build_plan(t, s, d, p_c, p_r + 3, field)
+    results = [worker_compute(sh) for sh in encode(plan, pair)]
+    picked = [results[i] for i in rng.permutation(len(results))[:p_r]]
+    got = decode(plan, picked)
+    assert np.array_equal(got.data, triple_loop_product(a_arr, b_arr, p))
 
 
 def test_decode_subset_independent(field257):

@@ -57,13 +57,27 @@ def test_reduce_handles_negatives(field5):
     assert (field5.reduce(arr) == [[4, 3, 2]]).all()
 
 
-@pytest.mark.parametrize("p", [257, 65537, 2147483647])
+def _fill(kind, p, shape):
+    if kind == "max":
+        return np.full(shape, p - 1, dtype=np.int64)
+    # odd products whose sum is odd: a float64 sum past 2**53 cannot hold it
+    arr = np.full(shape, p - 2, dtype=np.int64)
+    if shape[-1] % 2 == 0:
+        arr[:, -1] = p - 3
+    return arr
+
+
+@pytest.mark.parametrize("p", [257, 65537, 2147483647, 2147483629])
 def test_matmul_matches_triple_loop(p):
     field = PrimeField(p)
     rng = np.random.default_rng(p)
     a = field.random_array((3, 41), rng)
     b = field.random_array((41, 4), rng)
     assert np.array_equal(field.matmul(a, b), triple_loop_product(a, b, p))
+    for kind in ("max", "odd"):
+        a = _fill(kind, p, (3, 41))
+        b = _fill(kind, p, (4, 41)).T
+        assert np.array_equal(field.matmul(a, b), triple_loop_product(a, b, p)), kind
 
 
 def test_matmul_near_modulus_entries_do_not_overflow():
@@ -76,6 +90,37 @@ def test_matmul_near_modulus_entries_do_not_overflow():
     got = field.matmul(a, b)
     want = (600 * (p - 1) * (p - 1)) % p
     assert (got == want).all()
+
+
+@pytest.mark.parametrize("p", [257, 65537, 2147483647])
+def test_matmul_unreduced_and_negative_inputs(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(11)
+    a = rng.integers(-(2**62), 2**62, size=(4, 9), dtype=np.int64)
+    b = rng.integers(-(2**62), 2**62, size=(9, 3), dtype=np.int64)
+    a[0, 0], b[0, 0] = -1, -p
+    assert np.array_equal(field.matmul(a, b), triple_loop_product(a, b, p))
+
+
+@pytest.mark.parametrize("p", [257, 2147483647])
+def test_matmul_empty_inner_dimension(p):
+    got = PrimeField(p).matmul(np.zeros((3, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.zeros((3, 2), dtype=np.int64))
+
+
+def test_matmul_slices_the_inner_dimension_past_the_limb_bound():
+    # every low limb is 2**16 - 1, so the low-limb sum over k terms is
+    # k * (2**16 - 1)**2: odd for odd k, and past 2**53 from k = 2**21 + 65,
+    # where one unsliced limb dgemm could not hold it
+    p = 2147483647
+    k = 2**21 + 65
+    v = (2**15 - 2) << 16 | 0xFFFF
+    a = np.full((1, k), v, dtype=np.int64)
+    b = np.full((k, 1), v, dtype=np.int64)
+    got = PrimeField(p).matmul(a, b)
+    assert got.shape == (1, 1)
+    assert int(got[0, 0]) == k * v * v % p
 
 
 def test_powers_row(field257):
