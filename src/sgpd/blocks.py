@@ -234,38 +234,49 @@ def augment(
 # ---------------------------------------------------------------------------
 
 
-def write_matrix(path: str | Path, matrix: np.ndarray, modulus: int) -> None:
-    """Text format: first line "rows cols modulus", then row-major integers."""
-    arr = np.asarray(matrix, dtype=np.int64)
-    lines = [f"{arr.shape[0]} {arr.shape[1]} {modulus}"]
-    lines += [" ".join(str(v) for v in row) for row in arr]
+def write_text_file(path: str | Path, header, arrays) -> None:
+    """The format of matrix and share files: one line of header integers,
+    then the rows of each array in turn."""
+    lines = [" ".join(map(str, header))]
+    for arr in arrays:
+        lines += [" ".join(str(v) for v in row) for row in arr]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_entries(path, tokens, modulus: int) -> np.ndarray:
-    """Text tokens as matrix entries; each must be an integer in [0, modulus)."""
+def read_text_file(path: str | Path, header_len: int, dims: slice, modulus: int | None = None):
+    """(header, arrays) of a ``write_text_file`` file.  ``header[dims]`` holds
+    each array's (rows, cols); entries must be integers in [0, modulus), the
+    modulus defaulting to the header's last field."""
+    tokens = Path(path).read_text().split()
+    if len(tokens) < header_len:
+        raise ConfigurationError(f"{path}: truncated file")
     try:
-        vals = np.array([int(x) for x in tokens], dtype=np.int64)
+        vals = np.array(tokens, dtype=np.int64)  # int() per token, without a Python loop
     except ValueError as exc:
         raise ConfigurationError(f"{path}: non-integer entry ({exc})") from None
     except OverflowError:
-        raise ConfigurationError(f"{path}: an entry lies outside [0, {modulus})") from None
+        raise ConfigurationError(f"{path}: an entry lies outside the int64 range") from None
+    header, vals = vals[:header_len].tolist(), vals[header_len:]
+    shapes = list(zip(header[dims][::2], header[dims][1::2]))
+    if min(map(min, shapes)) < 0:
+        raise ConfigurationError(f"{path}: negative dimension in header {header}")
+    sizes = [rows * cols for rows, cols in shapes]
+    if vals.size != sum(sizes):
+        raise ConfigurationError(f"{path}: expected {sum(sizes)} entries, found {vals.size}")
+    modulus = header[-1] if modulus is None else modulus
     bad = (vals < 0) | (vals >= modulus)
     if bad.any():
         raise ConfigurationError(f"{path}: entry {vals[bad][0]} lies outside [0, {modulus})")
-    return vals
+    parts = np.split(vals, np.cumsum(sizes)[:-1])
+    return header, [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+
+def write_matrix(path: str | Path, matrix: np.ndarray, modulus: int) -> None:
+    """Text format: first line "rows cols modulus", then row-major integers."""
+    arr = np.asarray(matrix, dtype=np.int64)
+    write_text_file(path, (*arr.shape, modulus), [arr])
 
 
 def read_matrix(path: str | Path) -> tuple[np.ndarray, int]:
-    tokens = Path(path).read_text().split()
-    if len(tokens) < 3:
-        raise ConfigurationError(f"{path}: truncated matrix file")
-    try:
-        rows, cols, modulus = (int(x) for x in tokens[:3])
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: non-integer entry ({exc})") from None
-    if len(tokens) - 3 != rows * cols:
-        raise ConfigurationError(
-            f"{path}: expected {rows * cols} entries, found {len(tokens) - 3}"
-        )
-    return parse_entries(path, tokens[3:], modulus).reshape(rows, cols), modulus
+    header, (arr,) = read_text_file(path, 3, slice(0, 2))
+    return arr, header[2]

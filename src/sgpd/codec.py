@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from pathlib import Path
 
 import numpy as np
 
@@ -44,7 +43,8 @@ from .blocks import (
     AugmentedPair,
     BlockMatrix,
     augmentation_layout,
-    parse_entries,
+    read_text_file,
+    write_text_file,
 )
 from .errors import (
     ConfigurationError,
@@ -252,13 +252,6 @@ def _block_stack(m: BlockMatrix) -> np.ndarray:
     )
 
 
-def _power_table(field: PrimeField, points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Matrix [w, k] = points[w] ** exponents[k] mod p."""
-    top = int(exponents.max()) if exponents.size else 0
-    rows = [field.powers(int(z), top + 1)[exponents] for z in points]
-    return np.stack(rows)
-
-
 def encode(plan: EncodingPlan, pair: AugmentedPair) -> list:
     """One CodedShare per worker: both polynomials evaluated at its point."""
     emap = plan.exponent_map
@@ -276,8 +269,8 @@ def encode(plan: EncodingPlan, pair: AugmentedPair) -> list:
         )
     a_rows = _block_stack(pair.a_star)
     b_rows = _block_stack(pair.b_star)
-    v_a = _power_table(plan.field, plan.evaluation_points, emap.a_exponents.ravel())
-    v_b = _power_table(plan.field, plan.evaluation_points, emap.b_exponents.ravel())
+    v_a = plan.field.power_table(plan.evaluation_points, emap.a_exponents.ravel())
+    v_b = plan.field.power_table(plan.evaluation_points, emap.b_exponents.ravel())
     shares_a = plan.field.matmul(v_a, a_rows)
     shares_b = plan.field.matmul(v_b, b_rows)
     ab = pair.a_star.block_shape
@@ -304,29 +297,32 @@ def worker_compute(share: CodedShare, completion_time: float = 0.0) -> WorkerRes
 
 
 def _lagrange_coefficient_matrix(field: PrimeField, xs) -> np.ndarray:
-    """L[e, i] = coefficient of z**e in the i-th Lagrange basis polynomial."""
+    """L[e, i] = coefficient of z**e in the i-th Lagrange basis polynomial.
+
+    Synthetic division by (z - x_i) and the Horner evaluation of each
+    quotient at x_i run as one numpy step per degree over all points."""
     p = field.p
-    points = [int(x) for x in xs]
-    n = len(points)
+    xs = field.reduce(xs).reshape(-1)
+    n = xs.size
     master = np.zeros(n + 1, dtype=np.int64)  # prod (z - x_i), low-to-high coeffs
     master[0] = 1
-    for m, x in enumerate(points):
-        shifted = np.zeros(n + 1, dtype=np.int64)
-        shifted[1 : m + 2] = master[: m + 1]
-        master = (shifted - x * master) % p
-    out = np.zeros((n, n), dtype=np.int64)
-    for i, x in enumerate(points):
-        q = np.zeros(n, dtype=np.int64)  # master / (z - x), synthetic division
-        q[n - 1] = master[n]
-        for j in range(n - 2, -1, -1):
-            q[j] = (master[j + 1] + x * q[j + 1]) % p
-        denom = 0
-        for c in q[::-1]:
-            denom = (denom * x + int(c)) % p
-        if denom == 0:
-            raise ConfigurationError("evaluation points are not distinct")
-        out[:, i] = q * pow(denom, p - 2, p) % p
-    return out
+    for x in xs:  # master[n] stays 0 until the last factor, so the roll is a shift
+        master = (np.roll(master, 1) - x * master) % p
+    q = np.empty((n, n), dtype=np.int64)  # q[i] = master / (z - x_i)
+    q[:, n - 1] = master[n]
+    for j in range(n - 2, -1, -1):
+        q[:, j] = (master[j + 1] + xs * q[:, j + 1]) % p
+    denom = np.zeros(n, dtype=np.int64)  # q[i](x_i) = prod_{j != i} (x_i - x_j)
+    for j in range(n - 1, -1, -1):
+        denom = (denom * xs + q[:, j]) % p
+    if (denom == 0).any():
+        raise ConfigurationError("evaluation points are not distinct")
+    inverse, base, e = np.ones(n, dtype=np.int64), denom, p - 2  # Fermat: denom**(p-2)
+    while e:
+        if e & 1:
+            inverse = inverse * base % p
+        base, e = base * base % p, e >> 1
+    return (q * inverse[:, None] % p).T
 
 
 def decode(plan: EncodingPlan, results) -> BlockMatrix:
@@ -466,25 +462,10 @@ def communication_load(plan: EncodingPlan, big_t: int, big_d: int) -> LoadReport
 def write_share(path, share: CodedShare) -> None:
     """Header "worker_id point rows_a cols_a rows_b cols_b", then row-major
     integers of the a-share followed by the b-share."""
-    ra, ca = share.a_share.shape
-    rb, cb = share.b_share.shape
-    lines = [f"{share.worker_id} {share.point} {ra} {ca} {rb} {cb}"]
-    for arr in (share.a_share, share.b_share):
-        lines += [" ".join(str(v) for v in row) for row in arr]
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = (share.worker_id, share.point, *share.a_share.shape, *share.b_share.shape)
+    write_text_file(path, header, [share.a_share, share.b_share])
 
 
 def read_share(path, field: PrimeField) -> CodedShare:
-    tokens = Path(path).read_text().split()
-    if len(tokens) < 6:
-        raise ConfigurationError(f"{path}: truncated share file")
-    try:
-        worker_id, point, ra, ca, rb, cb = (int(x) for x in tokens[:6])
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: non-integer entry ({exc})") from None
-    if len(tokens) - 6 != ra * ca + rb * cb:
-        raise ConfigurationError(f"{path}: expected {ra * ca + rb * cb} entries")
-    vals = parse_entries(path, tokens[6:], field.p)
-    a = vals[: ra * ca].reshape(ra, ca)
-    b = vals[ra * ca :].reshape(rb, cb)
-    return CodedShare(worker_id, point, a, b, field)
+    header, (a, b) = read_text_file(path, 6, slice(2, 6), field.p)
+    return CodedShare(header[0], header[1], a, b, field)

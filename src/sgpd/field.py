@@ -106,16 +106,18 @@ class PrimeField:
         out %= self.p
         return out
 
-    def powers(self, base: int, count: int) -> np.ndarray:
-        """[base**0, base**1, ..., base**(count-1)] mod p."""
-        out = np.empty(count, dtype=np.int64)
-        if count == 0:
-            return out
-        out[0] = 1 % self.p
-        b = base % self.p
-        for i in range(1, count):
-            out[i] = out[i - 1] * b % self.p
-        return out
+    def power_table(self, points, exponents) -> np.ndarray:
+        """Matrix [w, k] = points[w] ** exponents[k] mod p, for exponents >= 0:
+        the powers 0..max(exponents) of all points, one numpy step per power,
+        then the requested columns.  The encoder's evaluation map."""
+        points = self.reduce(points).reshape(-1)
+        exponents = np.asarray(exponents, dtype=np.int64).reshape(-1)
+        top = int(exponents.max()) if exponents.size else 0
+        table = np.empty((top + 1, points.size), dtype=np.int64)
+        table[0] = 1 % self.p
+        for e in range(1, top + 1):
+            np.remainder(table[e - 1] * points, self.p, out=table[e])
+        return table[exponents].T
 
     # -- misc ------------------------------------------------------------------
 

@@ -13,15 +13,18 @@ enough live randomness.  The negative control drops the live random blocks
 too, which turns the shares into deterministic functions of the data and
 must be flagged INSECURE.
 
-The observation is linear over GF(p): every share entry is a fixed
-power-of-the-evaluation-point combination of data and random entries at the
-same within-block position.  The enumeration walks all p**n_variables
-assignments in slabs, with the data entries in the low mixed-radix digits so
-that the (A, B) index of an assignment is just its residue.
+The observation is linear over GF(p), and its matrix is the encoder's own
+map: per side, ``PrimeField.power_table`` over the colluders' points and the
+exponents of the data and live random blocks, times the identity over one
+block's entries, exactly as ``encode`` forms the shares.  The enumeration
+walks all p**n_variables assignments in slabs, with the data entries in the
+low mixed-radix digits so that the (A, B) index of an assignment is just its
+residue.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 from itertools import combinations
@@ -43,7 +46,8 @@ class AuditInstance:
 
     The worker pool may be smaller than the recovery threshold: secrecy is a
     property of the shares alone, so the auditor never builds a full plan and
-    can characterize codes that no feasible pool could decode.
+    can characterize codes that no feasible pool could decode.  Worker w
+    evaluates at w, as in a default plan.
     """
 
     t: int
@@ -56,58 +60,45 @@ class AuditInstance:
     big_s: int
     big_d: int
     negative_control: bool = False
+    geometry: CodeGeometry = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "geometry", code_geometry(self.t, self.s, self.d, self.p_c))
         if self.p_c < 1:
             raise ConfigurationError(
                 "secrecy audits need a collusion level of at least 1; "
                 "a plan without randomness has nothing to keep secret"
             )
-        if self.n_workers < 1:
-            raise ConfigurationError(f"need at least one worker, got {self.n_workers}")
+        if self.p_c > self.n_workers:  # also rejects an empty pool, since p_c >= 1
+            raise ConfigurationError(
+                f"collusion level {self.p_c} exceeds the pool size {self.n_workers}"
+            )
         if self.field.p <= self.n_workers:
             raise ConfigurationError(
                 f"modulus {self.field.p} cannot supply {self.n_workers} distinct nonzero points"
             )
-        if self.p_c > self.n_workers:
-            raise ConfigurationError(
-                f"collusion level {self.p_c} exceeds the pool size {self.n_workers}"
-            )
-        if self.big_t % self.t or self.big_s % self.s or self.big_d % self.d:
-            raise ConfigurationError(
-                f"element dimensions ({self.big_t},{self.big_s},{self.big_d}) are not "
-                f"divisible by the grid ({self.t},{self.s},{self.d})"
-            )
+        bigs, parts = (self.big_t, self.big_s, self.big_d), (self.t, self.s, self.d)
+        for name, big, part in zip("TSD", bigs, parts):
+            if big < 1 or big % part:
+                raise ConfigurationError(
+                    f"{name}={big} is not a positive multiple of {name.lower()}={part}"
+                )
 
-    @property
-    def geometry(self) -> CodeGeometry:
-        return code_geometry(self.t, self.s, self.d, self.p_c)
-
-    @property
-    def evaluation_points(self) -> np.ndarray:
-        return np.arange(1, self.n_workers + 1, dtype=np.int64)
-
-    def _entry_sizes(self) -> tuple[int, int, int]:
+    def entry_sizes(self) -> tuple[int, int, int]:
         """(entries per A block, entries per B block, data entries of A and B)."""
-        ea = (self.big_t // self.t) * (self.big_s // self.s)
-        eb = (self.big_s // self.s) * (self.big_d // self.d)
-        return ea, eb, self.big_t * self.big_s + self.big_s * self.big_d
+        bs = self.big_s // self.s
+        n_data = self.big_t * self.big_s + self.big_s * self.big_d
+        return (self.big_t // self.t) * bs, bs * (self.big_d // self.d), n_data
 
-    def entry_counts(self):
-        """(data entries, random entries actually enumerated)."""
-        ea, eb, n_data = self._entry_sizes()
-        return n_data, 0 if self.negative_control else self.p_c * (ea + eb)
+    def cases_per_subset(self, budgeted: bool = False) -> int:
+        """p ** (data entries + live random entries) of one subset's enumeration.
 
-    def cases_per_subset(self) -> int:
-        n_data, n_random = self.entry_counts()
+        A negative control enumerates no randomness, but ``budgeted`` counts
+        the claimed randomness anyway, so the control is charged the same as
+        the instance it mimics (the count table it builds is that large)."""
+        ea, eb, n_data = self.entry_sizes()
+        n_random = 0 if self.negative_control and not budgeted else self.p_c * (ea + eb)
         return self.field.p ** (n_data + n_random)
-
-    def budget_cases(self) -> int:
-        """Budget estimate: always counts the claimed randomness dimension, so
-        a negative control is charged the same as the instance it mimics (the
-        count table it builds is that large either way)."""
-        ea, eb, n_data = self._entry_sizes()
-        return self.field.p ** (n_data + self.p_c * (ea + eb))
 
 
 @dataclass(frozen=True)
@@ -127,11 +118,16 @@ class AuditVerdict:
     cases_per_subset: int
 
 
-def _random_blocks(live: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Live blocks outside the top-left data corner, in row-major order."""
-    data_corner = np.zeros(live.shape, bool)
-    data_corner[:rows, :cols] = True
-    return np.argwhere(live & ~data_corner)
+def _side_map(instance: AuditInstance, points, exps, live, rows: int, cols: int, entries: int):
+    """The encoder's map on one side: its power table over the data corner's
+    blocks, then the live random blocks (row-major), times the identity over
+    one block's entries.  Rows: worker-major share entries; columns: that
+    side's variables, block-major."""
+    corner = np.zeros(live.shape, bool)
+    corner[:rows, :cols] = True
+    random = live & ~corner & (not instance.negative_control)
+    table = instance.field.power_table(points, np.concatenate([exps[corner], exps[random]]))
+    return np.kron(table, np.eye(entries, dtype=np.int64))
 
 
 def _observation_matrix(instance: AuditInstance, subset) -> np.ndarray:
@@ -139,54 +135,32 @@ def _observation_matrix(instance: AuditInstance, subset) -> np.ndarray:
 
     Variable order: A data entries, B data entries, then live random entries
     (A side, B side).  Data first, so an assignment's (A, B) part is its low
-    mixed-radix digits."""
+    mixed-radix digits.  Each worker's rows are its a-share entries, then its
+    b-share entries, as ``encode`` forms them."""
     geo = instance.geometry
-    emap = geo.exponent_map
-    field = instance.field
-    t, s, d = geo.t, geo.s, geo.d
-    ea, eb, _ = instance._entry_sizes()
-    n_a = t * s * ea
-    n_b = s * d * eb
-    a_rand = _random_blocks(geo.layout.a_live, t, s)
-    b_rand = _random_blocks(geo.layout.b_live, s, d)
-    if instance.negative_control:
-        a_rand, b_rand = a_rand[:0], b_rand[:0]
-    n_vars = n_a + n_b + len(a_rand) * ea + len(b_rand) * eb
-
-    a_data_pos = [(i, j) for i in range(t) for j in range(s)]
-    b_data_pos = [(k, l) for k in range(s) for l in range(d)]
-    top = int(max(emap.a_exponents.max(), emap.b_exponents.max()))
-
-    rows = []
-    points = instance.evaluation_points
-    for w in sorted(subset):
-        pows = field.powers(int(points[w - 1]), top + 1)
-        for e in range(ea):  # a-share entry positions
-            row = np.zeros(n_vars, dtype=np.int64)
-            for blk, (i, j) in enumerate(a_data_pos):
-                row[blk * ea + e] = pows[emap.a_exponents[i, j]]
-            for r, (i, j) in enumerate(a_rand):
-                row[n_a + n_b + r * ea + e] = pows[emap.a_exponents[i, j]]
-            rows.append(row)
-        for e in range(eb):  # b-share entry positions
-            row = np.zeros(n_vars, dtype=np.int64)
-            for blk, (k, l) in enumerate(b_data_pos):
-                row[n_a + blk * eb + e] = pows[emap.b_exponents[k, l]]
-            for r, (k, l) in enumerate(b_rand):
-                row[n_a + n_b + len(a_rand) * ea + r * eb + e] = pows[
-                    emap.b_exponents[k, l]
-                ]
-            rows.append(row)
-    return np.stack(rows) if rows else np.zeros((0, n_vars), dtype=np.int64)
+    emap, lay = geo.exponent_map, geo.layout
+    points = np.array(sorted(subset), dtype=np.int64)
+    ea, eb, _ = instance.entry_sizes()
+    m_a = _side_map(instance, points, emap.a_exponents, lay.a_live, geo.t, geo.s, ea)
+    m_b = _side_map(instance, points, emap.b_exponents, lay.b_live, geo.s, geo.d, eb)
+    n_w = points.size
+    n_a, n_b = geo.t * geo.s * ea, geo.s * geo.d * eb  # data entries per side
+    r_a, r_b = m_a.shape[1] - n_a, m_b.shape[1] - n_b  # live random entries per side
+    n_vars = n_a + n_b + r_a + r_b
+    a_cols = np.r_[:n_a, n_a + n_b : n_a + n_b + r_a]
+    b_cols = np.r_[n_a : n_a + n_b, n_vars - r_b : n_vars]
+    out = np.zeros((n_w, ea + eb, n_vars), dtype=np.int64)
+    out[:, :ea, a_cols] = m_a.reshape(n_w, ea, a_cols.size)
+    out[:, ea:, b_cols] = m_b.reshape(n_w, eb, b_cols.size)
+    return out.reshape(n_w * (ea + eb), n_vars)
 
 
 def _count_table(instance: AuditInstance, subset) -> np.ndarray:
     """counts[data_index, observation_index] over the full enumeration."""
     p = instance.field.p
-    n_data, n_random = instance.entry_counts()
-    n_vars = n_data + n_random
+    n_data = instance.entry_sizes()[2]
     matrix = _observation_matrix(instance, subset)
-    obs_dim = matrix.shape[0]
+    obs_dim, n_vars = matrix.shape
     total = p**n_vars
     radix_vars = p ** np.arange(n_vars, dtype=np.int64)
     radix_obs = p ** np.arange(obs_dim, dtype=np.int64)
@@ -202,10 +176,6 @@ def _count_table(instance: AuditInstance, subset) -> np.ndarray:
     return counts.reshape(p**n_data, n_obs_keys)
 
 
-def _required_budget(instance: AuditInstance, n_subsets: int) -> int:
-    return n_subsets * instance.budget_cases()
-
-
 def audit(instance: AuditInstance, subset, budget: int = DEFAULT_BUDGET) -> SubsetVerdict:
     """Exact verdict for one colluding subset of worker ids (1-based)."""
     subset = tuple(sorted(int(w) for w in subset))
@@ -217,7 +187,7 @@ def audit(instance: AuditInstance, subset, budget: int = DEFAULT_BUDGET) -> Subs
         raise ConfigurationError(
             f"subset size {len(subset)} exceeds the claimed collusion level {instance.p_c}"
         )
-    required = _required_budget(instance, 1)
+    required = instance.cases_per_subset(budgeted=True)
     if required > budget:
         raise BudgetExceeded(required, budget)
     table = _count_table(instance, subset)
@@ -242,7 +212,7 @@ def audit(instance: AuditInstance, subset, budget: int = DEFAULT_BUDGET) -> Subs
 def audit_all_subsets(instance: AuditInstance, budget: int = DEFAULT_BUDGET) -> AuditVerdict:
     """SECURE iff every size-P_C subset of the pool passes."""
     n_subsets = comb(instance.n_workers, instance.p_c)
-    required = _required_budget(instance, n_subsets)
+    required = n_subsets * instance.cases_per_subset(budgeted=True)
     if required > budget:
         raise BudgetExceeded(required, budget)
     verdicts = [

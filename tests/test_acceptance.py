@@ -26,6 +26,7 @@ from sgpd import (
     encode,
     exponent_audit,
     latency_sweep,
+    naive_secure_threshold,
     worker_compute,
 )
 from sgpd.cli import sweep_rows
@@ -106,6 +107,8 @@ def test_criterion_2_threshold_closed_forms():
                 continue
             if s < t:
                 assert p_r == forms["tall"], (t, s, d, p_c)
+                # the sweep's naive_P_R column is the library's baseline threshold
+                assert forms["naive_tall"] == naive_secure_threshold(t, s, d, p_c), (t, s, d, p_c)
                 asserted += 1
                 z = s * geo.layout.delta - p_c
                 if z == 0:

@@ -233,6 +233,14 @@ def test_matrix_file_rejects_garbage(tmp_path):
         read_matrix(path)
 
 
+def test_matrix_file_rejects_negative_dimensions(tmp_path):
+    path = tmp_path / "bad.mat"
+    path.write_text("-1 -2 7\n1 2\n")
+    with pytest.raises(ConfigurationError, match="negative dimension") as info:
+        read_matrix(path)
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize("entry", ["-1", "9", "7", str(2**70)])
 def test_matrix_file_rejects_entries_outside_field(tmp_path, entry):
     path = tmp_path / "bad.mat"

@@ -141,6 +141,28 @@ def test_audit_exit_codes(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override,message",
+    [
+        (["--t", "0"], "t must be >= 1"),
+        (["--T", "0", "--S", "0", "--D", "0"], "T=0"),
+        (["--T", "-2"], "T=-2"),
+    ],
+    ids=["t=0", "TSD=0", "T=-2"],
+)
+def test_audit_rejects_empty_or_negative_dimensions(capsys, override, message):
+    # exit 1 means INSECURE, so a bad instance must exit 2 with a named error
+    base = {
+        "--t": "2", "--s": "1", "--d": "1", "--pc": "1", "--P": "4",
+        "--T": "2", "--S": "1", "--D": "1", "--modulus": "5",
+    }
+    base.update(zip(override[::2], override[1::2]))
+    assert run_cli("audit", *[x for kv in base.items() for x in kv]) == 2
+    captured = capsys.readouterr()
+    assert "verdict=" not in captured.out
+    assert message in captured.err
+
+
 def test_sweep_golden_values(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(

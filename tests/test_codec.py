@@ -269,6 +269,27 @@ def test_lagrange_matrix_large_prime():
     assert np.array_equal(triple_loop_product(basis, values, field.p), coeffs)
 
 
+def test_lagrange_matrix_single_point(field257):
+    assert _lagrange_coefficient_matrix(field257, [42]).tolist() == [[1]]
+
+
+@pytest.mark.parametrize("xs", [[3, 3], [1, 5, 2, 5], [4, 261]])
+def test_lagrange_matrix_rejects_duplicate_points(field257, xs):
+    # 261 = 4 mod 257: points are compared as field elements
+    with pytest.raises(ConfigurationError, match="not distinct"):
+        _lagrange_coefficient_matrix(field257, xs)
+
+
+def test_lagrange_matrix_sixty_points_near_2_31():
+    p = 2147483647
+    field = PrimeField(p)
+    n = 60
+    xs = np.array([1 + 35791394 * i for i in range(n)], dtype=np.int64)  # spread over GF(p)
+    vander = np.array([[pow(int(x), e, p) for e in range(n)] for x in xs])
+    basis = _lagrange_coefficient_matrix(field, xs)
+    assert np.array_equal(triple_loop_product(basis, vander, p), np.eye(n, dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # decode
 # ---------------------------------------------------------------------------
@@ -509,6 +530,14 @@ def test_share_file_rejects_non_integer_header(tmp_path, field257):
     path.write_text("1 one 1 1 1 1\n5\n7\n")
     with pytest.raises(ConfigurationError, match="non-integer"):
         read_share(path, field257)
+
+
+def test_share_file_rejects_negative_dimensions(tmp_path, field257):
+    path = tmp_path / "w.share"
+    path.write_text("1 1 -1 -2 1 1\n5 6\n7\n")
+    with pytest.raises(ConfigurationError, match="negative dimension") as info:
+        read_share(path, field257)
+    assert str(path) in str(info.value)
 
 
 def test_communication_load(field257):

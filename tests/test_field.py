@@ -49,7 +49,7 @@ def test_element_axioms(p, data):
     assert add(add(a, b), c) == add(a, add(b, c))
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
     assert mul(a, b) == mul(b, a)
-    assert int(field.powers(a, 1)[0]) == 1
+    assert int(field.power_table([a], [0])[0, 0]) == 1
 
 
 def test_reduce_handles_negatives(field5):
@@ -125,8 +125,21 @@ def test_matmul_slices_the_inner_dimension_past_the_limb_bound():
 
 def test_powers_row(field257):
     base = 3
-    got = field257.powers(base, 9)
-    assert [int(v) for v in got] == [pow(base, e, 257) for e in range(9)]
+    got = field257.power_table([base], range(9))
+    assert got.shape == (1, 9)
+    assert [int(v) for v in got[0]] == [pow(base, e, 257) for e in range(9)]
+
+
+@pytest.mark.parametrize("p", [5, 257, 65537, 2147483647])
+def test_power_table_matches_pow(p):
+    field = PrimeField(p)
+    points = [0, 1, 2, p - 1, p, p + 3, 3 * p - 1, -1, -2, -p - 4, 2**40 + 7]
+    exponents = [0, 5, 1, 5, 0, 17, 2, 64, 3]
+    got = field.power_table(points, exponents)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[pow(z, e, p) for e in exponents] for z in points]
+    assert field.power_table(points, []).shape == (len(points), 0)
+    assert field.power_table([], exponents).shape == (0, len(exponents))
 
 
 def test_random_array_reproducible(field257):

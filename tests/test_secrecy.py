@@ -16,8 +16,13 @@ from sgpd import (
     PrimeField,
     audit,
     audit_all_subsets,
+    build_plan,
+    encode,
     report_lines,
 )
+from sgpd.secrecy_audit import _observation_matrix
+
+from conftest import make_pair
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +124,38 @@ def test_observed_support_matches_collusion_dimension():
     verdict = audit(inst, (1, 2))
     assert verdict.secure and verdict.uniform
     assert verdict.support == 5**4
+
+
+@pytest.mark.parametrize(
+    "t,s,d,p_c",
+    [(3, 2, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2)],
+    ids=["tall", "single-band-wide", "two-band-wide"],
+)
+def test_observation_matrix_is_the_encoders_map(t, s, d, p_c):
+    # the audit's linear model, applied to the augmented blocks in its
+    # documented variable order, must give the real encoder's shares
+    field = PrimeField(257)
+    rng = np.random.default_rng(41)
+    bt, bs, bd = 2, 3, 2
+    _, _, pair = make_pair(t, s, d, p_c, field, rng, bt=bt, bs=bs, bd=bd)
+    plan = build_plan(t, s, d, p_c, 40, field)
+    shares = encode(plan, pair)
+    inst = AuditInstance(t, s, d, p_c, 40, field, t * bt, s * bs, d * bd)
+    lay = pair.layout
+    corner_a = [(i, j) for i in range(t) for j in range(s)]
+    corner_b = [(k, l) for k in range(s) for l in range(d)]
+    random_a = [tuple(ij) for ij in np.argwhere(lay.a_live) if tuple(ij) not in corner_a]
+    random_b = [tuple(kl) for kl in np.argwhere(lay.b_live) if tuple(kl) not in corner_b]
+    x = np.concatenate(
+        [pair.a_star.block(*ij).ravel() for ij in corner_a]
+        + [pair.b_star.block(*kl).ravel() for kl in corner_b]
+        + [pair.a_star.block(*ij).ravel() for ij in random_a]
+        + [pair.b_star.block(*kl).ravel() for kl in random_b]
+    )
+    for subset in [(1, 2), (7, 40), (3, 17, 29)]:
+        observed = _observation_matrix(inst, subset) @ x % field.p
+        expected = np.concatenate(
+            [np.concatenate([shares[w - 1].a_share.ravel(), shares[w - 1].b_share.ravel()])
+             for w in subset]
+        )
+        assert np.array_equal(observed, expected), subset
