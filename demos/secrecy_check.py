@@ -1,10 +1,11 @@
-"""Exhaustive proof-by-counting that shares leak nothing.
+"""Exact proof that shares leak nothing, by rank over GF(p).
 
-A micro instance over GF(5) is small enough to enumerate every assignment of
-the data and randomness.  For each possible colluding subset the audit builds
-the exact distribution of the coalition's observations conditioned on the
-data; SECURE means every condition gives the same distribution.  Zeroing the
-randomness (the negative control) must break this.
+For each possible colluding subset of a micro instance over GF(5) the audit
+checks that the coalition's view, M_d x_d + M_r x_r with uniform randomness
+x_r, has the same distribution for every data value x_d: that holds exactly
+when rank[M_r] = rank[M_r | M_d].  The verdict covers every assignment of
+the data and randomness (``cases_per_subset``).  Zeroing the randomness (the
+negative control) must break this.
 """
 
 from sgpd import AuditInstance, PrimeField, audit_all_subsets, report_lines

@@ -6,7 +6,7 @@ in '#'-prefixed header lines so results are reproducible from the artifact
 alone.
 
 Exit codes: 0 success (audit: SECURE), 1 run/audit failure (decode failed or
-INSECURE), 2 configuration error, 3 enumeration budget exceeded.
+INSECURE), 2 configuration error, 3 audit budget exceeded.
 """
 
 from __future__ import annotations
@@ -172,10 +172,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         merged["T"], merged["S"] = a_arr.shape
         merged["D"] = b_arr.shape[1]
-        field = PrimeField(merged["modulus"])
-    else:
-        _require(merged, ["T", "S", "D"])
-        field = PrimeField(merged["modulus"])
+    _require(merged, ["T", "S", "D"])
+    for name in "TSD":
+        if merged[name] < 1:
+            raise ConfigurationError(f"{name}={merged[name]}: matrix dimensions must be >= 1")
+    field = PrimeField(merged["modulus"])
+    if not merged["a"]:
         a_arr = field.random_array((merged["T"], merged["S"]), rng)
         b_arr = field.random_array((merged["S"], merged["D"]), rng)
     plan = build_plan(
@@ -357,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_audit = subs.add_parser("audit", help="exhaustive micro-scale secrecy check")
+    p_audit = subs.add_parser("audit", help="exact micro-scale secrecy check by rank over GF(p)")
     _add_common(p_audit)
     p_audit.add_argument("--t", type=int)
     p_audit.add_argument("--s", type=int)
@@ -367,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--T", dest="T", type=int)
     p_audit.add_argument("--S", dest="S", type=int)
     p_audit.add_argument("--D", dest="D", type=int)
-    p_audit.add_argument("--budget", type=int, help="max enumeration size")
+    p_audit.add_argument("--budget", type=int, help="max assignments covered over all subsets")
     p_audit.add_argument(
         "--negative-control", dest="negative_control",
         action="store_const", const=True,

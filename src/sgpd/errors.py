@@ -29,11 +29,11 @@ class NotEnoughResults(SgpdError):
 
 
 class BudgetExceeded(SgpdError):
-    """An exhaustive audit would exceed its enumeration budget."""
+    """A secrecy audit would cover more assignments than its budget allows."""
 
     def __init__(self, required: int, budget: int):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"exhaustive enumeration needs {required} evaluations, budget is {budget}"
+            f"the audit covers {required} assignments, budget is {budget}"
         )

@@ -1,25 +1,23 @@
-"""Exhaustive secrecy verification on micro instances.
+"""Exact secrecy verification on micro instances.
 
 Privacy here is exact, not statistical: the shares seen by any P_C colluding
-workers must have the same distribution no matter what (A, B) is.  On a micro
-instance that is decidable by brute force.  For every assignment of the data
-entries and of the live random entries over GF(p), the auditor computes the
-colluders' observation tuple and tabulates exact counts per (A, B); the
-verdict is SECURE iff every (A, B) produces the identical count table.
+workers must have the same distribution whatever (A, B) is.  Their view is
+linear over GF(p), M_d x_d + M_r x_r, with x_d the data entries and x_r the
+live random entries, uniform and independent.  Given the data it is uniform
+on the coset M_d x_d + colspan(M_r), so it is independent of the data exactly
+when rank[M_r] = rank[M_r | M_d], which Gaussian elimination mod p decides.
+The verdict covers all p**(data + live random entries) assignments; the tests
+enumerate them by brute force as an oracle.
 
-Structurally zero random blocks carry no entropy and are excluded from the
-enumeration, so the audit directly tests whether the masking pattern leaves
-enough live randomness.  The negative control drops the live random blocks
-too, which turns the shares into deterministic functions of the data and
-must be flagged INSECURE.
+Structurally zero random blocks carry no entropy and are left out of M_r, so
+the audit tests whether the masking leaves enough live randomness.  The
+negative control drops the live random blocks too, which turns the shares
+into deterministic functions of the data and must be flagged INSECURE.
 
-The observation is linear over GF(p), and its matrix is the encoder's own
-map: per side, ``PrimeField.power_table`` over the colluders' points and the
-exponents of the data and live random blocks, times the identity over one
-block's entries, exactly as ``encode`` forms the shares.  The enumeration
-walks all p**n_variables assignments in slabs, with the data entries in the
-low mixed-radix digits so that the (A, B) index of an assignment is just its
-residue.
+The observation matrix is the encoder's own map: per side,
+``PrimeField.power_table`` over the colluders' points and the exponents of
+the data and live random blocks, times the identity over one block's
+entries, exactly as ``encode`` forms the shares.
 """
 
 from __future__ import annotations
@@ -37,12 +35,12 @@ from .errors import BudgetExceeded, ConfigurationError
 from .field import PrimeField
 
 DEFAULT_BUDGET = 10**7
-_SLAB = 1 << 17
+_RUN = 1 << 16  # int64 entries hashed per update of a fingerprint run
 
 
 @dataclass(frozen=True)
 class AuditInstance:
-    """A deliberately tiny configuration whose secrecy is checked by brute force.
+    """A deliberately tiny configuration whose secrecy is checked exactly.
 
     The worker pool may be smaller than the recovery threshold: secrecy is a
     property of the shares alone, so the auditor never builds a full plan and
@@ -91,11 +89,10 @@ class AuditInstance:
         return (self.big_t // self.t) * bs, bs * (self.big_d // self.d), n_data
 
     def cases_per_subset(self, budgeted: bool = False) -> int:
-        """p ** (data entries + live random entries) of one subset's enumeration.
-
-        A negative control enumerates no randomness, but ``budgeted`` counts
-        the claimed randomness anyway, so the control is charged the same as
-        the instance it mimics (the count table it builds is that large)."""
+        """p ** (data entries + live random entries): the assignments one
+        subset's verdict covers.  ``budgeted`` counts the claimed randomness
+        even for a negative control, which has none, so the control is
+        charged the same as the instance it mimics."""
         ea, eb, n_data = self.entry_sizes()
         n_random = 0 if self.negative_control and not budgeted else self.p_c * (ea + eb)
         return self.field.p ** (n_data + n_random)
@@ -131,11 +128,10 @@ def _side_map(instance: AuditInstance, points, exps, live, rows: int, cols: int,
 
 
 def _observation_matrix(instance: AuditInstance, subset) -> np.ndarray:
-    """Rows: one per observed share entry; columns: one per enumerated variable.
+    """Rows: one per observed share entry; columns: one per variable.
 
     Variable order: A data entries, B data entries, then live random entries
-    (A side, B side).  Data first, so an assignment's (A, B) part is its low
-    mixed-radix digits.  Each worker's rows are its a-share entries, then its
+    (A side, B side).  Each worker's rows are its a-share entries, then its
     b-share entries, as ``encode`` forms them."""
     geo = instance.geometry
     emap, lay = geo.exponent_map, geo.layout
@@ -155,25 +151,23 @@ def _observation_matrix(instance: AuditInstance, subset) -> np.ndarray:
     return out.reshape(n_w * (ea + eb), n_vars)
 
 
-def _count_table(instance: AuditInstance, subset) -> np.ndarray:
-    """counts[data_index, observation_index] over the full enumeration."""
-    p = instance.field.p
-    n_data = instance.entry_sizes()[2]
-    matrix = _observation_matrix(instance, subset)
-    obs_dim, n_vars = matrix.shape
-    total = p**n_vars
-    radix_vars = p ** np.arange(n_vars, dtype=np.int64)
-    radix_obs = p ** np.arange(obs_dim, dtype=np.int64)
-    n_obs_keys = p**obs_dim
-    counts = np.zeros(p**n_data * n_obs_keys, dtype=np.int64)
-    mt = matrix.T % p
-    for start in range(0, total, _SLAB):
-        idx = np.arange(start, min(start + _SLAB, total), dtype=np.int64)
-        digits = (idx[:, None] // radix_vars[None, :]) % p
-        obs = (digits @ mt) % p
-        keys = (idx % p**n_data) * n_obs_keys + obs @ radix_obs
-        counts += np.bincount(keys, minlength=len(counts))
-    return counts.reshape(p**n_data, n_obs_keys)
+def _rank(matrix: np.ndarray, p: int) -> int:
+    """Rank over GF(p) by Gaussian elimination in int64.  Entries stay in
+    [0, p) with p <= 2**31, so every product is below 2**62; pivots are
+    inverted by Fermat's little theorem."""
+    rows = np.array(matrix, dtype=np.int64) % p
+    rank = 0
+    for col in range(rows.shape[1]):
+        nonzero = np.flatnonzero(rows[rank:, col])
+        if nonzero.size == 0:
+            continue
+        rows[[rank, rank + nonzero[0]]] = rows[[rank + nonzero[0], rank]]
+        rows[rank] = rows[rank] * pow(int(rows[rank, col]), p - 2, p) % p
+        below = rows[rank + 1 :]
+        below -= np.outer(below[:, col], rows[rank]) % p
+        below %= p
+        rank += 1
+    return rank
 
 
 def audit(instance: AuditInstance, subset, budget: int = DEFAULT_BUDGET) -> SubsetVerdict:
@@ -190,21 +184,25 @@ def audit(instance: AuditInstance, subset, budget: int = DEFAULT_BUDGET) -> Subs
     required = instance.cases_per_subset(budgeted=True)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    table = _count_table(instance, subset)
-    secure = bool((table == table[0]).all())
-    reference = table[0]
-    support = int((reference > 0).sum())
-    positive = reference[reference > 0]
-    uniform = bool(positive.size == 0 or (positive == positive[0]).all())
+    p, n_data = instance.field.p, instance.entry_sizes()[2]
+    matrix = _observation_matrix(instance, subset)
+    rank = _rank(matrix[:, n_data:], p)
+    obs_dim, n_random = matrix.shape[0], matrix.shape[1] - n_data
     digest = hashlib.sha256()
     digest.update(repr((instance.t, instance.s, instance.d, instance.p_c, subset)).encode())
-    digest.update(np.sort(reference).tobytes())
+    # The sorted count row of the all-zero data, as int64 runs hashed in
+    # chunks: M_r x_r hits p**rank observations p**(n_random - rank) times each.
+    for value, count in ((0, p**obs_dim - p**rank), (p ** (n_random - rank), p**rank)):
+        chunk = np.full(min(count, _RUN), value, dtype=np.int64).tobytes()
+        for _ in range(count // _RUN):
+            digest.update(chunk)
+        digest.update(chunk[: 8 * (count % _RUN)])
     return SubsetVerdict(
         subset=subset,
-        secure=secure,
+        secure=rank == _rank(matrix, p),
         cases=instance.cases_per_subset(),
-        support=support,
-        uniform=uniform,
+        support=p**rank,
+        uniform=True,
         fingerprint=digest.hexdigest()[:16],
     )
 

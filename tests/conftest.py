@@ -5,17 +5,23 @@ products by explicit integer triple loops, shares by symbolic polynomial
 evaluation built straight from the exponent maps, and the product polynomial
 by term-by-term convolution.  None of them call the code paths under test.
 The closed-form thresholds are an independent oracle for the construction's
-recovery threshold.
+recovery threshold.  The brute-force enumeration is the oracle for the
+secrecy audit's rank test; it shares only the observation matrix, which
+``test_observation_matrix_is_the_encoders_map`` checks against ``encode``.
 """
 
 from __future__ import annotations
 
+import hashlib
 from math import ceil
 
 import numpy as np
 import pytest
 
-from sgpd import PrimeField, augment, partition
+from sgpd import PrimeField, SubsetVerdict, augment, partition
+from sgpd.secrecy_audit import _observation_matrix
+
+_SLAB = 1 << 17
 
 
 @pytest.fixture(scope="session")
@@ -145,3 +151,47 @@ def make_pair(t, s, d, p_c, field, rng, bt=1, bs=1, bd=1):
     b = field.random_array((s * bs, d * bd), rng)
     pair = augment(partition(a, (t, s), field), partition(b, (s, d), field), p_c, rng)
     return a, b, pair
+
+
+def _count_table(instance, subset) -> np.ndarray:
+    """counts[data_index, observation_index] over every assignment of the
+    data and live random entries, walked in slabs.  Data entries are the low
+    mixed-radix digits, so an assignment's (A, B) index is its residue."""
+    p = instance.field.p
+    n_data = instance.entry_sizes()[2]
+    matrix = _observation_matrix(instance, subset)
+    obs_dim, n_vars = matrix.shape
+    total = p**n_vars
+    radix_vars = p ** np.arange(n_vars, dtype=np.int64)
+    radix_obs = p ** np.arange(obs_dim, dtype=np.int64)
+    n_obs_keys = p**obs_dim
+    counts = np.zeros(p**n_data * n_obs_keys, dtype=np.int64)
+    mt = matrix.T % p
+    for start in range(0, total, _SLAB):
+        idx = np.arange(start, min(start + _SLAB, total), dtype=np.int64)
+        digits = (idx[:, None] // radix_vars[None, :]) % p
+        obs = (digits @ mt) % p
+        keys = (idx % p**n_data) * n_obs_keys + obs @ radix_obs
+        counts += np.bincount(keys, minlength=len(counts))
+    return counts.reshape(p**n_data, n_obs_keys)
+
+
+def enumerated_subset_verdict(instance, subset) -> SubsetVerdict:
+    """The secrecy verdict by counting: SECURE iff every (A, B) gives the
+    same table of observation counts.  Support, uniformity and fingerprint
+    describe the table of the all-zero data."""
+    subset = tuple(sorted(int(w) for w in subset))
+    table = _count_table(instance, subset)
+    reference = table[0]
+    positive = reference[reference > 0]
+    digest = hashlib.sha256()
+    digest.update(repr((instance.t, instance.s, instance.d, instance.p_c, subset)).encode())
+    digest.update(np.sort(reference).tobytes())
+    return SubsetVerdict(
+        subset=subset,
+        secure=bool((table == reference).all()),
+        cases=instance.cases_per_subset(),
+        support=int(positive.size),
+        uniform=bool(positive.size == 0 or (positive == positive[0]).all()),
+        fingerprint=digest.hexdigest()[:16],
+    )

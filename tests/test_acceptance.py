@@ -31,7 +31,12 @@ from sgpd import (
 )
 from sgpd.cli import sweep_rows
 
-from conftest import closed_form_thresholds, make_pair, triple_loop_product
+from conftest import (
+    closed_form_thresholds,
+    enumerated_subset_verdict,
+    make_pair,
+    triple_loop_product,
+)
 
 REPORTS = Path(__file__).resolve().parents[1] / "reports"
 
@@ -225,7 +230,13 @@ def test_criterion_5_exhaustive_secrecy():
                 t, s, d, p_c, workers, field, big_t, big_s, big_d,
                 negative_control=True,
             )
-            assert not audit_all_subsets(control, budget).secure, (branch, t, s, d, p_c)
+            control_verdict = audit_all_subsets(control, budget)
+            assert not control_verdict.secure, (branch, t, s, d, p_c)
+            # the brute-force enumeration agrees on every subset
+            for i, v in ((inst, verdict), (control, control_verdict)):
+                assert v.subsets == tuple(
+                    enumerated_subset_verdict(i, sub.subset) for sub in v.subsets
+                ), (branch, t, s, d, p_c, i.negative_control)
     assert strict_seen
 
 

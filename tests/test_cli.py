@@ -101,6 +101,35 @@ def test_run_composite_modulus_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "dims,message", [("0 4 4", "T=0"), ("-6 4 4", "T=-6")], ids=["T=0", "T=-6"]
+)
+def test_run_rejects_empty_or_negative_dimensions(capsys, dims, message):
+    # an empty product must not be reported as a successful run
+    big_t, big_s, big_d = dims.split()
+    code = run_cli(
+        "run", "--t", "2", "--s", "1", "--d", "1", "--P", "4",
+        "--T", big_t, "--S", big_s, "--D", big_d,
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "success=" not in captured.out
+    assert message in captured.err
+
+
+def test_run_rejects_empty_matrix_files(tmp_path, capsys):
+    for name in ("a.mat", "b.mat"):
+        (tmp_path / name).write_text("0 0 257\n")
+    code = run_cli(
+        "run", "--t", "1", "--s", "1", "--d", "1", "--P", "4",
+        "--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat"),
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "success=" not in captured.out
+    assert "T=0" in captured.err
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "audit.cfg"
     cfg.write_text(
@@ -161,6 +190,106 @@ def test_audit_rejects_empty_or_negative_dimensions(capsys, override, message):
     captured = capsys.readouterr()
     assert "verdict=" not in captured.out
     assert message in captured.err
+
+
+# Full stdout and exit code of the four audits that the design-audit benchmark
+# runs: secure-tall over GF(7) and secure-wide over GF(11), each with its
+# negative control.
+PINNED_AUDITS = {
+    "--t 2 --s 1 --d 2 --pc 1 --P 3 --T 2 --S 1 --D 2 --modulus 7": (0, """\
+# command=audit
+# D=2
+# S=1
+# T=2
+# budget=10000000
+# d=2
+# modulus=7
+# negative_control=False
+# pc=1
+# s=1
+# seed=0
+# t=2
+# workers=3
+instance t=2 s=1 d=2 pc=1 workers=3 modulus=7 T=2 S=1 D=2 negative_control=False
+enumeration cases_per_subset=117649 subsets=3
+subset=1 verdict=SECURE support=49 uniform=True fingerprint=67c06ab8f41dfe12
+subset=2 verdict=SECURE support=49 uniform=True fingerprint=09bf96aafa14c405
+subset=3 verdict=SECURE support=49 uniform=True fingerprint=4934ced73a4e51d0
+verdict=SECURE
+"""),
+    "--t 2 --s 1 --d 2 --pc 1 --P 3 --T 2 --S 1 --D 2 --modulus 7 --negative-control": (1, """\
+# command=audit
+# D=2
+# S=1
+# T=2
+# budget=10000000
+# d=2
+# modulus=7
+# negative_control=True
+# pc=1
+# s=1
+# seed=0
+# t=2
+# workers=3
+instance t=2 s=1 d=2 pc=1 workers=3 modulus=7 T=2 S=1 D=2 negative_control=True
+enumeration cases_per_subset=2401 subsets=3
+subset=1 verdict=INSECURE support=1 uniform=True fingerprint=da89b54009a87aa3
+subset=2 verdict=INSECURE support=1 uniform=True fingerprint=f5e8d05860b9ef99
+subset=3 verdict=INSECURE support=1 uniform=True fingerprint=e2bf59f87347bbe6
+verdict=INSECURE
+"""),
+    "--t 1 --s 1 --d 2 --pc 1 --P 3 --T 1 --S 1 --D 2 --modulus 11": (0, """\
+# command=audit
+# D=2
+# S=1
+# T=1
+# budget=10000000
+# d=2
+# modulus=11
+# negative_control=False
+# pc=1
+# s=1
+# seed=0
+# t=1
+# workers=3
+instance t=1 s=1 d=2 pc=1 workers=3 modulus=11 T=1 S=1 D=2 negative_control=False
+enumeration cases_per_subset=161051 subsets=3
+subset=1 verdict=SECURE support=121 uniform=True fingerprint=a65df11254b6166c
+subset=2 verdict=SECURE support=121 uniform=True fingerprint=7dfd37e7488dcdd2
+subset=3 verdict=SECURE support=121 uniform=True fingerprint=9f50688d5f871bcf
+verdict=SECURE
+"""),
+    "--t 1 --s 1 --d 2 --pc 1 --P 3 --T 1 --S 1 --D 2 --modulus 11 --negative-control": (1, """\
+# command=audit
+# D=2
+# S=1
+# T=1
+# budget=10000000
+# d=2
+# modulus=11
+# negative_control=True
+# pc=1
+# s=1
+# seed=0
+# t=1
+# workers=3
+instance t=1 s=1 d=2 pc=1 workers=3 modulus=11 T=1 S=1 D=2 negative_control=True
+enumeration cases_per_subset=1331 subsets=3
+subset=1 verdict=INSECURE support=1 uniform=True fingerprint=f19133bb30ec085f
+subset=2 verdict=INSECURE support=1 uniform=True fingerprint=edd06cba3e3ee0db
+subset=3 verdict=INSECURE support=1 uniform=True fingerprint=114e8d018a47b4a8
+verdict=INSECURE
+"""),
+}
+
+
+@pytest.mark.parametrize(
+    "flags", list(PINNED_AUDITS), ids=["tall", "tall-control", "wide", "wide-control"]
+)
+def test_audit_report_is_pinned(capsys, flags):
+    code, stdout = PINNED_AUDITS[flags]
+    assert run_cli("audit", *flags.split()) == code
+    assert capsys.readouterr().out == stdout
 
 
 def test_sweep_golden_values(tmp_path):

@@ -1,10 +1,14 @@
-"""Exhaustive leakage audit: exact joint enumeration over tiny fields.
+"""Exact leakage audit over tiny fields.
 
 Security here means: for every admissible coalition, the distribution of the
 coalition's observations is the same for every assignment of the data
-matrices.  The audit checks this by counting, so SECURE is a theorem about
-the instance, not a sample.
+matrices.  The audit decides this by rank over GF(p), so SECURE is a theorem
+about the instance, not a sample; the brute-force enumeration in
+``conftest.py`` counts every assignment and must agree field for field.
 """
+
+import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -20,9 +24,10 @@ from sgpd import (
     encode,
     report_lines,
 )
-from sgpd.secrecy_audit import _observation_matrix
+from sgpd import secrecy_audit
+from sgpd.secrecy_audit import _observation_matrix, _rank
 
-from conftest import make_pair
+from conftest import enumerated_subset_verdict, make_pair
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +164,70 @@ def test_observation_matrix_is_the_encoders_map(t, s, d, p_c):
              for w in subset]
         )
         assert np.array_equal(observed, expected), subset
+
+
+def _oracle_grid():
+    """t, s, d <= 3, P_C <= 2, p in {2, 3, 5, 7}, P in P_C..P_C + 2 (below p),
+    one entry per block, with and without the negative control, kept where
+    the enumeration stays below 3 * 10**5 assignments."""
+    for t, s, d in itertools.product(range(1, 4), repeat=3):
+        for p_c, p in itertools.product((1, 2), (2, 3, 5, 7)):
+            for workers in range(p_c, min(p_c + 2, p - 1) + 1):
+                for negative in (False, True):
+                    inst = AuditInstance(t, s, d, p_c, workers, PrimeField(p), t, s, d, negative)
+                    if comb(workers, p_c) * inst.cases_per_subset(budgeted=True) <= 3 * 10**5:
+                        yield inst
+
+
+def assert_matches_enumeration(inst, verdict):
+    expected = tuple(enumerated_subset_verdict(inst, v.subset) for v in verdict.subsets)
+    assert verdict.subsets == expected, inst  # secure, cases, support, uniform, fingerprint
+
+
+def test_rank_audit_matches_enumeration_on_grid():
+    grid = list(_oracle_grid())
+    assert len(grid) == 250
+    for inst in grid:
+        verdict = audit_all_subsets(inst)
+        assert_matches_enumeration(inst, verdict)
+        assert not (inst.negative_control and verdict.secure), inst
+
+
+def test_rank_audit_matches_enumeration_on_insecure_code():
+    # over GF(3), x**2 = 1 for every nonzero x, so exponents alias and two
+    # colluders see the data of the two-band wide code
+    inst = AuditInstance(2, 2, 2, 2, 2, PrimeField(3), 2, 2, 2)
+    verdict = audit_all_subsets(inst)
+    assert verdict.cases_per_subset == 531441 and not verdict.secure
+    assert_matches_enumeration(inst, verdict)
+
+
+def test_rank_audit_matches_enumeration_below_collusion_level():
+    inst = AuditInstance(2, 1, 1, 2, 3, PrimeField(5), 2, 1, 1)
+    for size in range(inst.p_c + 1):  # the empty coalition included
+        for subset in itertools.combinations(range(1, 4), size):
+            assert audit(inst, subset) == enumerated_subset_verdict(inst, subset), subset
+
+
+@pytest.mark.parametrize("run", [1, 3, 48])
+def test_fingerprint_does_not_depend_on_hash_chunks(monkeypatch, run):
+    # the micro instances never fill one chunk, so shrink it: 49 observations
+    # are hashed as full chunks plus a remainder, zeros and constant alike
+    monkeypatch.setattr(secrecy_audit, "_RUN", run)
+    for negative in (False, True):
+        inst = AuditInstance(2, 1, 2, 1, 3, PrimeField(7), 2, 1, 2, negative)
+        assert_matches_enumeration(inst, audit_all_subsets(inst))
+
+
+@pytest.mark.parametrize("p", [2, 7, 65537, 2**31 - 1])
+def test_rank_of_a_known_factorisation(p):
+    # [I; X] @ [I | Y] has rank r exactly, whatever X and Y; a step that
+    # skipped a reduction mod p would take a multiple of p for a pivot or,
+    # at p = 2**31 - 1, overflow int64
+    field = PrimeField(p)
+    rng = np.random.default_rng(17)
+    for n, m, r in [(6, 9, 4), (9, 6, 6), (7, 7, 5), (5, 5, 0), (0, 4, 0)]:
+        left = np.vstack([np.eye(r, dtype=np.int64), field.random_array((n - r, r), rng)])
+        right = np.hstack([np.eye(r, dtype=np.int64), field.random_array((r, m - r), rng)])
+        matrix = field.matmul(left, right)[rng.permutation(n)][:, rng.permutation(m)]
+        assert _rank(matrix, p) == r, (n, m, r)
