@@ -239,7 +239,7 @@ def write_text_file(path: str | Path, header, arrays) -> None:
     then the rows of each array in turn."""
     lines = [" ".join(map(str, header))]
     for arr in arrays:
-        lines += [" ".join(str(v) for v in row) for row in arr]
+        lines += [" ".join(map(str, row)) for row in np.asarray(arr).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

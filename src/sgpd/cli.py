@@ -12,6 +12,7 @@ INSECURE), 2 configuration error, 3 audit budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from math import gcd
 from pathlib import Path
@@ -313,7 +314,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output file (default: stdout)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and shared by every later one: parsing reads
+    the parser and returns a fresh namespace, so no call sees another's."""
     parser = argparse.ArgumentParser(
         prog="sgpd",
         description="Secure coded distributed matrix multiplication simulator",
@@ -380,8 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

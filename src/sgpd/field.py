@@ -2,12 +2,28 @@
 
 Elements are entries of ``numpy`` int64 arrays reduced mod p.  Matrix
 products run on float64 BLAS and are still exact: the operands are integers,
-and every partial sum a dgemm forms stays below 2**53, where float64 holds
-every integer.  Each operand, with entries in [0, p), is split into 16-bit
-limbs (the high limb is below 2**15 since p <= 2**31); the four limb products
-are each exact for an inner dimension k <= 2**21, and a longer inner
-dimension is cut into slices of that width, so the product is exact for
-every k.  The limb products are recombined and reduced in int64.
+and every float sum the kernel forms stays below 2**50, where float64 holds
+every integer.  Each operand entry x in [0, p) is split into 16-bit limbs
+x = x1 * 2**16 + x0 (x1 < 2**15 since p <= 2**31), and
+
+    a @ b = (hi * 2**16 + mid) * 2**16 + lo,
+    hi = a1 @ b1,  mid = a0 @ b1 + a1 @ b0,  lo = a0 @ b0.
+
+The inner dimension is cut into slices of k <= 2**17, so hi < 2**47 and
+mid, lo < 2**49.  The three limb dgemms run on one tile of at most 512
+output columns at a time and are reduced in float64 by Horner's rule:
+
+* r - p * floor(r * (1/p)) for an integer 0 <= r < 2**50.  The computed
+  quotient is off from r / p by less than 2**50 / p * 2**-52 = 1/(4p), so
+  its floor is floor(r / p), or one less when p divides r: the result lies
+  in [0, p], at most p.  So hi reduces to at most p, and each Horner step
+  r * 2**16 + (mid or lo) stays below 2**47 + 2**49 < 2**50.
+* The last step floors (r + 1/2) * (1/p) instead.  (r + 1/2) / p lies at
+  least 1/(2p) from every integer, farther than the error, so that floor is
+  exact and the result is canonical, in [0, p).
+
+Every tile reuses the same float buffers, so the float temporaries of a
+product grow with its rows but not with its columns.
 """
 
 from __future__ import annotations
@@ -19,7 +35,9 @@ from .errors import ConfigurationError
 MAX_MODULUS = 2**31
 
 _LIMB = 16  # bits in the low limb of the split
-_LIMB_K = 2**21  # inner width of one limb dgemm: (2**16 - 1)**2 * 2**21 < 2**53
+_MASK = (1 << _LIMB) - 1
+_SLICE = 2**17  # inner width of one tiled product: every float sum < 2**50
+_TILE = 512  # output columns per tile
 
 _MR_BASES = (2, 3, 5, 7, 11)  # deterministic for n < 3_215_031_751
 
@@ -53,7 +71,8 @@ class PrimeField:
     """The field of integers modulo a prime p, with p <= 2**31.
 
     ``matmul`` is exact by construction (see the module docstring): 16-bit
-    limb products on float64 BLAS, sliced along the inner dimension.
+    limb products on float64 BLAS, reduced in float64 one column tile at a
+    time and sliced along the inner dimension.
     """
 
     def __init__(self, p: int):
@@ -72,38 +91,66 @@ class PrimeField:
         return rng.integers(0, self.p, size=shape, dtype=np.int64)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact (a @ b) mod p through float64 BLAS, for any integer entries."""
-        a = self.reduce(a)
-        b = self.reduce(b)
-        out = self._limb_matmul(a[..., :_LIMB_K], b[:_LIMB_K])
-        for lo in range(_LIMB_K, a.shape[-1], _LIMB_K):
-            out += self._limb_matmul(a[..., lo : lo + _LIMB_K], b[lo : lo + _LIMB_K])
+        """Exact (a @ b) mod p of two 2-D arrays through float64 BLAS, for any
+        integer entries: limb products and a float reduction per column tile,
+        summed over slices of the inner dimension (see the module docstring).
+        The result is a new int64 array; a and b are only read."""
+        a, b = self._operand(a), self._operand(b)
+        out = self._tiled_matmul(a[:, :_SLICE], b[:_SLICE])
+        for lo in range(_SLICE, a.shape[1], _SLICE):
+            out += self._tiled_matmul(a[:, lo : lo + _SLICE], b[lo : lo + _SLICE])
             out %= self.p
         return out
 
-    def _limb_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(a @ b) mod p for reduced a, b and inner dimension <= 2**21.
+    def _operand(self, x) -> np.ndarray:
+        """x as int64 entries in [0, p): copied and reduced only when an entry
+        lies outside, so a reduced int64 operand is used as it is."""
+        x = np.asarray(x, dtype=np.int64)
+        if x.size and (x.min() < 0 or x.max() >= self.p):
+            return x % self.p
+        return x
 
-        With x = x1 * 2**16 + x0, a @ b = hi * 2**32 + mid * 2**16 + lo, where
-        hi = a1 @ b1, mid = a0 @ b1 + a1 @ b0 and lo = a0 @ b0.  Every limb
-        dgemm is exact, and Horner's rule ((hi mod p) * 2**16 + mid) mod p,
-        then * 2**16 + lo, keeps each int64 sum below 2**54.  One float
-        buffer and one int64 buffer of the output's size are reused in place.
-        """
-        mask = (1 << _LIMB) - 1
-        a0, a1 = (a & mask).astype(np.float64), (a >> _LIMB).astype(np.float64)
-        b0, b1 = (b & mask).astype(np.float64), (b >> _LIMB).astype(np.float64)
-        part = np.matmul(a1, b1)
-        out = np.remainder(part, self.p, dtype=np.int64, casting="unsafe")
-        out <<= _LIMB
-        for x, y in ((a0, b1), (a1, b0)):
-            np.matmul(x, y, out=part)
-            np.add(out, part, out=out, dtype=np.int64, casting="unsafe")
-        out %= self.p
-        out <<= _LIMB
-        np.matmul(a0, b0, out=part)
-        np.add(out, part, out=out, dtype=np.int64, casting="unsafe")
-        out %= self.p
+    def _tiled_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(a @ b) mod p for entries in [0, p) and an inner dimension <= 2**17.
+
+        A's limbs are split once, as [a0 | a1], so one dgemm against a tile's
+        [b1; b0] gives mid.  Every tile reuses the same float buffers."""
+        p, inv = float(self.p), 1.0 / self.p
+        (m, k), n = a.shape, b.shape[1]
+        out = np.empty((m, n), dtype=np.int64)
+        a01 = np.empty((m, 2 * k))
+        np.bitwise_and(a, _MASK, out=a01[:, :k], casting="unsafe")
+        np.right_shift(a, _LIMB, out=a01[:, k:], casting="unsafe")
+        a0, a1 = a01[:, :k], a01[:, k:]
+        width = min(_TILE, n)
+        b10_buf = np.empty((2 * k, width))
+        acc_buf, part_buf, quot_buf = (np.empty((m, width)) for _ in range(3))
+
+        def fold(acc, quot):  # acc -> a value in [0, p], congruent mod p
+            np.multiply(acc, inv, out=quot)
+            np.floor(quot, out=quot)
+            quot *= p
+            acc -= quot
+
+        for c in range(0, n, _TILE):
+            w = min(_TILE, n - c)
+            b10, acc, part, quot = (x[:, :w] for x in (b10_buf, acc_buf, part_buf, quot_buf))
+            np.right_shift(b[:, c : c + w], _LIMB, out=b10[:k], casting="unsafe")
+            np.bitwise_and(b[:, c : c + w], _MASK, out=b10[k:], casting="unsafe")
+            np.matmul(a1, b10[:k], out=acc)  # hi
+            fold(acc, quot)
+            acc *= 2.0**_LIMB
+            np.matmul(a01, b10, out=part)  # mid
+            acc += part
+            fold(acc, quot)
+            acc *= 2.0**_LIMB
+            np.matmul(a0, b10[k:], out=part)  # lo
+            acc += part
+            np.add(acc, 0.5, out=quot)  # the exact last step, into [0, p)
+            quot *= inv
+            np.floor(quot, out=quot)
+            quot *= p
+            np.subtract(acc, quot, out=out[:, c : c + w], casting="unsafe")
         return out
 
     def power_table(self, points, exponents) -> np.ndarray:

@@ -219,6 +219,23 @@ def test_matrix_file_round_trip(tmp_path, field257):
     assert header == "5 3 257"
 
 
+P31 = 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "matrix,modulus,expected",
+    [
+        ([[0, P31 - 1, 1], [P31 - 2, 0, 65536]], P31,
+         b"2 3 2147483647\n0 2147483646 1\n2147483645 0 65536\n"),
+        ([[0, 2], [1, 0], [2, 2]], 3, b"3 2 3\n0 2\n1 0\n2 2\n"),
+    ],
+)
+def test_matrix_file_bytes_are_pinned(tmp_path, matrix, modulus, expected):
+    path = tmp_path / "m.mat"
+    write_matrix(path, np.array(matrix, dtype=np.int64), modulus)
+    assert path.read_bytes() == expected
+
+
 def test_matrix_file_rejects_truncation(tmp_path):
     path = tmp_path / "bad.mat"
     path.write_text("2 2 257\n1 2\n")

@@ -361,6 +361,32 @@ def test_sweep_rejects_bad_dimensions(capsys):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def test_consecutive_calls_match_fresh_processes(capsys):
+    # main() reuses one parser; a value given to one call must not reach the
+    # next, so the last run shows the defaults (seed 0, p = 257, latency model)
+    calls = [
+        ["audit", "--t", "1", "--s", "1", "--d", "2", "--pc", "1", "--P", "3",
+         "--T", "1", "--S", "1", "--D", "2", "--modulus", "11", "--seed", "4",
+         "--negative-control"],
+        ["run", "--t", "2", "--s", "1", "--d", "2", "--pc", "1", "--P", "10",
+         "--T", "4", "--S", "2", "--D", "4", "--seed", "5", "--modulus", "101",
+         "--model", "subset", "--responder-count", "9"],
+        ["run", "--t", "2", "--s", "1", "--d", "2", "--pc", "1", "--P", "10",
+         "--T", "4", "--S", "2", "--D", "4"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for argv in calls:
+        code = main(argv)
+        text = capsys.readouterr().out
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgpd", *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, text) == (proc.returncode, proc.stdout), argv[0]
+    assert code == 0
+    assert "# seed=0" in text and "# modulus=257" in text and "# model=latency" in text
+
+
 def test_console_script_help_runs():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

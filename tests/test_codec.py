@@ -26,7 +26,7 @@ from sgpd import (
     worker_compute,
     write_share,
 )
-from sgpd.codec import WorkerResult, _lagrange_coefficient_matrix
+from sgpd.codec import CodedShare, WorkerResult, _lagrange_coefficient_matrix
 
 from conftest import (
     closed_form_thresholds,
@@ -511,6 +511,24 @@ def test_share_file_round_trip(tmp_path, field257):
     assert back.worker_id == share.worker_id and back.point == share.point
     assert np.array_equal(back.a_share, share.a_share)
     assert np.array_equal(back.b_share, share.b_share)
+
+
+@pytest.mark.parametrize(
+    "share,expected",
+    [
+        (
+            (60, 2**31 - 2, [[0, 2**31 - 2]], [[2**31 - 2], [0]], 2**31 - 1),
+            b"60 2147483646 1 2 2 1\n0 2147483646\n2147483646\n0\n",
+        ),
+        ((1, 2, [[2, 0, 1]], [[0], [2], [1]], 3), b"1 2 1 3 3 1\n2 0 1\n0\n2\n1\n"),
+    ],
+)
+def test_share_file_bytes_are_pinned(tmp_path, share, expected):
+    worker, point, a, b, p = share
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    path = tmp_path / "w.share"
+    write_share(path, CodedShare(worker, point, a, b, PrimeField(p)))
+    assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgpd import ConfigurationError, PrimeField, is_prime
+from sgpd import ConfigurationError, PrimeField, is_prime, partition
+from sgpd.field import _SLICE, _TILE
 
 from conftest import triple_loop_product
 
@@ -80,6 +81,57 @@ def test_matmul_matches_triple_loop(p):
         assert np.array_equal(field.matmul(a, b), triple_loop_product(a, b, p)), kind
 
 
+TILE_WIDTHS = [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3]
+
+
+@pytest.mark.parametrize("p", [3, 257, 65537, 2147483647])
+@pytest.mark.parametrize("m,k", [(3, 5), (1, 5), (3, 1)])
+def test_matmul_at_tile_boundaries(p, m, k):
+    # output widths on both sides of every column-tile edge, random entries
+    # and all-(p-1) entries, which give the largest float sums
+    field = PrimeField(p)
+    rng = np.random.default_rng([p, m, k])
+    for n in TILE_WIDTHS:
+        for a, b in (
+            (field.random_array((m, k), rng), field.random_array((k, n), rng)),
+            (np.full((m, k), p - 1, dtype=np.int64), np.full((k, n), p - 1, dtype=np.int64)),
+        ):
+            assert np.array_equal(field.matmul(a, b), triple_loop_product(a, b, p)), n
+
+
+@pytest.mark.parametrize("p", [3, 257, 65537, 2147483647, 2147483629])
+def test_matmul_multiples_of_p_reduce_to_zero(p):
+    # rows (x, p - x) against columns (c, c): every entry is a multiple of p.
+    # At p = 2147483629, 1/p rounds down in float64, so flooring r * (1/p)
+    # without the last step's half offset would leave many entries at p
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    x = field.random_array((200,), rng)
+    c = field.random_array((50,), rng)
+    got = field.matmul(np.stack([x, (p - x) % p], axis=1), np.stack([c, c]))
+    assert np.array_equal(got, np.zeros((200, 50), dtype=np.int64))
+
+
+def test_matmul_and_partition_leave_the_callers_arrays_alone():
+    # matmul skips the reducing copy of an operand already in [0, p); it must
+    # still never write to it or freeze it, and neither may partition
+    field = PrimeField(2147483647)
+    rng = np.random.default_rng(5)
+    a = field.random_array((4, 6), rng)
+    b = field.random_array((6, _TILE + 1), rng)
+    unreduced = a - field.p
+    saved = [x.copy() for x in (a, b, unreduced)]
+    field.matmul(a, b)
+    field.matmul(unreduced, b)
+    block = partition(a, (2, 3), field)
+    for x, before in zip((a, b, unreduced), saved):
+        assert x.flags.writeable
+        assert np.array_equal(x, before)
+    a[0, 0] = (a[0, 0] + 1) % field.p
+    assert block.data[0, 0] == saved[0][0, 0]
+    assert not block.data.flags.writeable
+
+
 def test_matmul_near_modulus_entries_do_not_overflow():
     # worst case: every product is (p-1)^2 with p just under 2**31; a naive
     # int64 dot over 600 terms would overflow 463 times over
@@ -115,6 +167,7 @@ def test_matmul_slices_the_inner_dimension_past_the_limb_bound():
     # where one unsliced limb dgemm could not hold it
     p = 2147483647
     k = 2**21 + 65
+    assert k > _SLICE
     v = (2**15 - 2) << 16 | 0xFFFF
     a = np.full((1, k), v, dtype=np.int64)
     b = np.full((k, 1), v, dtype=np.int64)
