@@ -50,7 +50,11 @@ class BlockMatrix:
     field: PrimeField
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.int64) % self.field.p
+        # a copy, so the caller's array is never frozen or aliased; reduced
+        # only when an entry lies outside [0, p)
+        arr = np.array(self.data, dtype=np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= self.field.p):
+            arr %= self.field.p
         gr, gc = self.grid
         if arr.ndim != 2:
             raise ConfigurationError("matrix data must be two-dimensional")
@@ -234,28 +238,78 @@ def augment(
 # ---------------------------------------------------------------------------
 
 
-def write_text_file(path: str | Path, header, arrays) -> None:
+# A file is a sequence of tokens separated by runs of ASCII whitespace; a
+# token is an optional "-" followed directly by 1 to 18 ASCII digits, so
+# every token lies inside int64.  _CLASSES maps each digit to "0" and each
+# whitespace byte to " ": a file in the grammar then holds only "0", " " and
+# "-", with every "-" between a space (or the start) and a "0".
+_MAX_DIGITS = 18
+_CLASSES = bytes.maketrans(b"0123456789\t\n\v\f\r", b"0" * 10 + b" " * 5)
+
+
+def _grammar_breach(norm: bytes) -> tuple[int, str] | None:
+    """(offset, reason) of a breach of the token grammar in a file mapped
+    through ``_CLASSES``, or None if the file keeps to it."""
+    stray = norm.translate(None, b"0 -")
+    if stray:
+        return norm.index(stray[:1]), "non-integer entry"
+    if b"-" in norm:  # written files hold none, so they skip these searches
+        hits = [i for i in map(norm.find, (b"0-", b"--", b"- ")) if i >= 0]
+        if norm.endswith(b"-"):
+            hits.append(len(norm) - 1)
+        if hits:
+            return min(hits), "non-integer entry: a '-' must start a token and precede a digit"
+    run = norm.find(b"0" * (_MAX_DIGITS + 1))
+    if run >= 0:
+        return run, f"an entry has more than {_MAX_DIGITS} digits, outside the int64 range"
+    return None
+
+
+def _check_entries(path, arr: np.ndarray, modulus: int) -> None:
+    if arr.size and (arr.min() < 0 or arr.max() >= modulus):
+        bad = arr[(arr < 0) | (arr >= modulus)][0]
+        raise ConfigurationError(f"{path}: entry {bad} lies outside [0, {modulus})")
+
+
+def write_text_file(path: str | Path, header, arrays, modulus: int) -> None:
     """The format of matrix and share files: one line of header integers,
-    then the rows of each array in turn."""
-    lines = [" ".join(map(str, header))]
+    then the rows of each 2-D array in turn, entries separated by one space.
+
+    Each array's rows are formatted from one printf template.  What the
+    reader would refuse, an entry outside [0, modulus) or a header value of
+    more than 18 digits, raises ``ConfigurationError`` naming the file, and
+    then no file is written."""
+    if any(abs(v) >= 10**_MAX_DIGITS for v in header):
+        raise ConfigurationError(
+            f"{path}: header {list(header)} has a value of more than {_MAX_DIGITS} digits"
+        )
+    arrays = [np.asarray(arr, dtype=np.int64) for arr in arrays]
     for arr in arrays:
-        lines += [" ".join(map(str, row)) for row in np.asarray(arr).tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+        _check_entries(path, arr, modulus)
+    lines = [" ".join(map(str, header)) + "\n"]
+    for arr in arrays:
+        row = " ".join(["%d"] * arr.shape[1]) + "\n"
+        lines += [row % tuple(r) for r in arr.tolist()]
+    Path(path).write_text("".join(lines))
 
 
 def read_text_file(path: str | Path, header_len: int, dims: slice, modulus: int | None = None):
     """(header, arrays) of a ``write_text_file`` file.  ``header[dims]`` holds
-    each array's (rows, cols); entries must be integers in [0, modulus), the
-    modulus defaulting to the header's last field."""
-    tokens = Path(path).read_text().split()
-    if len(tokens) < header_len:
+    each array's (rows, cols); entries must lie in [0, modulus), the modulus
+    defaulting to the header's last field.
+
+    The bytes are checked against the token grammar (see ``_CLASSES``) before
+    anything is parsed, and then parsed by one ``np.fromstring`` call.  Every
+    refusal is a ``ConfigurationError`` naming the file."""
+    raw = Path(path).read_bytes()
+    breach = _grammar_breach(raw.translate(_CLASSES))
+    if breach:
+        offset, reason = breach
+        line = raw.count(b"\n", 0, offset) + 1
+        raise ConfigurationError(f"{path}: line {line}: {reason}")
+    vals = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if vals.size < header_len:  # also a file of whitespace alone, which parses as [0]
         raise ConfigurationError(f"{path}: truncated file")
-    try:
-        vals = np.array(tokens, dtype=np.int64)  # int() per token, without a Python loop
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: non-integer entry ({exc})") from None
-    except OverflowError:
-        raise ConfigurationError(f"{path}: an entry lies outside the int64 range") from None
     header, vals = vals[:header_len].tolist(), vals[header_len:]
     shapes = list(zip(header[dims][::2], header[dims][1::2]))
     if min(map(min, shapes)) < 0:
@@ -263,10 +317,7 @@ def read_text_file(path: str | Path, header_len: int, dims: slice, modulus: int 
     sizes = [rows * cols for rows, cols in shapes]
     if vals.size != sum(sizes):
         raise ConfigurationError(f"{path}: expected {sum(sizes)} entries, found {vals.size}")
-    modulus = header[-1] if modulus is None else modulus
-    bad = (vals < 0) | (vals >= modulus)
-    if bad.any():
-        raise ConfigurationError(f"{path}: entry {vals[bad][0]} lies outside [0, {modulus})")
+    _check_entries(path, vals, header[-1] if modulus is None else modulus)
     parts = np.split(vals, np.cumsum(sizes)[:-1])
     return header, [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
@@ -274,7 +325,7 @@ def read_text_file(path: str | Path, header_len: int, dims: slice, modulus: int 
 def write_matrix(path: str | Path, matrix: np.ndarray, modulus: int) -> None:
     """Text format: first line "rows cols modulus", then row-major integers."""
     arr = np.asarray(matrix, dtype=np.int64)
-    write_text_file(path, (*arr.shape, modulus), [arr])
+    write_text_file(path, (*arr.shape, modulus), [arr], modulus)
 
 
 def read_matrix(path: str | Path) -> tuple[np.ndarray, int]:

@@ -463,7 +463,7 @@ def write_share(path, share: CodedShare) -> None:
     """Header "worker_id point rows_a cols_a rows_b cols_b", then row-major
     integers of the a-share followed by the b-share."""
     header = (share.worker_id, share.point, *share.a_share.shape, *share.b_share.shape)
-    write_text_file(path, header, [share.a_share, share.b_share])
+    write_text_file(path, header, [share.a_share, share.b_share], share.field.p)
 
 
 def read_share(path, field: PrimeField) -> CodedShare:

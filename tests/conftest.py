@@ -8,17 +8,19 @@ The closed-form thresholds are an independent oracle for the construction's
 recovery threshold.  The brute-force enumeration is the oracle for the
 secrecy audit's rank test; it shares only the observation matrix, which
 ``test_observation_matrix_is_the_encoders_map`` checks against ``encode``.
+The token-by-token parser is the oracle for the byte-level file reader.
 """
 
 from __future__ import annotations
 
 import hashlib
 from math import ceil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgpd import PrimeField, SubsetVerdict, augment, partition
+from sgpd import ConfigurationError, PrimeField, SubsetVerdict, augment, partition
 from sgpd.secrecy_audit import _observation_matrix
 
 _SLAB = 1 << 17
@@ -195,3 +197,30 @@ def enumerated_subset_verdict(instance, subset) -> SubsetVerdict:
         uniform=bool(positive.size == 0 or (positive == positive[0]).all()),
         fingerprint=digest.hexdigest()[:16],
     )
+
+
+def reference_read_text_file(path, header_len: int, dims: slice, modulus: int | None = None):
+    """The token-by-token reader of matrix and share files: ``int()`` on every
+    whitespace-separated token, then the same structural checks as
+    ``read_text_file``.  It accepts more than the byte-level reader (``+5``,
+    ``1_000``, non-ASCII digits and separators, any number of digits), so it
+    is an oracle only for files inside the token grammar."""
+    tokens = Path(path).read_text().split()
+    if len(tokens) < header_len:
+        raise ConfigurationError(f"{path}: truncated file")
+    try:
+        vals = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{path}: bad entry ({exc})") from None
+    header, vals = vals[:header_len].tolist(), vals[header_len:]
+    shapes = list(zip(header[dims][::2], header[dims][1::2]))
+    if min(map(min, shapes)) < 0:
+        raise ConfigurationError(f"{path}: negative dimension in header {header}")
+    sizes = [rows * cols for rows, cols in shapes]
+    if vals.size != sum(sizes):
+        raise ConfigurationError(f"{path}: expected {sum(sizes)} entries, found {vals.size}")
+    modulus = header[-1] if modulus is None else modulus
+    if ((vals < 0) | (vals >= modulus)).any():
+        raise ConfigurationError(f"{path}: an entry lies outside [0, {modulus})")
+    parts = np.split(vals, np.cumsum(sizes)[:-1])
+    return header, [part.reshape(shape) for part, shape in zip(parts, shapes)]

@@ -15,8 +15,10 @@ from sgpd import (
     read_matrix,
     write_matrix,
 )
+from sgpd.blocks import read_text_file
+from sgpd.codec import CodedShare, read_share, write_share
 
-from conftest import make_pair, small_matmul
+from conftest import make_pair, reference_read_text_file, small_matmul
 
 
 def test_partition_blocks_are_views(field257):
@@ -228,6 +230,8 @@ P31 = 2**31 - 1
         ([[0, P31 - 1, 1], [P31 - 2, 0, 65536]], P31,
          b"2 3 2147483647\n0 2147483646 1\n2147483645 0 65536\n"),
         ([[0, 2], [1, 0], [2, 2]], 3, b"3 2 3\n0 2\n1 0\n2 2\n"),
+        (np.zeros((2, 0)), 7, b"2 0 7\n\n\n"),
+        (np.zeros((0, 3)), 7, b"0 3 7\n"),
     ],
 )
 def test_matrix_file_bytes_are_pinned(tmp_path, matrix, modulus, expected):
@@ -241,6 +245,16 @@ def test_matrix_file_rejects_truncation(tmp_path):
     path.write_text("2 2 257\n1 2\n")
     with pytest.raises(ConfigurationError):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\r\n", "3 1"])
+def test_matrix_file_refuses_files_shorter_than_the_header(tmp_path, text):
+    # numpy parses a file of whitespace alone as [0]
+    path = tmp_path / "bad.mat"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="truncated") as info:
+        read_matrix(path)
+    assert str(path) in str(info.value)
 
 
 def test_matrix_file_rejects_garbage(tmp_path):
@@ -265,3 +279,112 @@ def test_matrix_file_rejects_entries_outside_field(tmp_path, entry):
     with pytest.raises(ConfigurationError, match="outside") as info:
         read_matrix(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("entry", [-1, 7])
+def test_matrix_writer_refuses_entries_outside_field(tmp_path, entry):
+    path = tmp_path / "out.mat"
+    with pytest.raises(ConfigurationError, match="outside") as info:
+        write_matrix(path, np.array([[1, entry]]), 7)
+    assert str(path) in str(info.value)
+    assert not path.exists()
+
+
+def test_matrix_writer_refuses_a_modulus_the_reader_would_refuse(tmp_path):
+    path = tmp_path / "out.mat"
+    with pytest.raises(ConfigurationError, match="more than 18 digits") as info:
+        write_matrix(path, np.array([[1]]), 10**18)
+    assert str(path) in str(info.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "1 +5",
+        "1-2 3",
+        "- 2 3",
+        "--2 3",
+        "5- 3",
+        "1 5-",
+        "1_000 3",
+        "\u0663 3",  # ARABIC-INDIC DIGIT THREE
+        "1\x1c2",  # a separator to str.split, not ASCII whitespace
+        "0x10 3",
+        "1e3 3",
+        "1\x002",
+        "0" * 18 + "1 3",
+        f"{2**64 + 5} 3",  # must not wrap to 5
+        f"{2**70} 3",
+    ],
+)
+def test_matrix_file_refuses_tokens_outside_the_grammar(tmp_path, body):
+    path = tmp_path / "bad.mat"
+    path.write_bytes(("1 2 7\n" + body).encode())
+    with pytest.raises(ConfigurationError) as info:
+        read_matrix(path)
+    assert f"{path}: line 2:" in str(info.value)
+
+
+_MODULI = [2, 3, 257, 65537, 2**31 - 1]
+_GAPS = [" ", "  ", "\t", "\n", "\r\n", "\n\n", " \t\r\n", "\r\n\r\n", "\v", "\f"]
+
+
+@st.composite
+def respaced(draw, text: str) -> str:
+    """text's tokens, each maybe zero-padded to at most 18 digits (a zero
+    maybe written "-0"), joined by random runs of ASCII whitespace (tabs, CRLF
+    and blank lines among them), with optional whitespace at either end."""
+    edge = st.sampled_from(["", *_GAPS])
+    out = [draw(edge)]
+    for token in text.split():
+        pad = "0" * draw(st.integers(0, 18 - len(token)))
+        sign = "-" if token == "0" and draw(st.booleans()) else ""
+        out += [sign + pad + token, draw(st.sampled_from(_GAPS))]
+    out[-1] = draw(edge)
+    return "".join(out)
+
+
+def _outcome(read, *args):
+    try:
+        header, arrays = read(*args)
+    except ConfigurationError:
+        return "refused"
+    return header, [arr.tolist() for arr in arrays]
+
+
+def _respaced_reads_as_oracle(data, path, *layout) -> None:
+    path.write_text(data.draw(respaced(path.read_text())), newline="")
+    assert _outcome(read_text_file, path, *layout) == _outcome(
+        reference_read_text_file, path, *layout
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from(_MODULI),
+    shapes=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=2),
+)
+def test_file_reader_agrees_with_token_oracle(tmp_path_factory, data, p, shapes):
+    # write -> read round-trips, and every re-spacing of the written file
+    # reads as the token-by-token oracle reads it
+    path = tmp_path_factory.mktemp("files") / "f"
+    a, b = (
+        np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=r * c, max_size=r * c)),
+                 dtype=np.int64).reshape(r, c)
+        for r, c in shapes
+    )
+    field = PrimeField(p)
+
+    write_matrix(path, a, p)
+    back, modulus = read_matrix(path)
+    assert modulus == p and np.array_equal(back, a)
+    _respaced_reads_as_oracle(data, path, 3, slice(0, 2))
+
+    point = data.draw(st.integers(0, p - 1))
+    write_share(path, CodedShare(9, point, a, b, field))
+    share = read_share(path, field)
+    assert (share.worker_id, share.point) == (9, point)
+    assert np.array_equal(share.a_share, a) and np.array_equal(share.b_share, b)
+    _respaced_reads_as_oracle(data, path, 6, slice(2, 6), p)

@@ -521,6 +521,8 @@ def test_share_file_round_trip(tmp_path, field257):
             b"60 2147483646 1 2 2 1\n0 2147483646\n2147483646\n0\n",
         ),
         ((1, 2, [[2, 0, 1]], [[0], [2], [1]], 3), b"1 2 1 3 3 1\n2 0 1\n0\n2\n1\n"),
+        ((3, 5, np.zeros((2, 0)), [[1, 2, 3]], 7), b"3 5 2 0 1 3\n\n\n1 2 3\n"),
+        ((3, 5, [[4], [6]], np.zeros((0, 3)), 7), b"3 5 2 1 0 3\n4\n6\n"),
     ],
 )
 def test_share_file_bytes_are_pinned(tmp_path, share, expected):
@@ -529,6 +531,16 @@ def test_share_file_bytes_are_pinned(tmp_path, share, expected):
     path = tmp_path / "w.share"
     write_share(path, CodedShare(worker, point, a, b, PrimeField(p)))
     assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("entry", [-1, 257])
+def test_share_writer_refuses_entries_outside_field(tmp_path, field257, entry):
+    path = tmp_path / "w.share"
+    share = CodedShare(1, 1, np.array([[5, 6]]), np.array([[7], [entry]]), field257)
+    with pytest.raises(ConfigurationError, match="outside") as info:
+        write_share(path, share)
+    assert str(path) in str(info.value)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
