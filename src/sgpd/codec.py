@@ -404,31 +404,36 @@ def exponent_audit(geometry: CodeGeometry) -> ExponentAuditReport:
         findings.append(
             f"extraction exponent {int(ext.max())} outside degree range {p_r - 1}"
         )
-    for (i, l), target in np.ndenumerate(ext):
-        inner_seen = []
-        for x, y in np.argwhere(sums == target):
-            ai, aj = (int(v) for v in a_blocks[x])
-            bk, bl = (int(v) for v in b_blocks[y])
-            a_data = ai < t and aj < s  # data fill the top-left corners
-            b_data = bk < s and bl < d
-            if not (a_data and b_data):
-                findings.append(
-                    f"C[{i},{l}] at exponent {target} receives "
-                    f"a[{ai},{aj}] x b[{bk},{bl}] "
-                    f"({'data' if a_data else 'random'} x "
-                    f"{'data' if b_data else 'random'})"
-                )
-            elif ai != i or bl != l or aj != bk:
-                findings.append(
-                    f"C[{i},{l}] at exponent {target} receives misaligned "
-                    f"data pair a[{ai},{aj}] x b[{bk},{bl}]"
-                )
+    # every (target, block pair) hit at once: target-major, pair row-major
+    targets = ext.ravel()
+    cand = np.flatnonzero(np.isin(sums, targets))
+    tgt, hit = np.nonzero(targets[:, None] == sums.ravel()[cand])
+    x, y = np.divmod(cand[hit], sums.shape[1])
+    ai, aj = a_blocks[x].T
+    bk, bl = b_blocks[y].T
+    i, l = np.divmod(tgt, ext.shape[1])
+    a_data = (ai < t) & (aj < s)  # data fill the top-left corners
+    b_data = (bk < s) & (bl < d)
+    random = ~(a_data & b_data)
+    good = ~random & (ai == i) & (bl == l) & (aj == bk)
+    # each target must see every inner index k in 0..s-1 exactly once
+    inner = np.bincount(tgt[good] * s + aj[good], minlength=targets.size * s)
+    inner = inner.reshape(targets.size, s)
+    short = (inner != 1).any(axis=1)
+    bad = np.flatnonzero(~good)
+    for g in np.union1d(tgt[bad], np.flatnonzero(short)).tolist():
+        gi, gl = divmod(g, ext.shape[1])
+        at = f"C[{gi},{gl}] at exponent {targets[g]} receives"
+        for h in bad[tgt[bad] == g].tolist():
+            pair = f"a[{ai[h]},{aj[h]}] x b[{bk[h]},{bl[h]}]"
+            if random[h]:
+                sides = " x ".join("data" if side else "random" for side in (a_data[h], b_data[h]))
+                findings.append(f"{at} {pair} ({sides})")
             else:
-                inner_seen.append(aj)
-        if sorted(inner_seen) != list(range(s)):
-            findings.append(
-                f"C[{i},{l}] inner-sum terms {sorted(inner_seen)} != 0..{s - 1}"
-            )
+                findings.append(f"{at} misaligned data pair {pair}")
+        if short[g]:
+            seen = np.repeat(np.arange(s), inner[g]).tolist()
+            findings.append(f"C[{gi},{gl}] inner-sum terms {seen} != 0..{s - 1}")
     return ExponentAuditReport((t, s, d, geometry.p_c), sums.size, tuple(findings))
 
 

@@ -1,5 +1,7 @@
 """Straggler models and the end-to-end simulated run."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,21 @@ from sgpd import (
     ConfigurationError,
     FixedSet,
     LatencyModel,
+    PrimeField,
     RandomSubset,
     build_plan,
     latency_sweep,
     read_share,
     run,
 )
+from sgpd.cluster_sim import _SWEEP_CHUNK, _latency_seed_words
 
-from conftest import make_pair, triple_loop_product
+from conftest import (
+    default_rng_completion_times,
+    looped_latency_sweep,
+    make_pair,
+    triple_loop_product,
+)
 
 
 @pytest.fixture
@@ -104,6 +113,10 @@ def test_latency_model_validation():
         LatencyModel(rate=0.0)
     with pytest.raises(ConfigurationError):
         LatencyModel(failure_prob=1.5)
+    with pytest.raises(ConfigurationError):
+        LatencyModel(seed=-1)
+    with pytest.raises(ConfigurationError):
+        LatencyModel().completion_times(3, trial=-1)
 
 
 def test_model_descriptions():
@@ -158,6 +171,58 @@ def test_latency_sweep_monotone_in_threshold(field257):
     s_small = latency_sweep(small, model, trials=300)
     s_large = latency_sweep(large, model, trials=300)
     assert s_large.mean > s_small.mean
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 3])
+def test_latency_seed_words_match_seed_sequence(seed):
+    # 2**64 + 3 is three entropy words, so five in all: more than the pool of 4
+    trials = list(range(301)) + [2**32 + 1, 2**64 - 1]
+    want = [
+        np.random.SeedSequence((0x1A7E, seed, trial)).generate_state(4, np.uint64)
+        for trial in trials
+    ]
+    assert np.array_equal(_latency_seed_words(seed, trials), want)
+
+
+@pytest.mark.parametrize("failure_prob", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("rate", [1.0, 4.0, float("inf")])
+@pytest.mark.parametrize("trials", [1, _SWEEP_CHUNK - 1, _SWEEP_CHUNK, _SWEEP_CHUNK + 1, 300])
+def test_latency_sweep_matches_default_rng_oracle(field257, failure_prob, rate, trials):
+    plan = build_plan(3, 2, 2, 2, 30, field257)
+    model = LatencyModel(1.5, rate, failure_prob, seed=41)
+    got = latency_sweep(plan, model, trials)
+    want = looped_latency_sweep(plan, model, trials)
+    assert got.times.dtype == want.times.dtype
+    assert np.array_equal(got.times, want.times)
+    assert (got.trials, got.failed_trials) == (want.trials, want.failed_trials)
+
+
+@pytest.mark.parametrize("trial", [0, 7, 2**32 + 1])
+def test_completion_times_match_default_rng_oracle(trial):
+    model = LatencyModel(0.5, 3.0, 0.2, seed=2**40 + 9)
+    want = default_rng_completion_times(model, 50, trial)
+    assert np.array_equal(model.completion_times(50, trial), want)
+
+
+@pytest.mark.parametrize("model", [FixedSet([1, 2, 3]), RandomSubset(27, seed=5)])
+def test_latency_sweep_needs_a_latency_model(field257, model):
+    plan = build_plan(3, 2, 2, 2, 30, field257)
+    with pytest.raises(ConfigurationError, match="needs a LatencyModel"):
+        latency_sweep(plan, model, trials=10)
+
+
+def test_latency_sweep_memory_stays_chunked():
+    # a full 20,000 x 300 delay table alone would be 48 MB
+    plan = build_plan(8, 3, 8, 4, 300, PrimeField(65537))
+    model = LatencyModel(1.0, 1.0, 0.02, seed=3)
+    tracemalloc.start()
+    try:
+        summary = latency_sweep(plan, model, trials=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(summary.times) + summary.failed_trials == 20_000
+    assert peak < 8 * 2**20, peak
 
 
 def test_trace_dump(tmp_path, tall_setup, field257):

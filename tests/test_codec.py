@@ -1,6 +1,7 @@
 """Exponent maps, thresholds, encode/decode, and their independent oracles."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from conftest import (
     closed_form_thresholds,
     encoding_terms,
     evaluate_terms,
+    looped_exponent_audit,
     make_pair,
     product_coefficients,
     small_matmul,
@@ -487,6 +489,62 @@ def test_exponent_audit_detects_random_contamination():
     )
     report = exponent_audit(corrupted)
     assert not report.clean and len(report.collisions) >= 1
+
+
+def _with_map(geo, **arrays):
+    return dataclasses.replace(geo, exponent_map=dataclasses.replace(geo.exponent_map, **arrays))
+
+
+def _corrupted_geometries(geo, rng):
+    """Seeded corruptions of one exponent map: an a- or b-side exponent moved
+    or duplicated, an extraction exponent moved or duplicated, and a live
+    random block put on a data block's exponent (when the code has one)."""
+    emap, lay = geo.exponent_map, geo.layout
+    top = geo.recovery_threshold + 2
+    for name in ("a_exponents", "b_exponents", "extraction"):
+        arr = getattr(emap, name).copy()
+        flat = arr.reshape(-1)
+        dst = rng.integers(flat.size)
+        if rng.integers(2):
+            flat[dst] = flat[rng.integers(flat.size)]  # duplicated
+        else:
+            flat[dst] = rng.integers(top)  # moved
+        yield _with_map(geo, **{name: arr})
+    for name, live, data_shape in (
+        ("a_exponents", lay.a_live, (geo.t, geo.s)),
+        ("b_exponents", lay.b_live, (geo.s, geo.d)),
+    ):
+        data = np.zeros_like(live)
+        data[: data_shape[0], : data_shape[1]] = True
+        randoms = np.argwhere(live & ~data)
+        if len(randoms):
+            arr = getattr(emap, name).copy()
+            datas = np.argwhere(data)
+            arr[tuple(randoms[rng.integers(len(randoms))])] = arr[
+                tuple(datas[rng.integers(len(datas))])
+            ]
+            yield _with_map(geo, **{name: arr})
+
+
+def test_exponent_audit_matches_looped_oracle_on_clean_maps():
+    for t, s, d in itertools.product(range(1, 7), repeat=3):
+        for p_c in range(5):
+            geo = code_geometry(t, s, d, p_c)
+            assert exponent_audit(geo) == looped_exponent_audit(geo), (t, s, d, p_c)
+
+
+def test_exponent_audit_matches_looped_oracle_on_corrupted_maps():
+    dirty = 0
+    for t, s, d in itertools.product(range(1, 5), repeat=3):
+        for p_c in range(5):
+            geo = code_geometry(t, s, d, p_c)
+            rng = np.random.default_rng((t, s, d, p_c))
+            for _ in range(2):
+                for bad in _corrupted_geometries(geo, rng):
+                    want = looped_exponent_audit(bad)
+                    assert exponent_audit(bad) == want, (t, s, d, p_c)
+                    dirty += not want.clean
+    assert dirty > 1000  # most corruptions are caught, so the findings text is compared
 
 
 # ---------------------------------------------------------------------------
