@@ -155,6 +155,8 @@ def _build_model(merged: dict):
 def cmd_run(args: argparse.Namespace) -> int:
     merged, explicit = _resolve(args, _RUN_DEFAULTS)
     _require(merged, ["t", "s", "d", "workers"])
+    if merged["seed"] < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {merged['seed']}")
     rng = np.random.default_rng(merged["seed"])
     if merged["a"] or merged["b"]:
         _require(merged, ["a", "b"])
@@ -255,6 +257,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _require(merged, ["m", "n", "workers"])
     if merged["m"] < 1 or merged["n"] < 1:
         raise ConfigurationError("m and n must be >= 1")
+    if merged["workers"] < 1:
+        raise ConfigurationError(f"need at least one worker, got {merged['workers']}")
     rows = sweep_rows(merged["m"], merged["n"], merged["workers"], merged["pc_list"])
     lines = _header("sweep", merged)
     lines.append(CSV_COLUMNS)

@@ -54,6 +54,8 @@ class RandomSubset:
     def __init__(self, count: int, seed: int = 0):
         if count < 0:
             raise ConfigurationError(f"responder count must be >= 0, got {count}")
+        if seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {seed}")
         self.count = int(count)
         self.seed = int(seed)
 
@@ -162,8 +164,8 @@ class LatencyModel:
     """Per-worker delay = shift + Exponential(1/rate); failures take forever."""
 
     def __init__(self, shift: float = 1.0, rate: float = 1.0, failure_prob: float = 0.0, seed: int = 0):
-        if shift < 0:
-            raise ConfigurationError(f"shift must be >= 0, got {shift}")
+        if not (math.isfinite(shift) and shift >= 0):
+            raise ConfigurationError(f"shift must be a finite number >= 0, got {shift}")
         if not rate > 0:
             raise ConfigurationError(f"rate must be > 0, got {rate}")
         if not 0.0 <= failure_prob <= 1.0:

@@ -173,11 +173,11 @@ def build_plan(
     p_c: int,
     n_workers: int,
     field: PrimeField,
-    evaluation_points=None,
 ) -> EncodingPlan:
     """Validate parameters and assemble the full code description.
 
     The recovery threshold comes from the exponent maps over live blocks.
+    Worker w evaluates at w, as the secrecy audit assumes.
     """
     geometry = code_geometry(t, s, d, p_c)
     p_r = geometry.recovery_threshold
@@ -197,21 +197,11 @@ def build_plan(
             f"recovery threshold {p_r} is below 2*P_C={2 * p_c}; the secrecy "
             "argument needs at least that many product coefficients"
         )
-    if evaluation_points is None:
-        if field.p <= n_workers:
-            raise ConfigurationError(
-                f"modulus {field.p} cannot supply {n_workers} distinct nonzero points"
-            )
-        points = np.arange(1, n_workers + 1, dtype=np.int64)
-    else:
-        points = np.asarray(list(evaluation_points), dtype=np.int64)
-        if points.shape != (n_workers,):
-            raise ConfigurationError(
-                f"expected {n_workers} evaluation points, got {points.shape}"
-            )
-        points = points % field.p
-        if np.any(points == 0) or len(np.unique(points)) != n_workers:
-            raise ConfigurationError("evaluation points must be distinct and nonzero")
+    if field.p <= n_workers:
+        raise ConfigurationError(
+            f"modulus {field.p} cannot supply {n_workers} distinct nonzero points"
+        )
+    points = np.arange(1, n_workers + 1, dtype=np.int64)
     return EncodingPlan(
         t, s, d, p_c, geometry.layout, geometry.exponent_map, field, n_workers, points
     )

@@ -14,10 +14,13 @@ the audit tests whether the masking leaves enough live randomness.  The
 negative control drops the live random blocks too, which turns the shares
 into deterministic functions of the data and must be flagged INSECURE.
 
-The observation matrix is the encoder's own map: per side,
-``PrimeField.power_table`` over the colluders' points and the exponents of
-the data and live random blocks, times the identity over one block's
-entries, exactly as ``encode`` forms the shares.
+The ranks are taken at block level.  A-share entries see only A variables
+and B-share entries only B variables, and on each side the encoder's map is
+kron(V, I_e): V is ``PrimeField.power_table`` over the colluders' points and
+the block exponents, e the entries of one block.  So rank[M_r] is
+e_a rank[V_r^A] + e_b rank[V_r^B], rank[M_r | M_d] likewise with
+[V_r | V_d] on each side, and no matrix with a column per entry is built.
+The tests keep that entry-level map as an oracle.
 """
 
 from __future__ import annotations
@@ -115,40 +118,30 @@ class AuditVerdict:
     cases_per_subset: int
 
 
-def _side_map(instance: AuditInstance, points, exps, live, rows: int, cols: int, entries: int):
-    """The encoder's map on one side: its power table over the data corner's
-    blocks, then the live random blocks (row-major), times the identity over
-    one block's entries.  Rows: worker-major share entries; columns: that
-    side's variables, block-major."""
-    corner = np.zeros(live.shape, bool)
-    corner[:rows, :cols] = True
-    random = live & ~corner & (not instance.negative_control)
-    table = instance.field.power_table(points, np.concatenate([exps[corner], exps[random]]))
-    return np.kron(table, np.eye(entries, dtype=np.int64))
-
-
-def _observation_matrix(instance: AuditInstance, subset) -> np.ndarray:
-    """Rows: one per observed share entry; columns: one per variable.
-
-    Variable order: A data entries, B data entries, then live random entries
-    (A side, B side).  Each worker's rows are its a-share entries, then its
-    b-share entries, as ``encode`` forms them."""
-    geo = instance.geometry
+def _ranks(instance: AuditInstance, subset) -> tuple[int, int, int]:
+    """(rank[M_r], rank[M_r | M_d], live random entries) of the coalition's
+    view.  Per side, V_d and V_r are the encoder's power tables over the
+    colluders' points and the exponents of the data corner and of the live
+    random blocks (none under the negative control); each entry-level count
+    is one block's entries times the block-level one."""
+    geo, field = instance.geometry, instance.field
     emap, lay = geo.exponent_map, geo.layout
-    points = np.array(sorted(subset), dtype=np.int64)
+    points = np.array(subset, dtype=np.int64)
     ea, eb, _ = instance.entry_sizes()
-    m_a = _side_map(instance, points, emap.a_exponents, lay.a_live, geo.t, geo.s, ea)
-    m_b = _side_map(instance, points, emap.b_exponents, lay.b_live, geo.s, geo.d, eb)
-    n_w = points.size
-    n_a, n_b = geo.t * geo.s * ea, geo.s * geo.d * eb  # data entries per side
-    r_a, r_b = m_a.shape[1] - n_a, m_b.shape[1] - n_b  # live random entries per side
-    n_vars = n_a + n_b + r_a + r_b
-    a_cols = np.r_[:n_a, n_a + n_b : n_a + n_b + r_a]
-    b_cols = np.r_[n_a : n_a + n_b, n_vars - r_b : n_vars]
-    out = np.zeros((n_w, ea + eb, n_vars), dtype=np.int64)
-    out[:, :ea, a_cols] = m_a.reshape(n_w, ea, a_cols.size)
-    out[:, ea:, b_cols] = m_b.reshape(n_w, eb, b_cols.size)
-    return out.reshape(n_w * (ea + eb), n_vars)
+    rank_r = rank = n_random = 0
+    for exps, live, rows, cols, entries in (
+        (emap.a_exponents, lay.a_live, geo.t, geo.s, ea),
+        (emap.b_exponents, lay.b_live, geo.s, geo.d, eb),
+    ):
+        corner = np.zeros(live.shape, bool)
+        corner[:rows, :cols] = True
+        random = live & ~corner & (not instance.negative_control)
+        v_d = field.power_table(points, exps[corner])
+        v_r = field.power_table(points, exps[random])
+        rank_r += entries * _rank(v_r, field.p)
+        rank += entries * _rank(np.hstack([v_r, v_d]), field.p)
+        n_random += entries * v_r.shape[1]
+    return rank_r, rank, n_random
 
 
 def _rank(matrix: np.ndarray, p: int) -> int:
@@ -184,10 +177,9 @@ def audit(instance: AuditInstance, subset, budget: int = DEFAULT_BUDGET) -> Subs
     required = instance.cases_per_subset(budgeted=True)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    p, n_data = instance.field.p, instance.entry_sizes()[2]
-    matrix = _observation_matrix(instance, subset)
-    rank = _rank(matrix[:, n_data:], p)
-    obs_dim, n_random = matrix.shape[0], matrix.shape[1] - n_data
+    p, (ea, eb, _) = instance.field.p, instance.entry_sizes()
+    rank, full_rank, n_random = _ranks(instance, subset)
+    obs_dim = len(subset) * (ea + eb)
     digest = hashlib.sha256()
     digest.update(repr((instance.t, instance.s, instance.d, instance.p_c, subset)).encode())
     # The sorted count row of the all-zero data, as int64 runs hashed in
@@ -199,7 +191,7 @@ def audit(instance: AuditInstance, subset, budget: int = DEFAULT_BUDGET) -> Subs
         digest.update(chunk[: 8 * (count % _RUN)])
     return SubsetVerdict(
         subset=subset,
-        secure=rank == _rank(matrix, p),
+        secure=rank == full_rank,
         cases=instance.cases_per_subset(),
         support=p**rank,
         uniform=True,

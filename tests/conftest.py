@@ -5,9 +5,12 @@ products by explicit integer triple loops, shares by symbolic polynomial
 evaluation built straight from the exponent maps, and the product polynomial
 by term-by-term convolution.  None of them call the code paths under test.
 The closed-form thresholds are an independent oracle for the construction's
-recovery threshold.  The brute-force enumeration is the oracle for the
-secrecy audit's rank test; it shares only the observation matrix, which
+recovery threshold.  The secrecy audit takes its ranks on block-level power
+tables; the oracle builds the entry-level observation matrix instead (the
+Kronecker product and the column per data or random entry), which
 ``test_observation_matrix_is_the_encoders_map`` checks against ``encode``.
+The brute-force enumeration counts every assignment through that matrix,
+and its ranks must equal the audit's block-level ones.
 The token-by-token parser is the oracle for the byte-level file reader.
 The per-target loop is the oracle for the array-pass exponent audit, and a
 per-trial ``default_rng`` for the latency sweep's batched seeding.
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 
 from sgpd import (
+    AuditInstance,
     ConfigurationError,
     ExponentAuditReport,
     LatencySummary,
@@ -34,7 +38,6 @@ from sgpd import (
     augment,
     partition,
 )
-from sgpd.secrecy_audit import _observation_matrix
 
 if importlib.util.find_spec("libcst") is not None:
     # On a failing property test, hypothesis's pytest plugin imports its patch
@@ -180,13 +183,49 @@ def make_pair(t, s, d, p_c, field, rng, bt=1, bs=1, bd=1):
     return a, b, pair
 
 
+def _side_map(instance: AuditInstance, points, exps, live, rows: int, cols: int, entries: int):
+    """The encoder's map on one side: its power table over the data corner's
+    blocks, then the live random blocks (row-major), times the identity over
+    one block's entries.  Rows: worker-major share entries; columns: that
+    side's variables, block-major."""
+    corner = np.zeros(live.shape, bool)
+    corner[:rows, :cols] = True
+    random = live & ~corner & (not instance.negative_control)
+    table = instance.field.power_table(points, np.concatenate([exps[corner], exps[random]]))
+    return np.kron(table, np.eye(entries, dtype=np.int64))
+
+
+def observation_matrix(instance: AuditInstance, subset) -> np.ndarray:
+    """Rows: one per observed share entry; columns: one per variable.
+
+    Variable order: A data entries, B data entries, then live random entries
+    (A side, B side).  Each worker's rows are its a-share entries, then its
+    b-share entries, as ``encode`` forms them."""
+    geo = instance.geometry
+    emap, lay = geo.exponent_map, geo.layout
+    points = np.array(sorted(subset), dtype=np.int64)
+    ea, eb, _ = instance.entry_sizes()
+    m_a = _side_map(instance, points, emap.a_exponents, lay.a_live, geo.t, geo.s, ea)
+    m_b = _side_map(instance, points, emap.b_exponents, lay.b_live, geo.s, geo.d, eb)
+    n_w = points.size
+    n_a, n_b = geo.t * geo.s * ea, geo.s * geo.d * eb  # data entries per side
+    r_a, r_b = m_a.shape[1] - n_a, m_b.shape[1] - n_b  # live random entries per side
+    n_vars = n_a + n_b + r_a + r_b
+    a_cols = np.r_[:n_a, n_a + n_b : n_a + n_b + r_a]
+    b_cols = np.r_[n_a : n_a + n_b, n_vars - r_b : n_vars]
+    out = np.zeros((n_w, ea + eb, n_vars), dtype=np.int64)
+    out[:, :ea, a_cols] = m_a.reshape(n_w, ea, a_cols.size)
+    out[:, ea:, b_cols] = m_b.reshape(n_w, eb, b_cols.size)
+    return out.reshape(n_w * (ea + eb), n_vars)
+
+
 def _count_table(instance, subset) -> np.ndarray:
     """counts[data_index, observation_index] over every assignment of the
     data and live random entries, walked in slabs.  Data entries are the low
     mixed-radix digits, so an assignment's (A, B) index is its residue."""
     p = instance.field.p
     n_data = instance.entry_sizes()[2]
-    matrix = _observation_matrix(instance, subset)
+    matrix = observation_matrix(instance, subset)
     obs_dim, n_vars = matrix.shape
     total = p**n_vars
     radix_vars = p ** np.arange(n_vars, dtype=np.int64)

@@ -102,6 +102,28 @@ def test_run_composite_modulus_exits_two(capsys):
 
 
 @pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--shift", "nan"], "shift"),
+        (["--shift", "inf"], "shift"),
+        (["--seed", "-1"], "seed"),
+        (["--seed", "-1", "--model", "subset", "--responder-count", "6"], "seed"),
+    ],
+    ids=["shift=nan", "shift=inf", "seed=-1", "subset-seed=-1"],
+)
+def test_run_rejects_bad_straggler_settings(capsys, extra, message):
+    # a bad flag must exit 2 with a named error, not read as a failed run
+    code = run_cli(
+        "run", "--t", "2", "--s", "1", "--d", "1", "--pc", "1", "--P", "8",
+        "--T", "4", "--S", "2", "--D", "2", *extra,
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "success=" not in captured.out
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
     "dims,message", [("0 4 4", "T=0"), ("-6 4 4", "T=-6")], ids=["T=0", "T=-6"]
 )
 def test_run_rejects_empty_or_negative_dimensions(capsys, dims, message):
@@ -356,6 +378,10 @@ def test_sweep_frontier_flags(tmp_path):
 
 def test_sweep_rejects_bad_dimensions(capsys):
     assert run_cli("sweep", "--m", "0", "--n", "4", "--P", "10") == 2
+    # an empty pool must not print every row as infeasible and exit 0
+    assert run_cli("sweep", "--m", "4", "--n", "4", "--P", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "worker" in captured.err
 
 
 ROOT = Path(__file__).resolve().parents[1]

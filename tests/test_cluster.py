@@ -1,5 +1,6 @@
 """Straggler models and the end-to-end simulated run."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -107,8 +108,9 @@ def test_measured_load_counts_used_results_only(tall_setup, field257):
 
 
 def test_latency_model_validation():
-    with pytest.raises(ConfigurationError):
-        LatencyModel(shift=-0.1)
+    for shift in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="shift"):
+            LatencyModel(shift=shift)
     with pytest.raises(ConfigurationError):
         LatencyModel(rate=0.0)
     with pytest.raises(ConfigurationError):
@@ -117,6 +119,8 @@ def test_latency_model_validation():
         LatencyModel(seed=-1)
     with pytest.raises(ConfigurationError):
         LatencyModel().completion_times(3, trial=-1)
+    with pytest.raises(ConfigurationError, match="seed"):
+        RandomSubset(3, seed=-1)
 
 
 def test_model_descriptions():

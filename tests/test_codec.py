@@ -435,14 +435,6 @@ def test_build_plan_needs_enough_points(field5):
     assert build_plan(2, 1, 1, 0, 4, field5).evaluation_points.tolist() == [1, 2, 3, 4]
 
 
-def test_build_plan_custom_points(field257):
-    plan = build_plan(2, 1, 1, 0, 3, field257, evaluation_points=[5, 17, 101])
-    assert plan.evaluation_points.tolist() == [5, 17, 101]
-    for bad in ([5, 17], [5, 17, 5], [5, 17, 0]):
-        with pytest.raises(ConfigurationError):
-            build_plan(2, 1, 1, 0, 3, field257, evaluation_points=bad)
-
-
 def test_plan_star_dimensions(field257):
     # the augmented grids are the shapes of the layout's live masks
     tall = build_plan(3, 2, 2, 2, 30, field257)

@@ -25,9 +25,9 @@ from sgpd import (
     report_lines,
 )
 from sgpd import secrecy_audit
-from sgpd.secrecy_audit import _observation_matrix, _rank
+from sgpd.secrecy_audit import _rank, _ranks
 
-from conftest import enumerated_subset_verdict, make_pair
+from conftest import enumerated_subset_verdict, make_pair, observation_matrix
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +158,7 @@ def test_observation_matrix_is_the_encoders_map(t, s, d, p_c):
         + [pair.b_star.block(*kl).ravel() for kl in random_b]
     )
     for subset in [(1, 2), (7, 40), (3, 17, 29)]:
-        observed = _observation_matrix(inst, subset) @ x % field.p
+        observed = observation_matrix(inst, subset) @ x % field.p
         expected = np.concatenate(
             [np.concatenate([shares[w - 1].a_share.ravel(), shares[w - 1].b_share.ravel()])
              for w in subset]
@@ -207,6 +207,32 @@ def test_rank_audit_matches_enumeration_below_collusion_level():
     for size in range(inst.p_c + 1):  # the empty coalition included
         for subset in itertools.combinations(range(1, 4), size):
             assert audit(inst, subset) == enumerated_subset_verdict(inst, subset), subset
+
+
+def test_block_ranks_match_the_entry_level_matrix():
+    # beyond the enumeration's reach: blocks of 6 A entries and 3 B entries
+    # (unequal, so the sides cannot be confused), moduli up to 2**31 - 1 and
+    # coalitions of three; the entry-level oracle gives rank[M_r] from its
+    # random columns, rank[M_r | M_d] from all of them
+    pairs = insecure = 0
+    for t, s, d in itertools.product(range(1, 4), repeat=3):
+        for p_c, p in itertools.product((1, 2, 3), (3, 257, 2**31 - 1)):
+            workers = min(p_c + 1, p - 1)
+            if p_c > workers:
+                continue
+            for negative in (False, True):
+                inst = AuditInstance(
+                    t, s, d, p_c, workers, PrimeField(p), 2 * t, 3 * s, d, negative
+                )
+                n_data = inst.entry_sizes()[2]
+                for subset in itertools.combinations(range(1, workers + 1), p_c):
+                    matrix = observation_matrix(inst, subset)
+                    n_random = matrix.shape[1] - n_data
+                    expected = (_rank(matrix[:, n_data:], p), _rank(matrix, p), n_random)
+                    assert _ranks(inst, subset) == expected, (inst, subset)
+                    pairs += 1
+                    insecure += not negative and expected[0] != expected[1]
+    assert pairs == 1134 and insecure > 0
 
 
 @pytest.mark.parametrize("run", [1, 3, 48])
