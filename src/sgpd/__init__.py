@@ -22,6 +22,7 @@ from .errors import (
     FieldMismatchError,
     NotEnoughResults,
     SgpdError,
+    SingularSystemError,
     WrongCaseError,
 )
 from .field import PrimeField, is_prime
@@ -97,6 +98,7 @@ __all__ = [
     "RandomSubset",
     "RunReport",
     "SgpdError",
+    "SingularSystemError",
     "SubsetVerdict",
     "WorkerResult",
     "WrongCaseError",

@@ -213,7 +213,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 _SWEEP_DEFAULTS = {
     "m": None, "n": None, "workers": None, "pc_list": [0],
-    "modulus": 257, "seed": 0, "out": None,
+    "modulus": 257, "out": None,
 }
 
 
@@ -284,7 +284,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 _AUDIT_DEFAULTS = {
     "t": None, "s": None, "d": None, "pc": 0, "workers": None,
-    "T": None, "S": None, "D": None, "modulus": 257, "seed": 0,
+    "T": None, "S": None, "D": None, "modulus": 257,
     "budget": DEFAULT_BUDGET, "negative_control": False, "out": None,
 }
 
@@ -314,7 +314,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value configuration file")
     sub.add_argument("--modulus", type=int, help="prime field modulus")
-    sub.add_argument("--seed", type=int, help="seed for every random draw")
     sub.add_argument("--out", help="output file (default: stdout)")
 
 
@@ -330,6 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = subs.add_parser("run", help="encode, simulate a worker pool, decode")
     _add_common(p_run)
+    p_run.add_argument("--seed", type=int, help="seed for every random draw")
     p_run.add_argument("--t", type=int, help="block rows of A")
     p_run.add_argument("--s", type=int, help="inner split of A and B")
     p_run.add_argument("--d", type=int, help="block columns of B")

@@ -25,7 +25,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .blocks import AugmentedPair, BlockMatrix
 from .codec import EncodingPlan, decode, encode, worker_compute, write_share
-from .errors import ConfigurationError, NotEnoughResults
+from .errors import ConfigurationError, SingularSystemError
 
 
 class FixedSet:
@@ -280,17 +280,22 @@ def run(
         return report
     used = order[:p_r]
     results = [worker_compute(shares[w], float(times[w])) for w in used]
-    decoded = decode(plan, results)
-    expected = plan.field.matmul(pair.original_a, pair.original_b)
-    ok = bool(np.array_equal(decoded.data, expected))
+    try:
+        decoded = decode(plan, results)
+    except SingularSystemError as exc:
+        decoded, cause = None, f"SingularSystemError: {exc}"
+    else:
+        expected = plan.field.matmul(pair.original_a, pair.original_b)
+        ok = bool(np.array_equal(decoded.data, expected))
+        cause = "" if ok else "decoded output failed verification"
     report = RunReport(
-        success=ok,
+        success=not cause,
         responders=tuple(w + 1 for w in used),
         points=tuple(shares[w].point for w in used),
         wall_clock=float(times[used[-1]]),
         measured_load=sum(r.product.size for r in results),
-        checksum=_checksum(decoded),
-        cause="" if ok else "decoded output failed verification",
+        checksum="" if decoded is None else _checksum(decoded),
+        cause=cause,
         decoded=decoded,
     )
     _maybe_manifest(trace_dir, plan, model, trial, report)

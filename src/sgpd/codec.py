@@ -3,9 +3,9 @@
 Each worker receives one evaluation of two block-coefficient polynomials,
 F(z) built from A* and G(z) built from B*, and returns the product
 F(z_p)G(z_p).  The exponent maps are chosen so that every output block
-C_{i,l} of C = AB appears as one clean coefficient of F(z)G(z): interpolate
-the product polynomial from any recovery_threshold evaluations, read the
-extraction exponents, done.
+C_{i,l} of C = AB appears as one clean coefficient of F(z)G(z): solve for
+the product polynomial's coefficients from any recovery_threshold
+evaluations, read the extraction exponents, done.
 
 Exponent layout per case (0-based indices throughout):
 
@@ -21,19 +21,27 @@ Exponent layout per case (0-based indices throughout):
   extraction stays at the data alignment s_w*i + s - 1 + t*s_w*l; together
   with the live strips chosen in the augmentation layout this keeps every
   random product off the extraction exponents.  When min(t, d) >= 2 the maps
-  and extractions are plain GPD over the widened grid; correctness is
-  structural there because each side's random band faces a zero band on the
-  other side, so A*B* = AB exactly.
+  and extractions are plain GPD over the widened grid; A*B* = AB exactly
+  because each side's random band faces a zero band on the other side.
+  When also P_C <= t(d-1) + 1, B's P_C live random blocks take the
+  exponents s_w, 2 s_w, ..., P_C s_w instead, which leaves gaps in the
+  product's support and so lowers the threshold; above that bound the GPD
+  exponents stay.
 
-recovery_threshold is always derived from the construction: the degree of
-F*G over live (non-masked) blocks, plus one.  Closed-form expressions exist
-for most regimes; the tests cross-check them against the construction.
+recovery_threshold is always derived from the construction: the number of
+distinct exponents in the live sumset {a + b} over live (non-masked) blocks,
+the support of F*G.  It is the degree plus one wherever that sumset has no
+gap.  Decoding solves the generalized Vandermonde system on the support,
+which for a sparse support can be singular mod p for some responder sets.
+Closed-form expressions exist for most regimes; the tests cross-check them
+against the construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil
 
 import numpy as np
@@ -96,6 +104,19 @@ def _exponent_maps(layout: AugmentationLayout) -> ExponentMap:
         b[:s, :] = (s - 1 - k[:s]) + band
         b[s:, :] = k[s:] + band
         ext = width * np.arange(t)[:, None] + (s - 1) + band
+    elif layout.case == "wide" and layout.p_c <= t * (d - 1) + 1:
+        # B's live random blocks move to the multiples of s_w; a dead block on
+        # one of them takes an exponent a moved block vacated
+        def on_target(e):
+            return (e % width == 0) & (e > 0) & (e <= width * layout.p_c)
+
+        random = layout.b_live.copy()
+        random[:s] = False
+        moved = b[random]
+        vacated = moved[~on_target(moved)]
+        b[random] = width * np.arange(1, layout.p_c + 1)
+        dead = ~layout.b_live & on_target(b)
+        b[dead] = vacated[: dead.sum()]
     return ExponentMap(a, b, ext)
 
 
@@ -119,11 +140,20 @@ class CodeGeometry:
     def case(self) -> str:
         return _CASE_LABELS[self.layout.case]
 
+    @cached_property
+    def support(self) -> np.ndarray:
+        """The exponents F*G can carry: the distinct sums of one live A* and
+        one live B* exponent, ascending."""
+        emap, lay = self.exponent_map, self.layout
+        sums = np.add.outer(emap.a_exponents[lay.a_live], emap.b_exponents[lay.b_live])
+        support = np.flatnonzero(np.bincount(sums.ravel()))
+        support.setflags(write=False)
+        return support
+
     @property
     def recovery_threshold(self) -> int:
-        """Degree of F*G over live blocks, plus one."""
-        emap, lay = self.exponent_map, self.layout
-        return int(emap.a_exponents[lay.a_live].max() + emap.b_exponents[lay.b_live].max()) + 1
+        """The size of the live support: one evaluation per unknown coefficient."""
+        return int(self.support.size)
 
     @property
     def normalized_load(self) -> Fraction:
@@ -200,6 +230,13 @@ def build_plan(
     if field.p <= n_workers:
         raise ConfigurationError(
             f"modulus {field.p} cannot supply {n_workers} distinct nonzero points"
+        )
+    # x**(p-1) = 1 for every point, so exponents equal mod p - 1 give equal columns of V
+    support = geometry.support
+    if support[-1] - support[0] >= field.p - 1 and np.unique(support % (field.p - 1)).size < p_r:
+        raise ConfigurationError(
+            f"the support spans exponents equal mod {field.p - 1}: no responder "
+            f"set could decode over GF({field.p})"
         )
     points = np.arange(1, n_workers + 1, dtype=np.int64)
     return EncodingPlan(
@@ -286,42 +323,18 @@ def worker_compute(share: CodedShare, completion_time: float = 0.0) -> WorkerRes
     return WorkerResult(share.worker_id, share.point, product, completion_time)
 
 
-def _lagrange_coefficient_matrix(field: PrimeField, xs) -> np.ndarray:
-    """L[e, i] = coefficient of z**e in the i-th Lagrange basis polynomial.
-
-    Synthetic division by (z - x_i) and the Horner evaluation of each
-    quotient at x_i run as one numpy step per degree over all points."""
-    p = field.p
-    xs = field.reduce(xs).reshape(-1)
-    n = xs.size
-    master = np.zeros(n + 1, dtype=np.int64)  # prod (z - x_i), low-to-high coeffs
-    master[0] = 1
-    for x in xs:  # master[n] stays 0 until the last factor, so the roll is a shift
-        master = (np.roll(master, 1) - x * master) % p
-    q = np.empty((n, n), dtype=np.int64)  # q[i] = master / (z - x_i)
-    q[:, n - 1] = master[n]
-    for j in range(n - 2, -1, -1):
-        q[:, j] = (master[j + 1] + xs * q[:, j + 1]) % p
-    denom = np.zeros(n, dtype=np.int64)  # q[i](x_i) = prod_{j != i} (x_i - x_j)
-    for j in range(n - 1, -1, -1):
-        denom = (denom * xs + q[:, j]) % p
-    if (denom == 0).any():
-        raise ConfigurationError("evaluation points are not distinct")
-    inverse, base, e = np.ones(n, dtype=np.int64), denom, p - 2  # Fermat: denom**(p-2)
-    while e:
-        if e & 1:
-            inverse = inverse * base % p
-        base, e = base * base % p, e >> 1
-    return (q * inverse[:, None] % p).T
-
-
 def decode(plan: EncodingPlan, results) -> BlockMatrix:
-    """Interpolate the product polynomial and read the extraction coefficients.
+    """Solve for the product polynomial's coefficients on its live support
+    and read the extraction coefficients.
 
     Each result is evaluated at the plan's point for its worker id, which
     must lie in 1..P and agree with the point the result carries.  Exactly
     recovery_threshold results are consumed; any surplus is dropped
-    deterministically, keeping the lowest worker ids.
+    deterministically, keeping the lowest worker ids.  The system is the
+    generalized Vandermonde matrix V[i, e] = x_i**e over the support, and
+    only the rows of V**-1 at the extraction exponents are formed, by one
+    ``PrimeField.solve`` of V^T.  V can be singular mod p for a sparse
+    support; then SingularSystemError is raised, never a wrong product.
     """
     by_id: dict = {}
     for r in results:
@@ -345,13 +358,15 @@ def decode(plan: EncodingPlan, results) -> BlockMatrix:
     shapes = {r.product.shape for r in chosen}
     if len(shapes) != 1:
         raise ConfigurationError(f"results disagree on product shape: {sorted(shapes)}")
-    basis = _lagrange_coefficient_matrix(plan.field, points)
-    values = np.stack([np.asarray(r.product, dtype=np.int64).reshape(-1) for r in chosen])
     ext = plan.exponent_map.extraction
     t, d = ext.shape
+    vandermonde = plan.field.power_table(points, plan.support)
+    picks = np.zeros((p_r, t * d), dtype=np.int64)  # unit columns at the extraction rows
+    picks[np.searchsorted(plan.support, ext.ravel()), np.arange(t * d)] = 1
+    weights = plan.field.solve(vandermonde.T, picks).T
+    values = np.stack([np.asarray(r.product, dtype=np.int64).reshape(-1) for r in chosen])
     br, bc = chosen[0].product.shape
-    # only the t*d extraction coefficients are read, so only their rows are computed
-    coeffs = plan.field.matmul(basis[ext.ravel()], values)
+    coeffs = plan.field.matmul(weights, values)
     out = coeffs.reshape(t, d, br, bc).transpose(0, 2, 1, 3).reshape(t * br, d * bc)
     return BlockMatrix(out, (t, d), plan.field)
 
@@ -386,18 +401,17 @@ def exponent_audit(geometry: CodeGeometry) -> ExponentAuditReport:
     a_blocks = np.argwhere(lay.a_live)  # row-major, so findings keep loop order
     b_blocks = np.argwhere(lay.b_live)
     sums = np.add.outer(emap.a_exponents[lay.a_live], emap.b_exponents[lay.b_live])
-    p_r = geometry.recovery_threshold
     ext = emap.extraction
     if len(np.unique(ext.ravel())) != ext.size:
         findings.append("extraction exponents are not distinct")
-    if int(ext.max()) >= p_r:
-        findings.append(
-            f"extraction exponent {int(ext.max())} outside degree range {p_r - 1}"
-        )
     # every (target, block pair) hit at once: target-major, pair row-major
     targets = ext.ravel()
     cand = np.flatnonzero(np.isin(sums, targets))
     tgt, hit = np.nonzero(targets[:, None] == sums.ravel()[cand])
+    # a target no live pair hits lies outside the support
+    missed = targets[np.bincount(tgt, minlength=targets.size) == 0]
+    for e in sorted(set(missed.tolist())):
+        findings.append(f"extraction exponent {e} not in the live support")
     x, y = np.divmod(cand[hit], sums.shape[1])
     ai, aj = a_blocks[x].T
     bk, bl = b_blocks[y].T

@@ -28,6 +28,10 @@ class NotEnoughResults(SgpdError):
         super().__init__(f"decoding needs {need} worker results, got {have}")
 
 
+class SingularSystemError(SgpdError):
+    """A linear system over GF(p) has no unique solution: its matrix is singular."""
+
+
 class BudgetExceeded(SgpdError):
     """A secrecy audit would cover more assignments than its budget allows."""
 

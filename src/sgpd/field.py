@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SingularSystemError
 
 MAX_MODULUS = 2**31
 
@@ -165,6 +165,52 @@ class PrimeField:
         for e in range(1, top + 1):
             np.remainder(table[e - 1] * points, self.p, out=table[e])
         return table[exponents].T
+
+    # -- elimination -----------------------------------------------------------
+
+    def _row_reduce(self, matrix, pivot_cols: int) -> tuple[np.ndarray, int]:
+        """Gauss-Jordan elimination in int64: the reduced row echelon form of
+        matrix, with pivots sought in its first pivot_cols columns, and the
+        rank found there.  Pivots are inverted by pow(x, -1, p) in Python ints.
+        Entries stay in [0, p) with p <= 2**31 between steps, so each update
+        r - f * pivot lies above -2**62 before it is reduced.  A pivot row is
+        zero left of its pivot, so a step touches only the columns from it on."""
+        p = self.p
+        rows = self.reduce(matrix)
+        rank = 0
+        for col in range(pivot_cols):
+            if rank == rows.shape[0]:
+                break
+            if not rows[rank, col]:
+                nonzero = np.flatnonzero(rows[rank:, col])
+                if nonzero.size == 0:
+                    continue
+                rows[[rank, rank + nonzero[0]]] = rows[[rank + nonzero[0], rank]]
+            tail = rows[:, col:]
+            pivot = tail[rank] * pow(int(tail[rank, 0]), -1, p) % p
+            tail -= tail[:, :1] * pivot
+            tail %= p
+            tail[rank] = pivot
+            rank += 1
+        return rows, rank
+
+    def rank(self, matrix) -> int:
+        """Rank of a 2-D matrix over GF(p)."""
+        matrix = np.asarray(matrix)
+        return self._row_reduce(matrix, matrix.shape[1])[1]
+
+    def solve(self, a, b) -> np.ndarray:
+        """The x with a @ x = b mod p, for a square a and a 2-D b with as many
+        rows.  Raises SingularSystemError when a is singular mod p, so no
+        solution is ever returned for a system without a unique one."""
+        a, b = np.asarray(a), np.asarray(b)
+        n = a.shape[0]
+        if a.shape != (n, n) or b.ndim != 2 or b.shape[0] != n:
+            raise ConfigurationError(f"cannot solve a {a.shape} system for a {b.shape} right side")
+        reduced, rank = self._row_reduce(np.hstack([a, b]), n)
+        if rank < n:
+            raise SingularSystemError(f"{n}x{n} system is singular mod {self.p} (rank {rank})")
+        return reduced[:, n:]
 
     # -- misc ------------------------------------------------------------------
 

@@ -5,7 +5,7 @@ workers must have the same distribution whatever (A, B) is.  Their view is
 linear over GF(p), M_d x_d + M_r x_r, with x_d the data entries and x_r the
 live random entries, uniform and independent.  Given the data it is uniform
 on the coset M_d x_d + colspan(M_r), so it is independent of the data exactly
-when rank[M_r] = rank[M_r | M_d], which Gaussian elimination mod p decides.
+when rank[M_r] = rank[M_r | M_d], which ``PrimeField.rank`` decides.
 The verdict covers all p**(data + live random entries) assignments; the tests
 enumerate them by brute force as an oracle.
 
@@ -138,29 +138,10 @@ def _ranks(instance: AuditInstance, subset) -> tuple[int, int, int]:
         random = live & ~corner & (not instance.negative_control)
         v_d = field.power_table(points, exps[corner])
         v_r = field.power_table(points, exps[random])
-        rank_r += entries * _rank(v_r, field.p)
-        rank += entries * _rank(np.hstack([v_r, v_d]), field.p)
+        rank_r += entries * field.rank(v_r)
+        rank += entries * field.rank(np.hstack([v_r, v_d]))
         n_random += entries * v_r.shape[1]
     return rank_r, rank, n_random
-
-
-def _rank(matrix: np.ndarray, p: int) -> int:
-    """Rank over GF(p) by Gaussian elimination in int64.  Entries stay in
-    [0, p) with p <= 2**31, so every product is below 2**62; pivots are
-    inverted by Fermat's little theorem."""
-    rows = np.array(matrix, dtype=np.int64) % p
-    rank = 0
-    for col in range(rows.shape[1]):
-        nonzero = np.flatnonzero(rows[rank:, col])
-        if nonzero.size == 0:
-            continue
-        rows[[rank, rank + nonzero[0]]] = rows[[rank + nonzero[0], rank]]
-        rows[rank] = rows[rank] * pow(int(rows[rank, col]), p - 2, p) % p
-        below = rows[rank + 1 :]
-        below -= np.outer(below[:, col], rows[rank]) % p
-        below %= p
-        rank += 1
-    return rank
 
 
 def audit(instance: AuditInstance, subset, budget: int = DEFAULT_BUDGET) -> SubsetVerdict:

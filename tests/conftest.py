@@ -12,6 +12,9 @@ Kronecker product and the column per data or random entry), which
 The brute-force enumeration counts every assignment through that matrix,
 and its ranks must equal the audit's block-level ones.
 The token-by-token parser is the oracle for the byte-level file reader.
+A Python-int Gauss-Jordan is the oracle for ``PrimeField.rank`` and
+``solve``, and the Lagrange basis for the decoder's solve on a support
+0..n-1; a Python set of live sums for the recovery threshold.
 The per-target loop is the oracle for the array-pass exponent audit, and a
 per-trial ``default_rng`` for the latency sweep's batched seeding.
 """
@@ -138,6 +141,15 @@ def encoding_terms(block_matrix, exponents: np.ndarray, live: np.ndarray) -> dic
             if live[i, j]:
                 terms[int(exponents[i, j])] = block_matrix.block(i, j)
     return terms
+
+
+def distinct_live_sums(geometry) -> int:
+    """Brute-force size of the live sumset: a + b over every pair of a live
+    A* block and a live B* block, collected in a Python set."""
+    emap, lay = geometry.exponent_map, geometry.layout
+    a = [int(e) for e, live in zip(emap.a_exponents.flat, lay.a_live.flat) if live]
+    b = [int(e) for e, live in zip(emap.b_exponents.flat, lay.b_live.flat) if live]
+    return len({x + y for x in a for y in b})
 
 
 def closed_form_thresholds(t: int, s: int, d: int, p_c: int) -> dict:
@@ -290,6 +302,59 @@ def reference_read_text_file(path, header_len: int, dims: slice, modulus: int | 
     return header, [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
+def python_gauss_jordan(matrix, p: int, pivot_cols: int | None = None):
+    """Reduced row echelon form over GF(p) in Python integers, with pivots
+    sought in the first pivot_cols columns (all by default), and the rank:
+    the oracle for ``PrimeField.rank`` and ``PrimeField.solve``."""
+    rows = [[int(x) % p for x in row] for row in np.asarray(matrix).tolist()]
+    n_cols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(n_cols if pivot_cols is None else pivot_cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inverse % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rows, rank
+
+
+def lagrange_coefficient_matrix(field: PrimeField, xs) -> np.ndarray:
+    """L[e, i] = coefficient of z**e in the i-th Lagrange basis polynomial:
+    the inverse of the dense Vandermonde matrix, the oracle for ``decode``'s
+    solve on a support 0..n-1.
+
+    Synthetic division by (z - x_i) and the Horner evaluation of each
+    quotient at x_i run as one numpy step per degree over all points."""
+    p = field.p
+    xs = field.reduce(xs).reshape(-1)
+    n = xs.size
+    master = np.zeros(n + 1, dtype=np.int64)  # prod (z - x_i), low-to-high coeffs
+    master[0] = 1
+    for x in xs:  # master[n] stays 0 until the last factor, so the roll is a shift
+        master = (np.roll(master, 1) - x * master) % p
+    q = np.empty((n, n), dtype=np.int64)  # q[i] = master / (z - x_i)
+    q[:, n - 1] = master[n]
+    for j in range(n - 2, -1, -1):
+        q[:, j] = (master[j + 1] + xs * q[:, j + 1]) % p
+    denom = np.zeros(n, dtype=np.int64)  # q[i](x_i) = prod_{j != i} (x_i - x_j)
+    for j in range(n - 1, -1, -1):
+        denom = (denom * xs + q[:, j]) % p
+    if (denom == 0).any():
+        raise ConfigurationError("evaluation points are not distinct")
+    inverse, base, e = np.ones(n, dtype=np.int64), denom, p - 2  # Fermat: denom**(p-2)
+    while e:
+        if e & 1:
+            inverse = inverse * base % p
+        base, e = base * base % p, e >> 1
+    return (q * inverse[:, None] % p).T
+
+
 def looped_exponent_audit(geometry) -> ExponentAuditReport:
     """The exponent audit as one ``argwhere`` per extraction target, each hit
     classified in Python: the oracle for the array-pass ``exponent_audit``."""
@@ -303,14 +368,13 @@ def looped_exponent_audit(geometry) -> ExponentAuditReport:
     a_blocks = np.argwhere(lay.a_live)  # row-major, so findings keep loop order
     b_blocks = np.argwhere(lay.b_live)
     sums = np.add.outer(emap.a_exponents[lay.a_live], emap.b_exponents[lay.b_live])
-    p_r = geometry.recovery_threshold
+    live_sums = set(sums.ravel().tolist())
     ext = emap.extraction
     if len(np.unique(ext.ravel())) != ext.size:
         findings.append("extraction exponents are not distinct")
-    if int(ext.max()) >= p_r:
-        findings.append(
-            f"extraction exponent {int(ext.max())} outside degree range {p_r - 1}"
-        )
+    for e in sorted(set(ext.ravel().tolist())):
+        if e not in live_sums:
+            findings.append(f"extraction exponent {e} not in the live support")
     for (i, l), target in np.ndenumerate(ext):
         inner_seen = []
         for x, y in np.argwhere(sums == target):

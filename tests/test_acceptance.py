@@ -92,8 +92,11 @@ def test_criterion_2_threshold_closed_forms():
         "# that is asserted), kept for reference and never asserted.",
         "#",
         "# kind=two_band_wide: s>=t with min(t,d)>=2 and p_c>=1.  The",
-        "#   decodable construction pads both operands (two bands), so its",
-        "#   threshold exceeds the single-band closed form recorded here.",
+        "#   decodable construction pads both operands (two bands).  Its",
+        "#   threshold is the size of its live support, sparse where",
+        "#   p_c<=t(d-1)+1 puts B's random blocks on the multiples of the",
+        "#   inner width, and still exceeds the single-band closed form",
+        "#   recorded here.",
         "# kind=degree_count_variant: s<t alternative count that differs from",
         "#   the asserted closed form by an off-by-one / bookkeeping slip.",
         "# kind=square_special_variant: the square-grid (t=d) special form,",

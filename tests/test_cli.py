@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgpd import PrimeField, read_matrix, write_matrix
+from sgpd import PrimeField, code_geometry, read_matrix, write_matrix
 from sgpd.cli import main
 
-from conftest import triple_loop_product
+from conftest import distinct_live_sums, triple_loop_product
 
 
 def run_cli(*argv):
@@ -193,6 +193,42 @@ def test_audit_exit_codes(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--t", "2", "--s", "1", "--d", "1", "--pc", "1", "--P", "4",
+         "--T", "2", "--S", "1", "--D", "1", "--modulus", "5", "--seed", "1"],
+        ["sweep", "--m", "4", "--n", "4", "--P", "10", "--seed", "1"],
+    ],
+    ids=["audit", "sweep"],
+)
+def test_deterministic_commands_take_no_seed(capsys, argv):
+    # audit and sweep draw nothing at random, so a seed is an unknown option
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--seed" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--t", "2", "--s", "1", "--d", "1", "--pc", "1", "--P", "4",
+         "--T", "2", "--S", "1", "--D", "1", "--modulus", "5"],
+        ["sweep", "--m", "4", "--n", "4", "--P", "10"],
+    ],
+    ids=["audit", "sweep"],
+)
+def test_deterministic_commands_refuse_a_seed_in_config(tmp_path, capsys, argv):
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed=1\n")
+    assert run_cli(*argv, "--config", str(config)) == 2
+    assert "seed" in capsys.readouterr().err
+    assert run_cli(*argv) in (0, 1)  # SECURE or INSECURE; only the seed was refused
+    assert "# seed=" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "override,message",
     [
         (["--t", "0"], "t must be >= 1"),
@@ -229,7 +265,6 @@ PINNED_AUDITS = {
 # negative_control=False
 # pc=1
 # s=1
-# seed=0
 # t=2
 # workers=3
 instance t=2 s=1 d=2 pc=1 workers=3 modulus=7 T=2 S=1 D=2 negative_control=False
@@ -250,7 +285,6 @@ verdict=SECURE
 # negative_control=True
 # pc=1
 # s=1
-# seed=0
 # t=2
 # workers=3
 instance t=2 s=1 d=2 pc=1 workers=3 modulus=7 T=2 S=1 D=2 negative_control=True
@@ -271,7 +305,6 @@ verdict=INSECURE
 # negative_control=False
 # pc=1
 # s=1
-# seed=0
 # t=1
 # workers=3
 instance t=1 s=1 d=2 pc=1 workers=3 modulus=11 T=1 S=1 D=2 negative_control=False
@@ -292,7 +325,6 @@ verdict=SECURE
 # negative_control=True
 # pc=1
 # s=1
-# seed=0
 # t=1
 # workers=3
 instance t=1 s=1 d=2 pc=1 workers=3 modulus=11 T=1 S=1 D=2 negative_control=True
@@ -331,9 +363,11 @@ def test_sweep_golden_values(tmp_path):
         "0,2,2,2,non-secure,9,9/4,,true,true",
         "0,4,1,4,non-secure,16,1,16,true,true",
         "1,1,4,1,secure-wide,9,9,,true,true",
-        "1,2,2,2,secure-wide,17,17/4,,true,true",
+        "1,2,2,2,secure-wide,15,15/4,,true,true",
         "1,4,1,4,secure-tall,25,25/16,25,true,true",
     ]
+    # the two-band row counts the distinct live sums, by brute force too
+    assert distinct_live_sums(code_geometry(2, 2, 2, 1)) == 15
 
 
 def test_sweep_naive_column_never_smaller(tmp_path):
@@ -392,7 +426,7 @@ def test_consecutive_calls_match_fresh_processes(capsys):
     # next, so the last run shows the defaults (seed 0, p = 257, latency model)
     calls = [
         ["audit", "--t", "1", "--s", "1", "--d", "2", "--pc", "1", "--P", "3",
-         "--T", "1", "--S", "1", "--D", "2", "--modulus", "11", "--seed", "4",
+         "--T", "1", "--S", "1", "--D", "2", "--modulus", "11",
          "--negative-control"],
         ["run", "--t", "2", "--s", "1", "--d", "2", "--pc", "1", "--P", "10",
          "--T", "4", "--S", "2", "--D", "4", "--seed", "5", "--modulus", "101",

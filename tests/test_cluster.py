@@ -1,5 +1,6 @@
 """Straggler models and the end-to-end simulated run."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -239,3 +240,23 @@ def test_trace_dump(tmp_path, tall_setup, field257):
     assert sh.worker_id == 3 and sh.point == 3
     manifest = (tmp_path / "manifest.txt").read_text()
     assert "t=3" in manifest and "model=fixed-set" in manifest and "success=True" in manifest
+
+
+def test_singular_responder_set_is_a_failed_run():
+    # (2,2,3,1)'s support has a gap, so some responder sets give a singular
+    # system mod 29: run() reports the named error, with no product
+    field = PrimeField(29)
+    rng = np.random.default_rng(29)
+    _, _, pair = make_pair(2, 2, 3, 1, field, rng)
+    plan = build_plan(2, 2, 3, 1, 24, field)
+    outcomes = set()
+    for subset in itertools.combinations(range(1, 25), plan.recovery_threshold):
+        report = run(plan, pair, FixedSet(subset))
+        outcomes.add(report.success)
+        if not report.success:
+            assert report.cause.startswith("SingularSystemError: ")
+            assert report.decoded is None and report.checksum == ""
+            assert report.responders == subset and report.measured_load > 0
+            assert f"cause={report.cause}" in report.lines()
+            break
+    assert outcomes == {True, False}

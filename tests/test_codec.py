@@ -13,6 +13,7 @@ from sgpd import (
     FieldMismatchError,
     NotEnoughResults,
     PrimeField,
+    SingularSystemError,
     WrongCaseError,
     augment,
     build_plan,
@@ -27,12 +28,14 @@ from sgpd import (
     worker_compute,
     write_share,
 )
-from sgpd.codec import CodedShare, WorkerResult, _lagrange_coefficient_matrix
+from sgpd.codec import CodedShare, WorkerResult
 
 from conftest import (
     closed_form_thresholds,
+    distinct_live_sums,
     encoding_terms,
     evaluate_terms,
+    lagrange_coefficient_matrix,
     looped_exponent_audit,
     make_pair,
     product_coefficients,
@@ -80,7 +83,11 @@ def test_recovery_threshold_examples():
     assert code_geometry(1, 4, 1, 0).recovery_threshold == 7
     assert code_geometry(3, 2, 2, 2).recovery_threshold == 25
     assert code_geometry(1, 1, 1, 1).recovery_threshold == 3
-    assert code_geometry(2, 2, 2, 2).recovery_threshold == 18
+    # two-band: B's random blocks sit at 4 and 8, so the live support is
+    # {2, ..., 17}, 16 exponents, against a dense degree range of 18
+    geo = code_geometry(2, 2, 2, 2)
+    assert geo.recovery_threshold == 16 == distinct_live_sums(geo)
+    assert geo.support.tolist() == list(range(2, 18))
 
 
 def test_case_labels():
@@ -207,12 +214,12 @@ def test_encode_matches_polynomial_oracle(t, s, d, p_c, field257):
      (2, 2, 2, 2), (3, 3, 3, 2), (1, 1, 1, 1), (4, 1, 3, 2)],
 )
 def test_product_polynomial_oracle(t, s, d, p_c, field257):
-    """Term-by-term convolution: degree bound and extraction coefficients."""
+    """Term-by-term convolution: live support and extraction coefficients."""
     rng = np.random.default_rng(23)
     a_arr, b_arr, pair = make_pair(t, s, d, p_c, field257, rng, bt=1, bs=2, bd=1)
     geo = code_geometry(t, s, d, p_c)
     coeffs, _ = product_coefficients(pair, geo)
-    assert max(coeffs) == geo.recovery_threshold - 1
+    assert sorted(coeffs) == geo.support.tolist()
     want = triple_loop_product(a_arr, b_arr, 257)
     br = a_arr.shape[0] // t
     bc = b_arr.shape[1] // d
@@ -252,7 +259,7 @@ def test_lagrange_matrix_recovers_coefficients(field257):
     xs = np.array([1, 3, 5, 7, 9, 11, 100, 200, 250, 256, 2, 4], dtype=np.int64)
     vander = np.array([[pow(int(x), e, 257) for e in range(n)] for x in xs])
     values = triple_loop_product(vander, coeffs, 257)
-    basis = _lagrange_coefficient_matrix(field257, xs)
+    basis = lagrange_coefficient_matrix(field257, xs)
     assert np.array_equal(triple_loop_product(basis, values, 257), coeffs)
 
 
@@ -267,19 +274,19 @@ def test_lagrange_matrix_large_prime():
         xs = np.append(xs, int(xs[-1]) + 1)
     vander = np.array([[pow(int(x), e, field.p) for e in range(n)] for x in xs])
     values = triple_loop_product(vander, coeffs, field.p)
-    basis = _lagrange_coefficient_matrix(field, xs)
+    basis = lagrange_coefficient_matrix(field, xs)
     assert np.array_equal(triple_loop_product(basis, values, field.p), coeffs)
 
 
 def test_lagrange_matrix_single_point(field257):
-    assert _lagrange_coefficient_matrix(field257, [42]).tolist() == [[1]]
+    assert lagrange_coefficient_matrix(field257, [42]).tolist() == [[1]]
 
 
 @pytest.mark.parametrize("xs", [[3, 3], [1, 5, 2, 5], [4, 261]])
 def test_lagrange_matrix_rejects_duplicate_points(field257, xs):
     # 261 = 4 mod 257: points are compared as field elements
     with pytest.raises(ConfigurationError, match="not distinct"):
-        _lagrange_coefficient_matrix(field257, xs)
+        lagrange_coefficient_matrix(field257, xs)
 
 
 def test_lagrange_matrix_sixty_points_near_2_31():
@@ -288,7 +295,7 @@ def test_lagrange_matrix_sixty_points_near_2_31():
     n = 60
     xs = np.array([1 + 35791394 * i for i in range(n)], dtype=np.int64)  # spread over GF(p)
     vander = np.array([[pow(int(x), e, p) for e in range(n)] for x in xs])
-    basis = _lagrange_coefficient_matrix(field, xs)
+    basis = lagrange_coefficient_matrix(field, xs)
     assert np.array_equal(triple_loop_product(basis, vander, p), np.eye(n, dtype=np.int64))
 
 
@@ -359,8 +366,63 @@ def test_decode_with_surplus_results(field257):
     a_arr, b_arr, pair = make_pair(2, 2, 2, 1, field257, rng)
     plan = build_plan(2, 2, 2, 1, 25, field257)
     results = [worker_compute(sh) for sh in encode(plan, pair)]
-    got = decode(plan, results)  # all 25, threshold is 17
+    got = decode(plan, results)  # all 25, threshold is 15
     assert np.array_equal(got.data, triple_loop_product(a_arr, b_arr, 257))
+
+
+@pytest.mark.parametrize("p", [29, 257])
+def test_decode_every_responder_set_of_a_sparse_code(p):
+    # (2,2,3,1) has the live support {2, ..., 24} less one exponent, so its
+    # generalized Vandermonde system can be singular mod p for some responder
+    # sets: each of the 276 sets of 22 from a pool of 24 decodes exactly or
+    # raises, and never yields a wrong product
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    a_arr, b_arr, pair = make_pair(2, 2, 3, 1, field, rng, bt=2, bs=1, bd=1)
+    plan = build_plan(2, 2, 3, 1, 24, field)
+    assert plan.recovery_threshold == 22 < int(plan.support[-1] - plan.support[0]) + 1
+    results = [worker_compute(sh) for sh in encode(plan, pair)]
+    want = triple_loop_product(a_arr, b_arr, p)
+    outcomes = {"exact": 0, "singular": 0}
+    for subset in itertools.combinations(results, 22):
+        try:
+            got = decode(plan, list(subset))
+        except SingularSystemError:
+            outcomes["singular"] += 1
+            continue
+        assert np.array_equal(got.data, want), [r.worker_id for r in subset]
+        outcomes["exact"] += 1
+    assert outcomes["exact"] > 200 and outcomes["singular"] >= 1, outcomes
+
+
+def test_build_plan_refuses_a_support_that_aliases_mod_p_minus_1():
+    # over GF(23), x**22 = 1: (2,2,3,1)'s exponents 2 and 24 give equal
+    # columns for every responder set, so no plan is built
+    with pytest.raises(ConfigurationError, match="equal mod 22"):
+        build_plan(2, 2, 3, 1, 22, PrimeField(23))
+    assert build_plan(2, 2, 3, 1, 22, PrimeField(29)).recovery_threshold == 22
+
+
+@pytest.mark.parametrize("p", [257, 2147483647])
+def test_solve_extraction_rows_match_the_lagrange_basis(p):
+    # wherever the support is 0..n-1 the system is the plain Vandermonde
+    # matrix, whose inverse's rows are the Lagrange basis coefficients
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1013)
+    dense = 0
+    for t, s, d in itertools.product(range(1, 4), repeat=3):
+        for p_c in range(0, 3):
+            geo = code_geometry(t, s, d, p_c)
+            n = geo.recovery_threshold
+            if geo.support.tolist() != list(range(n)):
+                continue
+            xs = rng.choice(np.arange(1, min(p, 10**6), dtype=np.int64), n, replace=False)
+            ext = geo.exponent_map.extraction.ravel()
+            picks = np.eye(n, dtype=np.int64)[:, ext]
+            weights = field.solve(field.power_table(xs, geo.support).T, picks).T
+            assert np.array_equal(weights, lagrange_coefficient_matrix(field, xs)[ext])
+            dense += 1
+    assert dense >= 60
 
 
 def test_decode_below_threshold_raises(field257):
@@ -518,6 +580,56 @@ def _corrupted_geometries(geo, rng):
             yield _with_map(geo, **{name: arr})
 
 
+def _gpd_b(geo) -> np.ndarray:
+    """The plain GPD b map over a two-band code's widened grid."""
+    rows, width = geo.layout.a_live.shape
+    k, l = np.indices(geo.layout.b_live.shape)
+    return (width - 1 - k) + rows * width * l
+
+
+def _dense_two_band_threshold(geo) -> int:
+    """The degree plus one of a two-band code under the plain GPD b map: the
+    dense range the sparse placement must beat."""
+    a_top = geo.exponent_map.a_exponents[geo.layout.a_live].max()
+    return int(a_top + _gpd_b(geo)[geo.layout.b_live].max()) + 1
+
+
+def test_sparse_two_band_codes_are_clean_and_lower():
+    # the codes with s >= t, min(t, d) >= 2 and P_C <= t(d-1) + 1 take the
+    # sparse placement; each passes the audit with a lower threshold
+    gated = 0
+    for t, s, d in itertools.product(range(2, 7), repeat=3):
+        for p_c in range(1, min(6, t * (d - 1) + 1) + 1):
+            if s < t:
+                continue
+            geo = code_geometry(t, s, d, p_c)
+            b_random = geo.layout.b_live.copy()
+            b_random[:s] = False
+            width = geo.layout.a_live.shape[1]
+            assert sorted(geo.exponent_map.b_exponents[b_random].tolist()) == [
+                width * m for m in range(1, p_c + 1)
+            ], (t, s, d, p_c)
+            report = exponent_audit(geo)
+            assert report.clean, (t, s, d, p_c, report.collisions[:2])
+            dense = _dense_two_band_threshold(geo)
+            assert 2 <= dense - geo.recovery_threshold <= 7, (t, s, d, p_c)
+            gated += 1
+    assert gated == 419
+    sweep_code = code_geometry(4, 4, 4, 11)  # the design-audit sweep's gated row
+    assert exponent_audit(sweep_code).clean
+    assert (_dense_two_band_threshold(sweep_code), sweep_code.recovery_threshold) == (165, 159)
+    # above the bound the plain GPD exponents stay
+    above = 0
+    for t, s, d in itertools.product(range(2, 7), repeat=3):
+        for p_c in range(t * (d - 1) + 2, 7):
+            if s < t:
+                continue
+            geo = code_geometry(t, s, d, p_c)
+            assert np.array_equal(geo.exponent_map.b_exponents, _gpd_b(geo)), (t, s, d, p_c)
+            above += 1
+    assert above == 31
+
+
 def test_exponent_audit_matches_looped_oracle_on_clean_maps():
     for t, s, d in itertools.product(range(1, 7), repeat=3):
         for p_c in range(5):
@@ -641,12 +753,11 @@ def test_communication_load(field257):
 )
 @settings(max_examples=30, deadline=None)
 def test_construction_threshold_is_tight(t, s, d, p_c, seed):
-    """The declared threshold equals 1 + the realized product degree."""
+    """The declared threshold is the number of exponents the product carries."""
     field = PrimeField(65537)
     rng = np.random.default_rng(seed)
     _, _, pair = make_pair(t, s, d, p_c, field, rng)
     geo = code_geometry(t, s, d, p_c)
     coeffs, _ = product_coefficients(pair, geo)
-    live_max = max(coeffs)
-    assert live_max <= geo.recovery_threshold - 1
+    assert len(coeffs) == geo.recovery_threshold == distinct_live_sums(geo)
     assert exponent_audit(geo).clean

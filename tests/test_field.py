@@ -1,14 +1,14 @@
-"""Exact GF(p) arithmetic: axioms, overflow safety, uniform sampling."""
+"""Exact GF(p) arithmetic: axioms, overflow safety, uniform sampling, elimination."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgpd import ConfigurationError, PrimeField, is_prime, partition
+from sgpd import ConfigurationError, PrimeField, SingularSystemError, is_prime, partition
 from sgpd.field import _SLICE, _TILE
 
-from conftest import triple_loop_product
+from conftest import python_gauss_jordan, triple_loop_product
 
 PRIMES = [2, 3, 5, 7, 257, 65537, 2147483647]
 COMPOSITES = [0, 1, 4, 6, 9, 561, 65536, 2147483646]  # 561 is a Carmichael number
@@ -213,3 +213,67 @@ def test_sample_uniform_chi_square(field5):
     expected = n / 5
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 4 + 5 * np.sqrt(8.0)
+
+
+# ---------------------------------------------------------------------------
+# elimination: rank and solve against a Python-int Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+def _low_rank(field, rng, n, m, r):
+    """A random n x m matrix of rank at most r: a product through r columns."""
+    return field.matmul(field.random_array((n, r), rng), field.random_array((r, m), rng))
+
+
+@pytest.mark.parametrize("p", [2, 3, 257, 2147483647])
+def test_rank_matches_python_gauss_jordan(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1009)
+    shapes = [(0, 3), (3, 0), (1, 1), (4, 4), (5, 3), (3, 5), (8, 8), (12, 7)]
+    for n, m in shapes:
+        for r in range(min(n, m) + 1):
+            matrix = _low_rank(field, rng, n, m, r)
+            if r == min(n, m):
+                matrix = field.random_array((n, m), rng)  # full rank unless p is tiny
+            assert field.rank(matrix) == python_gauss_jordan(matrix, p)[1], (n, m, r)
+    # unreduced int64 entries are taken mod p
+    matrix = field.random_array((6, 6), rng) - 3 * p
+    assert field.rank(matrix) == python_gauss_jordan(matrix, p)[1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 257, 2147483647])
+def test_solve_matches_python_gauss_jordan(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 997 + 1)
+    solved = singular = 0
+    for n, k in [(1, 1), (2, 3), (5, 1), (8, 4), (16, 2), (26, 4)] * 6:
+        a = field.random_array((n, n), rng)
+        if singular < 3 and rng.random() < 0.3:
+            a = _low_rank(field, rng, n, n, n - 1)  # singular whatever p is
+        b = field.random_array((n, k), rng)
+        reduced, rank = python_gauss_jordan(np.hstack([a, b]), p, n)
+        if rank < n:
+            with pytest.raises(SingularSystemError):
+                field.solve(a, b)
+            singular += 1
+            continue
+        x = field.solve(a, b)
+        assert x.dtype == np.int64
+        assert x.tolist() == [row[n:] for row in reduced], (n, k)
+        assert np.array_equal(triple_loop_product(a, x, p), b)
+        solved += 1
+    assert solved and singular
+
+
+def test_solve_leaves_its_operands_alone(field257):
+    rng = np.random.default_rng(5)
+    a, b = field257.random_array((6, 6), rng), field257.random_array((6, 2), rng)
+    a0, b0 = a.copy(), b.copy()
+    field257.solve(a, b)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((3, 4), (3, 1)), ((3, 3), (4, 1)), ((3, 3), (3,))])
+def test_solve_rejects_mismatched_shapes(field257, a_shape, b_shape):
+    with pytest.raises(ConfigurationError):
+        field257.solve(np.ones(a_shape, dtype=np.int64), np.ones(b_shape, dtype=np.int64))

@@ -25,7 +25,7 @@ from sgpd import (
     report_lines,
 )
 from sgpd import secrecy_audit
-from sgpd.secrecy_audit import _rank, _ranks
+from sgpd.secrecy_audit import _ranks
 
 from conftest import enumerated_subset_verdict, make_pair, observation_matrix
 
@@ -228,7 +228,8 @@ def test_block_ranks_match_the_entry_level_matrix():
                 for subset in itertools.combinations(range(1, workers + 1), p_c):
                     matrix = observation_matrix(inst, subset)
                     n_random = matrix.shape[1] - n_data
-                    expected = (_rank(matrix[:, n_data:], p), _rank(matrix, p), n_random)
+                    rank_r = inst.field.rank(matrix[:, n_data:])
+                    expected = (rank_r, inst.field.rank(matrix), n_random)
                     assert _ranks(inst, subset) == expected, (inst, subset)
                     pairs += 1
                     insecure += not negative and expected[0] != expected[1]
@@ -256,4 +257,24 @@ def test_rank_of_a_known_factorisation(p):
         left = np.vstack([np.eye(r, dtype=np.int64), field.random_array((n - r, r), rng)])
         right = np.hstack([np.eye(r, dtype=np.int64), field.random_array((r, m - r), rng)])
         matrix = field.matmul(left, right)[rng.permutation(n)][:, rng.permutation(m)]
-        assert _rank(matrix, p) == r, (n, m, r)
+        assert field.rank(matrix) == r, (n, m, r)
+
+
+def test_wide_cli_plan_is_secure_at_block_level():
+    # the sparse two-band code (2,4,2,2) with P = 60 at p = 2**31 - 1: B's
+    # random blocks sit at exponents 6 and 12, and every one of the 1,770
+    # coalitions of two still sees randomness covering the data; without
+    # the randomness every coalition sees the data
+    for negative in (False, True):
+        inst = AuditInstance(
+            2, 4, 2, 2, 60, PrimeField(2**31 - 1), 128, 256, 128, negative
+        )
+        verdicts = [
+            rank == full_rank
+            for rank, full_rank, _ in (
+                _ranks(inst, subset) for subset in itertools.combinations(range(1, 61), 2)
+            )
+        ]
+        assert verdicts == [not negative] * comb(60, 2) and len(verdicts) == 1770
+    emap, lay = inst.geometry.exponent_map, inst.geometry.layout
+    assert sorted(emap.b_exponents[lay.b_live][-2:].tolist()) == [6, 12]
