@@ -163,7 +163,7 @@ def augmentation_layout(t: int, s: int, d: int, p_c: int) -> AugmentationLayout:
     # Surplus dies highest exponent first.  A's appended block (i, j) has
     # exponent s_w*i + s + j; row r of B's random band in column l has
     # exponent t*s_w*l + (delta_b - 1 - r) under the plain GPD map (for
-    # P_C <= t(d-1) + 1 the codec moves B's live ones to multiples of s_w).
+    # P_C <= d the codec moves B's live ones to multiples of s_w).
     a_live = np.ones((t, s + width), bool)
     a_live[:, s:] = False
     a_live[:, s : s + delta_a] = _first_live(p_c, t, delta_a)

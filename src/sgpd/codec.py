@@ -23,10 +23,12 @@ Exponent layout per case (0-based indices throughout):
   random product off the extraction exponents.  When min(t, d) >= 2 the maps
   and extractions are plain GPD over the widened grid; A*B* = AB exactly
   because each side's random band faces a zero band on the other side.
-  When also P_C <= t(d-1) + 1, B's P_C live random blocks take the
-  exponents s_w, 2 s_w, ..., P_C s_w instead, which leaves gaps in the
-  product's support and so lowers the threshold; above that bound the GPD
-  exponents stay.
+  When also P_C <= d, B's P_C live random blocks take the exponents s_w,
+  2 s_w, ..., P_C s_w instead, which leaves gaps in the product's support and
+  so lowers the threshold.  Above that bound the GPD exponents stay: there
+  the sparse placement leaks B over small fields (two points with equal
+  s_w-th powers give two colluders the same randomness on B) where the GPD
+  placement does not.
 
 recovery_threshold is always derived from the construction: the number of
 distinct exponents in the live sumset {a + b} over live (non-masked) blocks,
@@ -104,9 +106,12 @@ def _exponent_maps(layout: AugmentationLayout) -> ExponentMap:
         b[:s, :] = (s - 1 - k[:s]) + band
         b[s:, :] = k[s:] + band
         ext = width * np.arange(t)[:, None] + (s - 1) + band
-    elif layout.case == "wide" and layout.p_c <= t * (d - 1) + 1:
+    elif layout.case == "wide" and layout.p_c <= d:
         # B's live random blocks move to the multiples of s_w; a dead block on
-        # one of them takes an exponent a moved block vacated
+        # one of them takes an exponent a moved block vacated.  The GPD ones
+        # sit at c + t*s_w*l, so a coalition's random map on B goes from a
+        # Vandermonde matrix in x**(t*s_w) to one in x**s_w: invertible
+        # wherever it was, whatever p and the points
         def on_target(e):
             return (e % width == 0) & (e > 0) & (e <= width * layout.p_c)
 
@@ -232,8 +237,7 @@ def build_plan(
             f"modulus {field.p} cannot supply {n_workers} distinct nonzero points"
         )
     # x**(p-1) = 1 for every point, so exponents equal mod p - 1 give equal columns of V
-    support = geometry.support
-    if support[-1] - support[0] >= field.p - 1 and np.unique(support % (field.p - 1)).size < p_r:
+    if np.unique(geometry.support % (field.p - 1)).size < p_r:
         raise ConfigurationError(
             f"the support spans exponents equal mod {field.p - 1}: no responder "
             f"set could decode over GF({field.p})"

@@ -152,6 +152,14 @@ def distinct_live_sums(geometry) -> int:
     return len({x + y for x in a for y in b})
 
 
+def gpd_b_map(geometry) -> np.ndarray:
+    """The plain GPD b map over a two-band code's widened grid, which the
+    sparse placement replaces for B's live random blocks."""
+    rows, width = geometry.layout.a_live.shape
+    k, l = np.indices(geometry.layout.b_live.shape)
+    return (width - 1 - k) + rows * width * l
+
+
 def closed_form_thresholds(t: int, s: int, d: int, p_c: int) -> dict:
     """Closed-form threshold expressions for cross-checking a construction.
 

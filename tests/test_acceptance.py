@@ -94,7 +94,7 @@ def test_criterion_2_threshold_closed_forms():
         "# kind=two_band_wide: s>=t with min(t,d)>=2 and p_c>=1.  The",
         "#   decodable construction pads both operands (two bands).  Its",
         "#   threshold is the size of its live support, sparse where",
-        "#   p_c<=t(d-1)+1 puts B's random blocks on the multiples of the",
+        "#   p_c<=d puts B's random blocks on the multiples of the",
         "#   inner width, and still exceeds the single-band closed form",
         "#   recorded here.",
         "# kind=degree_count_variant: s<t alternative count that differs from",

@@ -35,6 +35,7 @@ from conftest import (
     distinct_live_sums,
     encoding_terms,
     evaluate_terms,
+    gpd_b_map,
     lagrange_coefficient_matrix,
     looped_exponent_audit,
     make_pair,
@@ -580,29 +581,27 @@ def _corrupted_geometries(geo, rng):
             yield _with_map(geo, **{name: arr})
 
 
-def _gpd_b(geo) -> np.ndarray:
-    """The plain GPD b map over a two-band code's widened grid."""
-    rows, width = geo.layout.a_live.shape
-    k, l = np.indices(geo.layout.b_live.shape)
-    return (width - 1 - k) + rows * width * l
-
-
 def _dense_two_band_threshold(geo) -> int:
     """The degree plus one of a two-band code under the plain GPD b map: the
     dense range the sparse placement must beat."""
     a_top = geo.exponent_map.a_exponents[geo.layout.a_live].max()
-    return int(a_top + _gpd_b(geo)[geo.layout.b_live].max()) + 1
+    return int(a_top + gpd_b_map(geo)[geo.layout.b_live].max()) + 1
 
 
 def test_sparse_two_band_codes_are_clean_and_lower():
-    # the codes with s >= t, min(t, d) >= 2 and P_C <= t(d-1) + 1 take the
-    # sparse placement; each passes the audit with a lower threshold
-    gated = 0
+    # the codes with s >= t, min(t, d) >= 2 and P_C <= d take the sparse
+    # placement; each passes the audit with a lower threshold.  Above the
+    # bound the plain GPD exponents stay
+    gated = above = 0
     for t, s, d in itertools.product(range(2, 7), repeat=3):
-        for p_c in range(1, min(6, t * (d - 1) + 1) + 1):
+        for p_c in range(1, 7):
             if s < t:
                 continue
             geo = code_geometry(t, s, d, p_c)
+            if p_c > d:
+                assert np.array_equal(geo.exponent_map.b_exponents, gpd_b_map(geo)), (t, s, d, p_c)
+                above += 1
+                continue
             b_random = geo.layout.b_live.copy()
             b_random[:s] = False
             width = geo.layout.a_live.shape[1]
@@ -614,20 +613,10 @@ def test_sparse_two_band_codes_are_clean_and_lower():
             dense = _dense_two_band_threshold(geo)
             assert 2 <= dense - geo.recovery_threshold <= 7, (t, s, d, p_c)
             gated += 1
-    assert gated == 419
-    sweep_code = code_geometry(4, 4, 4, 11)  # the design-audit sweep's gated row
+    assert (gated, above) == (300, 150)
+    sweep_code = code_geometry(4, 4, 4, 11)  # the design-audit sweep's two-band row
     assert exponent_audit(sweep_code).clean
-    assert (_dense_two_band_threshold(sweep_code), sweep_code.recovery_threshold) == (165, 159)
-    # above the bound the plain GPD exponents stay
-    above = 0
-    for t, s, d in itertools.product(range(2, 7), repeat=3):
-        for p_c in range(t * (d - 1) + 2, 7):
-            if s < t:
-                continue
-            geo = code_geometry(t, s, d, p_c)
-            assert np.array_equal(geo.exponent_map.b_exponents, _gpd_b(geo)), (t, s, d, p_c)
-            above += 1
-    assert above == 31
+    assert (_dense_two_band_threshold(sweep_code), sweep_code.recovery_threshold) == (165, 165)
 
 
 def test_exponent_audit_matches_looped_oracle_on_clean_maps():

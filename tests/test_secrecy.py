@@ -7,6 +7,7 @@ about the instance, not a sample; the brute-force enumeration in
 ``conftest.py`` counts every assignment and must agree field for field.
 """
 
+import dataclasses
 import itertools
 from math import comb
 
@@ -21,13 +22,15 @@ from sgpd import (
     audit,
     audit_all_subsets,
     build_plan,
+    code_geometry,
     encode,
     report_lines,
 )
 from sgpd import secrecy_audit
+from sgpd.codec import ExponentMap
 from sgpd.secrecy_audit import _ranks
 
-from conftest import enumerated_subset_verdict, make_pair, observation_matrix
+from conftest import enumerated_subset_verdict, gpd_b_map, make_pair, observation_matrix
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +281,49 @@ def test_wide_cli_plan_is_secure_at_block_level():
         assert verdicts == [not negative] * comb(60, 2) and len(verdicts) == 1770
     emap, lay = inst.geometry.exponent_map, inst.geometry.layout
     assert sorted(emap.b_exponents[lay.b_live][-2:].tolist()) == [6, 12]
+
+
+def test_sparse_placement_keeps_every_coalition_the_gpd_map_kept():
+    # B's random exponents move from c + t*s_w*l (GPD) to s_w*m (sparse), so
+    # a coalition's random map on B is a Vandermonde matrix in x**s_w instead
+    # of x**(t*s_w): full rank wherever it was.  A's map is unchanged, so no
+    # coalition the GPD placement kept secure leaks.  Points 4**k are the
+    # 8th roots of unity mod 257, where such powers collide
+    field = PrimeField(257)
+    points = [1, 2, 3, 4, 16, 64, 128, 129, 241, 256]
+    gained = 0
+    for t, s, d in itertools.product(range(2, 5), repeat=3):
+        for p_c in range(2, d + 1):
+            if s < t:
+                continue
+            geo = code_geometry(t, s, d, p_c)
+            random = geo.layout.b_live.copy()
+            random[:s] = False
+            sparse = geo.exponent_map.b_exponents[random]
+            dense = gpd_b_map(geo)[random]
+            for subset in itertools.combinations(points, p_c):
+                kept = field.rank(field.power_table(subset, sparse))
+                was = field.rank(field.power_table(subset, dense))
+                assert kept >= was, (t, s, d, p_c, subset)
+                gained += kept > was
+    assert gained > 0
+
+
+def test_above_the_bound_the_gpd_placement_keeps_small_fields_secure():
+    # (2,2,2,3) has P_C > d, so B keeps the GPD exponents.  The multiples of
+    # s_w = 6 would give workers x and 257 - x equal 6th powers, hence the
+    # same randomness on B, and the coalitions below would see B's data
+    inst = AuditInstance(2, 2, 2, 3, 256, PrimeField(257), 2, 2, 2)
+    coalitions = [(1, 2, 256), (2, 128, 129)]
+    for subset in coalitions:
+        rank, full_rank, _ = _ranks(inst, subset)
+        assert rank == full_rank, subset
+    geo, random = inst.geometry, inst.geometry.layout.b_live.copy()
+    random[:2] = False
+    b = geo.exponent_map.b_exponents.copy()
+    b[random] = 6 * np.arange(1, 4)
+    emap = ExponentMap(geo.exponent_map.a_exponents, b, geo.exponent_map.extraction)
+    object.__setattr__(inst, "geometry", dataclasses.replace(geo, exponent_map=emap))
+    for subset in coalitions:
+        rank, full_rank, _ = _ranks(inst, subset)
+        assert rank < full_rank, subset
