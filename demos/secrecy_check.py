@@ -5,9 +5,10 @@ checks that the coalition's view, M_d x_d + M_r x_r with uniform randomness
 x_r, has the same distribution for every data value x_d: that holds exactly
 when rank[M_r] = rank[M_r | M_d].  The audit takes both ranks at block
 level, on the encoder's power tables over the coalition's points, and scales
-them by the entries of one block.  The verdict covers every assignment of
+them by the entries of one block; each subset line reports them as
+``rank_random`` and ``rank_view``.  The verdict covers every assignment of
 the data and randomness (``cases_per_subset``).  Zeroing the randomness (the
-negative control) must break this.
+negative control) drops ``rank_random`` to 0 and must break this.
 """
 
 from sgpd import AuditInstance, PrimeField, audit_all_subsets, report_lines

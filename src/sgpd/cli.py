@@ -155,8 +155,9 @@ def _build_model(merged: dict):
 def cmd_run(args: argparse.Namespace) -> int:
     merged, explicit = _resolve(args, _RUN_DEFAULTS)
     _require(merged, ["t", "s", "d", "workers"])
-    if merged["seed"] < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {merged['seed']}")
+    for key in ("seed", "trial"):
+        if merged[key] < 0:
+            raise ConfigurationError(f"{key} must be >= 0, got {merged[key]}")
     rng = np.random.default_rng(merged["seed"])
     if merged["a"] or merged["b"]:
         _require(merged, ["a", "b"])
@@ -211,10 +212,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_DEFAULTS = {
-    "m": None, "n": None, "workers": None, "pc_list": [0],
-    "modulus": 257, "out": None,
-}
+_SWEEP_DEFAULTS = {"m": None, "n": None, "workers": None, "pc_list": [0], "out": None}
 
 
 def sweep_rows(m: int, n: int, n_workers: int, pc_list) -> list:
@@ -292,6 +290,8 @@ _AUDIT_DEFAULTS = {
 def cmd_audit(args: argparse.Namespace) -> int:
     merged, _ = _resolve(args, _AUDIT_DEFAULTS)
     _require(merged, ["t", "s", "d", "workers", "T", "S", "D"])
+    if merged["budget"] < 0:
+        raise ConfigurationError(f"budget must be >= 0, got {merged['budget']}")
     instance = AuditInstance(
         merged["t"], merged["s"], merged["d"], merged["pc"], merged["workers"],
         PrimeField(merged["modulus"]),
@@ -313,7 +313,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value configuration file")
-    sub.add_argument("--modulus", type=int, help="prime field modulus")
     sub.add_argument("--out", help="output file (default: stdout)")
 
 
@@ -329,6 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = subs.add_parser("run", help="encode, simulate a worker pool, decode")
     _add_common(p_run)
+    p_run.add_argument("--modulus", type=int, help="prime field modulus")
     p_run.add_argument("--seed", type=int, help="seed for every random draw")
     p_run.add_argument("--t", type=int, help="block rows of A")
     p_run.add_argument("--s", type=int, help="inner split of A and B")
@@ -367,8 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_audit = subs.add_parser("audit", help="exact micro-scale secrecy check by rank over GF(p)")
+    p_audit = subs.add_parser("audit", help="exact secrecy check by rank over GF(p), per coalition")
     _add_common(p_audit)
+    p_audit.add_argument("--modulus", type=int, help="prime field modulus")
     p_audit.add_argument("--t", type=int)
     p_audit.add_argument("--s", type=int)
     p_audit.add_argument("--d", type=int)

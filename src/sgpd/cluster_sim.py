@@ -28,6 +28,11 @@ from .codec import EncodingPlan, decode, encode, worker_compute, write_share
 from .errors import ConfigurationError, SingularSystemError
 
 
+def _check_trial(trial: int) -> None:
+    if not 0 <= trial < 2**64:
+        raise ConfigurationError(f"trial must be in [0, 2**64), got {trial}")
+
+
 class FixedSet:
     """Only the listed workers respond, in list order (times 1, 2, 3, ...)."""
 
@@ -37,6 +42,7 @@ class FixedSet:
             raise ConfigurationError("responder list contains duplicates")
 
     def completion_times(self, n_workers: int, trial: int = 0) -> np.ndarray:
+        _check_trial(trial)  # the same trial indices as the seeded models
         times = np.full(n_workers, math.inf)
         for rank, w in enumerate(self.responders):
             if not 1 <= w <= n_workers:
@@ -60,6 +66,7 @@ class RandomSubset:
         self.seed = int(seed)
 
     def completion_times(self, n_workers: int, trial: int = 0) -> np.ndarray:
+        _check_trial(trial)
         if self.count > n_workers:
             raise ConfigurationError(
                 f"cannot pick {self.count} responders from {n_workers} workers"
@@ -197,8 +204,7 @@ class LatencyModel:
         return times
 
     def completion_times(self, n_workers: int, trial: int = 0) -> np.ndarray:
-        if not 0 <= trial < 2**64:
-            raise ConfigurationError(f"trial must be in [0, 2**64), got {trial}")
+        _check_trial(trial)
         return self._delays(_latency_seed_words(self.seed, [trial]), n_workers)[0]
 
     def describe(self) -> dict:
@@ -328,7 +334,7 @@ class LatencySummary:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.times))
+        return float(np.mean(self.times)) if len(self.times) else math.inf
 
     @property
     def std(self) -> float:

@@ -77,7 +77,8 @@ class ExponentMap:
     """One monomial exponent per block of A* and of B*, plus the read-out spots.
 
     Which blocks are live is the layout's business: structurally zero blocks
-    carry an exponent here but contribute nothing to the product.
+    carry an exponent here, but nothing reads it, and it need not be distinct
+    from the live ones.
     """
 
     a_exponents: np.ndarray
@@ -107,21 +108,13 @@ def _exponent_maps(layout: AugmentationLayout) -> ExponentMap:
         b[s:, :] = k[s:] + band
         ext = width * np.arange(t)[:, None] + (s - 1) + band
     elif layout.case == "wide" and layout.p_c <= d:
-        # B's live random blocks move to the multiples of s_w; a dead block on
-        # one of them takes an exponent a moved block vacated.  The GPD ones
+        # B's live random blocks move to the multiples of s_w.  The GPD ones
         # sit at c + t*s_w*l, so a coalition's random map on B goes from a
         # Vandermonde matrix in x**(t*s_w) to one in x**s_w: invertible
         # wherever it was, whatever p and the points
-        def on_target(e):
-            return (e % width == 0) & (e > 0) & (e <= width * layout.p_c)
-
         random = layout.b_live.copy()
         random[:s] = False
-        moved = b[random]
-        vacated = moved[~on_target(moved)]
         b[random] = width * np.arange(1, layout.p_c + 1)
-        dead = ~layout.b_live & on_target(b)
-        b[dead] = vacated[: dead.sum()]
     return ExponentMap(a, b, ext)
 
 
@@ -284,8 +277,9 @@ def _block_stack(m: BlockMatrix) -> np.ndarray:
 
 
 def encode(plan: EncodingPlan, pair: AugmentedPair) -> list:
-    """One CodedShare per worker: both polynomials evaluated at its point."""
-    emap = plan.exponent_map
+    """One CodedShare per worker: both polynomials evaluated at its point.
+    Only live blocks enter the sums; the dead ones are zero."""
+    emap, lay = plan.exponent_map, plan.layout
     if pair.a_star.field != plan.field or pair.b_star.field != plan.field:
         raise FieldMismatchError("augmented pair does not live in the plan's field")
     if (
@@ -298,10 +292,10 @@ def encode(plan: EncodingPlan, pair: AugmentedPair) -> list:
             f"augmented grids {pair.a_star.grid}/{pair.b_star.grid} do not match "
             f"the plan's maps {emap.a_exponents.shape}/{emap.b_exponents.shape}"
         )
-    a_rows = _block_stack(pair.a_star)
-    b_rows = _block_stack(pair.b_star)
-    v_a = plan.field.power_table(plan.evaluation_points, emap.a_exponents.ravel())
-    v_b = plan.field.power_table(plan.evaluation_points, emap.b_exponents.ravel())
+    a_rows = _block_stack(pair.a_star)[lay.a_live.ravel()]
+    b_rows = _block_stack(pair.b_star)[lay.b_live.ravel()]
+    v_a = plan.field.power_table(plan.evaluation_points, emap.a_exponents[lay.a_live])
+    v_b = plan.field.power_table(plan.evaluation_points, emap.b_exponents[lay.b_live])
     shares_a = plan.field.matmul(v_a, a_rows)
     shares_b = plan.field.matmul(v_b, b_rows)
     ab = pair.a_star.block_shape
@@ -398,13 +392,13 @@ def exponent_audit(geometry: CodeGeometry) -> ExponentAuditReport:
     emap, lay = geometry.exponent_map, geometry.layout
     t, s, d = geometry.t, geometry.s, geometry.d
     findings = []
-    for name, arr in (("a", emap.a_exponents), ("b", emap.b_exponents)):
-        flat = arr.ravel()
-        if len(np.unique(flat)) != flat.size:
-            findings.append(f"{name}-side exponents are not distinct")
+    a_exps, b_exps = emap.a_exponents[lay.a_live], emap.b_exponents[lay.b_live]
+    for name, exps in (("a", a_exps), ("b", b_exps)):
+        if len(np.unique(exps)) != exps.size:
+            findings.append(f"{name}-side live exponents are not distinct")
     a_blocks = np.argwhere(lay.a_live)  # row-major, so findings keep loop order
     b_blocks = np.argwhere(lay.b_live)
-    sums = np.add.outer(emap.a_exponents[lay.a_live], emap.b_exponents[lay.b_live])
+    sums = np.add.outer(a_exps, b_exps)
     ext = emap.extraction
     if len(np.unique(ext.ravel())) != ext.size:
         findings.append("extraction exponents are not distinct")

@@ -1,13 +1,14 @@
-"""Exact secrecy verification on micro instances.
+"""Exact secrecy verification, one rank comparison per coalition.
 
 Privacy here is exact, not statistical: the shares seen by any P_C colluding
 workers must have the same distribution whatever (A, B) is.  Their view is
 linear over GF(p), M_d x_d + M_r x_r, with x_d the data entries and x_r the
 live random entries, uniform and independent.  Given the data it is uniform
 on the coset M_d x_d + colspan(M_r), so it is independent of the data exactly
-when rank[M_r] = rank[M_r | M_d], which ``PrimeField.rank`` decides.
-The verdict covers all p**(data + live random entries) assignments; the tests
-enumerate them by brute force as an oracle.
+when rank[M_r] = rank[M_r | M_d], which ``PrimeField.rank`` decides.  Each
+coalition's verdict reports both ranks, ``rank_random`` and ``rank_view``.
+The verdict covers all p**(data + live random entries) assignments, which
+``--budget`` caps; the tests enumerate them by brute force as an oracle.
 
 Structurally zero random blocks carry no entropy and are left out of M_r, so
 the audit tests whether the masking leaves enough live randomness.  The
@@ -26,7 +27,6 @@ The tests keep that entry-level map as an oracle.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -38,12 +38,11 @@ from .errors import BudgetExceeded, ConfigurationError
 from .field import PrimeField
 
 DEFAULT_BUDGET = 10**7
-_RUN = 1 << 16  # int64 entries hashed per update of a fingerprint run
 
 
 @dataclass(frozen=True)
 class AuditInstance:
-    """A deliberately tiny configuration whose secrecy is checked exactly.
+    """A configuration whose secrecy is checked exactly, coalition by coalition.
 
     The worker pool may be smaller than the recovery threshold: secrecy is a
     property of the shares alone, so the auditor never builds a full plan and
@@ -104,11 +103,12 @@ class AuditInstance:
 @dataclass(frozen=True)
 class SubsetVerdict:
     subset: tuple
-    secure: bool
-    cases: int
-    support: int  # distinct observation tuples under one (A, B)
-    uniform: bool  # counts equal across that support
-    fingerprint: str
+    rank_random: int  # rank[M_r]: the coalition's view under the zero data
+    rank_view: int  # rank[M_r | M_d]: its view over every (A, B)
+
+    @property
+    def secure(self) -> bool:
+        return self.rank_random == self.rank_view
 
 
 @dataclass(frozen=True)
@@ -118,17 +118,17 @@ class AuditVerdict:
     cases_per_subset: int
 
 
-def _ranks(instance: AuditInstance, subset) -> tuple[int, int, int]:
-    """(rank[M_r], rank[M_r | M_d], live random entries) of the coalition's
-    view.  Per side, V_d and V_r are the encoder's power tables over the
-    colluders' points and the exponents of the data corner and of the live
-    random blocks (none under the negative control); each entry-level count
-    is one block's entries times the block-level one."""
+def _ranks(instance: AuditInstance, subset) -> tuple[int, int]:
+    """(rank[M_r], rank[M_r | M_d]) of the coalition's view.  Per side, V_d
+    and V_r are the encoder's power tables over the colluders' points and the
+    exponents of the data corner and of the live random blocks (none under
+    the negative control); each entry-level rank is one block's entries times
+    the block-level one."""
     geo, field = instance.geometry, instance.field
     emap, lay = geo.exponent_map, geo.layout
     points = np.array(subset, dtype=np.int64)
     ea, eb, _ = instance.entry_sizes()
-    rank_r = rank = n_random = 0
+    rank_r = rank = 0
     for exps, live, rows, cols, entries in (
         (emap.a_exponents, lay.a_live, geo.t, geo.s, ea),
         (emap.b_exponents, lay.b_live, geo.s, geo.d, eb),
@@ -140,8 +140,7 @@ def _ranks(instance: AuditInstance, subset) -> tuple[int, int, int]:
         v_r = field.power_table(points, exps[random])
         rank_r += entries * field.rank(v_r)
         rank += entries * field.rank(np.hstack([v_r, v_d]))
-        n_random += entries * v_r.shape[1]
-    return rank_r, rank, n_random
+    return rank_r, rank
 
 
 def audit(instance: AuditInstance, subset, budget: int = DEFAULT_BUDGET) -> SubsetVerdict:
@@ -158,26 +157,7 @@ def audit(instance: AuditInstance, subset, budget: int = DEFAULT_BUDGET) -> Subs
     required = instance.cases_per_subset(budgeted=True)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    p, (ea, eb, _) = instance.field.p, instance.entry_sizes()
-    rank, full_rank, n_random = _ranks(instance, subset)
-    obs_dim = len(subset) * (ea + eb)
-    digest = hashlib.sha256()
-    digest.update(repr((instance.t, instance.s, instance.d, instance.p_c, subset)).encode())
-    # The sorted count row of the all-zero data, as int64 runs hashed in
-    # chunks: M_r x_r hits p**rank observations p**(n_random - rank) times each.
-    for value, count in ((0, p**obs_dim - p**rank), (p ** (n_random - rank), p**rank)):
-        chunk = np.full(min(count, _RUN), value, dtype=np.int64).tobytes()
-        for _ in range(count // _RUN):
-            digest.update(chunk)
-        digest.update(chunk[: 8 * (count % _RUN)])
-    return SubsetVerdict(
-        subset=subset,
-        secure=rank == full_rank,
-        cases=instance.cases_per_subset(),
-        support=p**rank,
-        uniform=True,
-        fingerprint=digest.hexdigest()[:16],
-    )
+    return SubsetVerdict(subset, *_ranks(instance, subset))
 
 
 def audit_all_subsets(instance: AuditInstance, budget: int = DEFAULT_BUDGET) -> AuditVerdict:
@@ -212,7 +192,7 @@ def report_lines(instance: AuditInstance, verdict: AuditVerdict) -> list:
         lines.append(
             f"subset={','.join(map(str, v.subset)) or '-'}"
             f" verdict={'SECURE' if v.secure else 'INSECURE'}"
-            f" support={v.support} uniform={v.uniform} fingerprint={v.fingerprint}"
+            f" rank_random={v.rank_random} rank_view={v.rank_view}"
         )
     lines.append(f"verdict={'SECURE' if verdict.secure else 'INSECURE'}")
     return lines

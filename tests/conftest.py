@@ -21,7 +21,6 @@ per-trial ``default_rng`` for the latency sweep's batched seeding.
 
 from __future__ import annotations
 
-import hashlib
 import importlib.util
 import math
 import warnings
@@ -262,25 +261,34 @@ def _count_table(instance, subset) -> np.ndarray:
     return counts.reshape(p**n_data, n_obs_keys)
 
 
-def enumerated_subset_verdict(instance, subset) -> SubsetVerdict:
-    """The secrecy verdict by counting: SECURE iff every (A, B) gives the
-    same table of observation counts.  Support, uniformity and fingerprint
-    describe the table of the all-zero data."""
+def _power_of(p: int, n: int) -> int:
+    """k with p**k == n."""
+    k = 0
+    while p**k < n:
+        k += 1
+    assert p**k == n, (p, n)
+    return k
+
+
+def verdict_fields(verdict: SubsetVerdict) -> tuple:
+    """A library verdict as the oracle below reports one."""
+    return verdict.subset, verdict.rank_random, verdict.rank_view, verdict.secure
+
+
+def enumerated_subset_verdict(instance, subset) -> tuple:
+    """(subset, rank_random, rank_view, secure) by counting.  SECURE iff every
+    (A, B) gives the same table of observation counts.  The all-zero data's
+    row must be uniform on its support, which holds p**rank_random
+    observations; over every assignment the observations fill the column span
+    of [M_r | M_d], p**rank_view of them."""
     subset = tuple(sorted(int(w) for w in subset))
-    table = _count_table(instance, subset)
+    p, table = instance.field.p, _count_table(instance, subset)
     reference = table[0]
     positive = reference[reference > 0]
-    digest = hashlib.sha256()
-    digest.update(repr((instance.t, instance.s, instance.d, instance.p_c, subset)).encode())
-    digest.update(np.sort(reference).tobytes())
-    return SubsetVerdict(
-        subset=subset,
-        secure=bool((table == reference).all()),
-        cases=instance.cases_per_subset(),
-        support=int(positive.size),
-        uniform=bool(positive.size == 0 or (positive == positive[0]).all()),
-        fingerprint=digest.hexdigest()[:16],
-    )
+    assert (positive == positive[0]).all(), (instance, subset)  # uniform on its support
+    seen = np.count_nonzero(table.sum(axis=0))
+    secure = bool((table == reference).all())
+    return subset, _power_of(p, positive.size), _power_of(p, seen), secure
 
 
 def reference_read_text_file(path, header_len: int, dims: slice, modulus: int | None = None):
@@ -369,10 +377,13 @@ def looped_exponent_audit(geometry) -> ExponentAuditReport:
     emap, lay = geometry.exponent_map, geometry.layout
     t, s, d = geometry.t, geometry.s, geometry.d
     findings = []
-    for name, arr in (("a", emap.a_exponents), ("b", emap.b_exponents)):
-        flat = arr.ravel()
-        if len(np.unique(flat)) != flat.size:
-            findings.append(f"{name}-side exponents are not distinct")
+    for name, arr, live in (
+        ("a", emap.a_exponents, lay.a_live),
+        ("b", emap.b_exponents, lay.b_live),
+    ):
+        exps = [int(e) for e, alive in zip(arr.ravel(), live.ravel()) if alive]
+        if len(set(exps)) != len(exps):
+            findings.append(f"{name}-side live exponents are not distinct")
     a_blocks = np.argwhere(lay.a_live)  # row-major, so findings keep loop order
     b_blocks = np.argwhere(lay.b_live)
     sums = np.add.outer(emap.a_exponents[lay.a_live], emap.b_exponents[lay.b_live])

@@ -108,8 +108,14 @@ def test_run_composite_modulus_exits_two(capsys):
         (["--shift", "inf"], "shift"),
         (["--seed", "-1"], "seed"),
         (["--seed", "-1", "--model", "subset", "--responder-count", "6"], "seed"),
+        (["--trial", "-1"], "trial"),
+        (["--trial", "-1", "--model", "subset", "--responder-count", "6"], "trial"),
+        (["--trial", "-5", "--model", "fixed", "--responders", "1,2,3,4,5,6"], "trial"),
     ],
-    ids=["shift=nan", "shift=inf", "seed=-1", "subset-seed=-1"],
+    ids=[
+        "shift=nan", "shift=inf", "seed=-1", "subset-seed=-1",
+        "trial=-1", "subset-trial=-1", "fixed-trial=-5",
+    ],
 )
 def test_run_rejects_bad_straggler_settings(capsys, extra, message):
     # a bad flag must exit 2 with a named error, not read as a failed run
@@ -228,6 +234,23 @@ def test_deterministic_commands_refuse_a_seed_in_config(tmp_path, capsys, argv):
     assert "# seed=" not in capsys.readouterr().out
 
 
+def test_sweep_takes_no_modulus(tmp_path, capsys):
+    # the sweep reads geometries only, so a modulus (here a composite one)
+    # is an unknown option and an unknown config key, never echoed
+    argv = ["sweep", "--m", "4", "--n", "4", "--P", "10"]
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv, "--modulus", "4")
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--modulus" in captured.err
+    config = tmp_path / "modulus.cfg"
+    config.write_text("modulus=4\n")
+    assert run_cli(*argv, "--config", str(config)) == 2
+    assert "unknown config key 'modulus'" in capsys.readouterr().err
+    assert run_cli(*argv) == 0
+    assert "# modulus=" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "override,message",
     [
@@ -250,6 +273,21 @@ def test_audit_rejects_empty_or_negative_dimensions(capsys, override, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "extra", [["--budget", "-3"], ["--budget", "-1", "--negative-control"]],
+    ids=["budget=-3", "control-budget=-1"],
+)
+def test_audit_rejects_a_negative_budget(capsys, extra):
+    # exit 3 means the budget was exceeded; a budget below zero is a bad flag
+    assert run_cli(
+        "audit", "--t", "2", "--s", "1", "--d", "1", "--pc", "1", "--P", "4",
+        "--T", "2", "--S", "1", "--D", "1", "--modulus", "5", *extra,
+    ) == 2
+    captured = capsys.readouterr()
+    assert "verdict=" not in captured.out
+    assert "budget must be >= 0" in captured.err
+
+
 # Full stdout and exit code of the four audits that the design-audit benchmark
 # runs: secure-tall over GF(7) and secure-wide over GF(11), each with its
 # negative control.
@@ -269,9 +307,9 @@ PINNED_AUDITS = {
 # workers=3
 instance t=2 s=1 d=2 pc=1 workers=3 modulus=7 T=2 S=1 D=2 negative_control=False
 enumeration cases_per_subset=117649 subsets=3
-subset=1 verdict=SECURE support=49 uniform=True fingerprint=67c06ab8f41dfe12
-subset=2 verdict=SECURE support=49 uniform=True fingerprint=09bf96aafa14c405
-subset=3 verdict=SECURE support=49 uniform=True fingerprint=4934ced73a4e51d0
+subset=1 verdict=SECURE rank_random=2 rank_view=2
+subset=2 verdict=SECURE rank_random=2 rank_view=2
+subset=3 verdict=SECURE rank_random=2 rank_view=2
 verdict=SECURE
 """),
     "--t 2 --s 1 --d 2 --pc 1 --P 3 --T 2 --S 1 --D 2 --modulus 7 --negative-control": (1, """\
@@ -289,9 +327,9 @@ verdict=SECURE
 # workers=3
 instance t=2 s=1 d=2 pc=1 workers=3 modulus=7 T=2 S=1 D=2 negative_control=True
 enumeration cases_per_subset=2401 subsets=3
-subset=1 verdict=INSECURE support=1 uniform=True fingerprint=da89b54009a87aa3
-subset=2 verdict=INSECURE support=1 uniform=True fingerprint=f5e8d05860b9ef99
-subset=3 verdict=INSECURE support=1 uniform=True fingerprint=e2bf59f87347bbe6
+subset=1 verdict=INSECURE rank_random=0 rank_view=2
+subset=2 verdict=INSECURE rank_random=0 rank_view=2
+subset=3 verdict=INSECURE rank_random=0 rank_view=2
 verdict=INSECURE
 """),
     "--t 1 --s 1 --d 2 --pc 1 --P 3 --T 1 --S 1 --D 2 --modulus 11": (0, """\
@@ -309,9 +347,9 @@ verdict=INSECURE
 # workers=3
 instance t=1 s=1 d=2 pc=1 workers=3 modulus=11 T=1 S=1 D=2 negative_control=False
 enumeration cases_per_subset=161051 subsets=3
-subset=1 verdict=SECURE support=121 uniform=True fingerprint=a65df11254b6166c
-subset=2 verdict=SECURE support=121 uniform=True fingerprint=7dfd37e7488dcdd2
-subset=3 verdict=SECURE support=121 uniform=True fingerprint=9f50688d5f871bcf
+subset=1 verdict=SECURE rank_random=2 rank_view=2
+subset=2 verdict=SECURE rank_random=2 rank_view=2
+subset=3 verdict=SECURE rank_random=2 rank_view=2
 verdict=SECURE
 """),
     "--t 1 --s 1 --d 2 --pc 1 --P 3 --T 1 --S 1 --D 2 --modulus 11 --negative-control": (1, """\
@@ -329,9 +367,9 @@ verdict=SECURE
 # workers=3
 instance t=1 s=1 d=2 pc=1 workers=3 modulus=11 T=1 S=1 D=2 negative_control=True
 enumeration cases_per_subset=1331 subsets=3
-subset=1 verdict=INSECURE support=1 uniform=True fingerprint=f19133bb30ec085f
-subset=2 verdict=INSECURE support=1 uniform=True fingerprint=edd06cba3e3ee0db
-subset=3 verdict=INSECURE support=1 uniform=True fingerprint=114e8d018a47b4a8
+subset=1 verdict=INSECURE rank_random=0 rank_view=2
+subset=2 verdict=INSECURE rank_random=0 rank_view=2
+subset=3 verdict=INSECURE rank_random=0 rank_view=2
 verdict=INSECURE
 """),
 }

@@ -118,8 +118,10 @@ def test_latency_model_validation():
         LatencyModel(failure_prob=1.5)
     with pytest.raises(ConfigurationError):
         LatencyModel(seed=-1)
-    with pytest.raises(ConfigurationError):
-        LatencyModel().completion_times(3, trial=-1)
+    for model in (LatencyModel(), RandomSubset(2), FixedSet([1])):
+        for trial in (-1, 2**64):
+            with pytest.raises(ConfigurationError, match="trial"):
+                model.completion_times(3, trial=trial)
     with pytest.raises(ConfigurationError, match="seed"):
         RandomSubset(3, seed=-1)
 
@@ -166,6 +168,7 @@ def test_latency_sweep_all_failures(field257):
     summary = latency_sweep(plan, LatencyModel(1.0, 1.0, 1.0, seed=3), trials=20)
     assert summary.failed_trials == 20
     assert summary.times.size == 0
+    assert summary.mean == summary.stderr == math.inf  # no recovery, and no warning
 
 
 def test_latency_sweep_monotone_in_threshold(field257):

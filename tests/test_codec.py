@@ -640,6 +640,27 @@ def test_exponent_audit_matches_looped_oracle_on_corrupted_maps():
     assert dirty > 1000  # most corruptions are caught, so the findings text is compared
 
 
+@pytest.mark.parametrize("t,s,d,p_c", [(3, 2, 2, 1), (2, 2, 2, 1), (2, 4, 2, 2)])
+def test_dead_block_exponents_are_never_read(t, s, d, p_c, field257):
+    # a structurally zero block's exponent may repeat a live one: the audit
+    # stays clean and the shares do not change
+    rng = np.random.default_rng(5)
+    _, _, pair = make_pair(t, s, d, p_c, field257, rng, bt=2, bs=1, bd=2)
+    plan = build_plan(t, s, d, p_c, code_geometry(t, s, d, p_c).recovery_threshold, field257)
+    emap, lay = plan.exponent_map, plan.layout
+    arrays = {}
+    for name, live in (("a_exponents", lay.a_live), ("b_exponents", lay.b_live)):
+        arr = getattr(emap, name).copy()
+        arr[~live] = arr[live][0]
+        arrays[name] = arr
+    assert (~lay.a_live).any() or (~lay.b_live).any()
+    moved = _with_map(plan, **arrays)
+    assert exponent_audit(moved).clean and exponent_audit(moved) == looped_exponent_audit(moved)
+    for mine, want in zip(encode(moved, pair), encode(plan, pair)):
+        assert np.array_equal(mine.a_share, want.a_share)
+        assert np.array_equal(mine.b_share, want.b_share)
+
+
 # ---------------------------------------------------------------------------
 # shares on disk, communication load
 # ---------------------------------------------------------------------------
