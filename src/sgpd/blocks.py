@@ -75,11 +75,6 @@ class BlockMatrix:
     def block_shape(self) -> tuple[int, int]:
         return (self.data.shape[0] // self.grid[0], self.data.shape[1] // self.grid[1])
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """The (i, j) block, 0-indexed, as a read-only view."""
-        br, bc = self.block_shape
-        return self.data[i * br : (i + 1) * br, j * bc : (j + 1) * bc]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BlockMatrix)

@@ -1,9 +1,11 @@
 """Command-line front end: end-to-end runs, trade-off sweeps, secrecy audits.
 
-Configuration comes from a flat key=value file (--config) overridden by
+Each command declares its options once, in ``OPTIONS``: dest -> (flag, type,
+default, help).  That table builds the parser, converts config-file values,
+gives the defaults and names the header keys.  Configuration comes from a
+flat key=value file (--config), whose keys are the dests, overridden by
 explicit command-line flags; every output embeds the resolved configuration
-in '#'-prefixed header lines so results are reproducible from the artifact
-alone.
+in '#'-prefixed header lines, which read back as a config file.
 
 Exit codes: 0 success (audit: SECURE), 1 run/audit failure (decode failed or
 INSECURE), 2 configuration error, 3 audit budget exceeded.
@@ -33,36 +35,71 @@ EXIT_BUDGET = 3
 
 CSV_COLUMNS = "pc,t,s,d,case,P_R,C_L_over_TD,naive_P_R,feasible,frontier"
 
-_INT_KEYS = {
-    "t", "s", "d", "pc", "workers", "T", "S", "D", "modulus", "seed",
-    "budget", "responder_count", "trial", "m", "n",
-}
-_FLOAT_KEYS = {"shift", "rate", "failure_prob"}
-_BOOL_KEYS = {"negative_control"}
-_INT_LIST_KEYS = {"pc_list", "responders"}
-
 
 def _int_list(raw: str) -> list:
     return [int(x) for x in raw.split(",") if x.strip() != ""]
 
 
-def _convert(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if key in _INT_LIST_KEYS:
-            return _int_list(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigurationError(f"config key {key!r}: {exc}") from None
+def _switch(raw: str) -> bool:
+    """A config value for an on/off option; on the command line it is a bare flag."""
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+_OUT = {"out": ("--out", str, None, "output file (default: stdout)")}
+_WORKERS = {"workers": ("--P", int, None, "worker pool size")}
+_CODE = {
+    "t": ("--t", int, None, "block rows of A"),
+    "s": ("--s", int, None, "inner split of A and B"),
+    "d": ("--d", int, None, "block columns of B"),
+    "pc": ("--pc", int, 0, "colluding workers tolerated"),
+    **_WORKERS,
+    "T": ("--T", int, None, "rows of A"),
+    "S": ("--S", int, None, "cols of A / rows of B"),
+    "D": ("--D", int, None, "cols of B"),
+    "modulus": ("--modulus", int, 257, "prime field modulus"),
+    **_OUT,
+}
+OPTIONS = {
+    "run": {
+        **_CODE,
+        "seed": ("--seed", int, 0, "seed for every random draw"),
+        "a": ("--a", str, None, "input matrix file for A"),
+        "b": ("--b", str, None, "input matrix file for B"),
+        "model": ("--model", str, "latency", "worker model: fixed, subset or latency"),
+        "responders": ("--responders", _int_list, None, "fixed model: worker ids"),
+        "responder_count": (
+            "--responder-count", int, None, "subset model: how many workers respond"
+        ),
+        "shift": ("--shift", float, 1.0, "latency model: minimum delay"),
+        "rate": ("--rate", float, 1.0, "latency model: exponential rate"),
+        "failure_prob": (
+            "--fail-prob", float, 0.0, "latency model: permanent failure probability"
+        ),
+        "trial": ("--trial", int, 0, "trial index for the delay draw"),
+        "trace_dir": ("--trace-dir", str, None, "dump shares + manifest here"),
+    },
+    "sweep": {
+        "m": ("--m", int, None, "storage divisor of A (m = t*s)"),
+        "n": ("--n", int, None, "storage divisor of B (n = s*d)"),
+        **_WORKERS,
+        "pc_list": ("--pc-list", _int_list, [0], "comma-separated collusion levels"),
+        **_OUT,
+    },
+    "audit": {
+        **_CODE,
+        "budget": (
+            "--budget", int, DEFAULT_BUDGET, "max assignments covered over all subsets"
+        ),
+        "negative_control": (
+            "--negative-control", _switch, False,
+            "zero the live randomness; the verdict must flip to INSECURE",
+        ),
+    },
+}
 
 
 def _read_config(path) -> dict:
@@ -78,18 +115,22 @@ def _read_config(path) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace, defaults: dict):
+def _resolve(args: argparse.Namespace, command: str):
     """defaults < config file < explicit flags.  Returns (values, explicit keys)."""
-    merged = dict(defaults)
+    options = OPTIONS[command]
+    merged = {key: default for key, (_, _, default, _) in options.items()}
     explicit = set()
-    if getattr(args, "config", None):
+    if args.config:
         for key, raw in _read_config(args.config).items():
-            if key not in defaults:
+            if key not in options:
                 raise ConfigurationError(f"unknown config key {key!r}")
-            merged[key] = _convert(key, raw)
+            try:
+                merged[key] = options[key][1](raw)
+            except ValueError as exc:
+                raise ConfigurationError(f"config key {key!r}: {exc}") from None
             explicit.add(key)
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in options:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
             explicit.add(key)
@@ -127,16 +168,6 @@ def _emit(text: str, out_path) -> None:
 # run
 # ---------------------------------------------------------------------------
 
-_RUN_DEFAULTS = {
-    "t": None, "s": None, "d": None, "pc": 0, "workers": None,
-    "modulus": 257, "seed": 0, "T": None, "S": None, "D": None,
-    "a": None, "b": None, "out": None, "model": "latency",
-    "responders": None, "responder_count": None,
-    "shift": 1.0, "rate": 1.0, "failure_prob": 0.0,
-    "trial": 0, "trace_dir": None,
-}
-
-
 def _build_model(merged: dict):
     kind = merged["model"]
     if kind == "fixed":
@@ -153,7 +184,7 @@ def _build_model(merged: dict):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    merged, explicit = _resolve(args, _RUN_DEFAULTS)
+    merged, explicit = _resolve(args, "run")
     _require(merged, ["t", "s", "d", "workers"])
     for key in ("seed", "trial"):
         if merged[key] < 0:
@@ -165,17 +196,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         b_arr, mod_b = read_matrix(merged["b"])
         if mod_a != mod_b:
             raise ConfigurationError(f"input moduli differ: {mod_a} vs {mod_b}")
-        if "modulus" in explicit and merged["modulus"] != mod_a:
-            raise ConfigurationError(
-                f"--modulus {merged['modulus']} contradicts input files ({mod_a})"
-            )
-        merged["modulus"] = mod_a
         if a_arr.shape[1] != b_arr.shape[0]:
             raise ConfigurationError(
                 f"inner dimensions disagree: A is {a_arr.shape}, B is {b_arr.shape}"
             )
-        merged["T"], merged["S"] = a_arr.shape
-        merged["D"] = b_arr.shape[1]
+        found = {"modulus": mod_a, "T": a_arr.shape[0], "S": a_arr.shape[1], "D": b_arr.shape[1]}
+        for key, value in found.items():
+            if key in explicit and merged[key] != value:
+                raise ConfigurationError(
+                    f"{key}={merged[key]} contradicts the input files ({value})"
+                )
+            merged[key] = value
     _require(merged, ["T", "S", "D"])
     for name in "TSD":
         if merged[name] < 1:
@@ -211,9 +242,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
-
-_SWEEP_DEFAULTS = {"m": None, "n": None, "workers": None, "pc_list": [0], "out": None}
-
 
 def sweep_rows(m: int, n: int, n_workers: int, pc_list) -> list:
     """One row per (P_C, t, s, d) with t*s = m and s*d = n, sorted, with the
@@ -251,7 +279,7 @@ def sweep_rows(m: int, n: int, n_workers: int, pc_list) -> list:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    merged, _ = _resolve(args, _SWEEP_DEFAULTS)
+    merged, _ = _resolve(args, "sweep")
     _require(merged, ["m", "n", "workers"])
     if merged["m"] < 1 or merged["n"] < 1:
         raise ConfigurationError("m and n must be >= 1")
@@ -280,15 +308,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
-_AUDIT_DEFAULTS = {
-    "t": None, "s": None, "d": None, "pc": 0, "workers": None,
-    "T": None, "S": None, "D": None, "modulus": 257,
-    "budget": DEFAULT_BUDGET, "negative_control": False, "out": None,
-}
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
-    merged, _ = _resolve(args, _AUDIT_DEFAULTS)
+    merged, _ = _resolve(args, "audit")
     _require(merged, ["t", "s", "d", "workers", "T", "S", "D"])
     if merged["budget"] < 0:
         raise ConfigurationError(f"budget must be >= 0, got {merged['budget']}")
@@ -310,12 +331,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value configuration file")
-    sub.add_argument("--out", help="output file (default: stdout)")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built on the first call and shared by every later one: parsing reads
@@ -325,66 +340,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Secure coded distributed matrix multiplication simulator",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_run = subs.add_parser("run", help="encode, simulate a worker pool, decode")
-    _add_common(p_run)
-    p_run.add_argument("--modulus", type=int, help="prime field modulus")
-    p_run.add_argument("--seed", type=int, help="seed for every random draw")
-    p_run.add_argument("--t", type=int, help="block rows of A")
-    p_run.add_argument("--s", type=int, help="inner split of A and B")
-    p_run.add_argument("--d", type=int, help="block columns of B")
-    p_run.add_argument("--pc", type=int, help="colluding workers tolerated")
-    p_run.add_argument("--P", dest="workers", type=int, help="worker pool size")
-    p_run.add_argument("--T", dest="T", type=int, help="rows of A")
-    p_run.add_argument("--S", dest="S", type=int, help="cols of A / rows of B")
-    p_run.add_argument("--D", dest="D", type=int, help="cols of B")
-    p_run.add_argument("--a", help="input matrix file for A")
-    p_run.add_argument("--b", help="input matrix file for B")
-    p_run.add_argument("--model", choices=["fixed", "subset", "latency"])
-    p_run.add_argument("--responders", type=_int_list, help="fixed model: worker ids")
-    p_run.add_argument(
-        "--responder-count", dest="responder_count", type=int,
-        help="subset model: how many workers respond",
-    )
-    p_run.add_argument("--shift", type=float, help="latency model: minimum delay")
-    p_run.add_argument("--rate", type=float, help="latency model: exponential rate")
-    p_run.add_argument(
-        "--fail-prob", dest="failure_prob", type=float,
-        help="latency model: permanent failure probability",
-    )
-    p_run.add_argument("--trial", type=int, help="trial index for the delay draw")
-    p_run.add_argument("--trace-dir", dest="trace_dir", help="dump shares + manifest here")
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = subs.add_parser("sweep", help="enumerate the threshold/load trade-off")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--m", type=int, help="storage divisor of A (m = t*s)")
-    p_sweep.add_argument("--n", type=int, help="storage divisor of B (n = s*d)")
-    p_sweep.add_argument("--P", dest="workers", type=int, help="worker pool size")
-    p_sweep.add_argument(
-        "--pc-list", dest="pc_list", type=_int_list,
-        help="comma-separated collusion levels",
-    )
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_audit = subs.add_parser("audit", help="exact secrecy check by rank over GF(p), per coalition")
-    _add_common(p_audit)
-    p_audit.add_argument("--modulus", type=int, help="prime field modulus")
-    p_audit.add_argument("--t", type=int)
-    p_audit.add_argument("--s", type=int)
-    p_audit.add_argument("--d", type=int)
-    p_audit.add_argument("--pc", type=int)
-    p_audit.add_argument("--P", dest="workers", type=int, help="worker pool size")
-    p_audit.add_argument("--T", dest="T", type=int)
-    p_audit.add_argument("--S", dest="S", type=int)
-    p_audit.add_argument("--D", dest="D", type=int)
-    p_audit.add_argument("--budget", type=int, help="max assignments covered over all subsets")
-    p_audit.add_argument(
-        "--negative-control", dest="negative_control",
-        action="store_const", const=True,
-        help="zero the live randomness; the verdict must flip to INSECURE",
-    )
-    p_audit.set_defaults(func=cmd_audit)
+    for command, func, help_text in (
+        ("run", cmd_run, "encode, simulate a worker pool, decode"),
+        ("sweep", cmd_sweep, "enumerate the threshold/load trade-off"),
+        ("audit", cmd_audit, "exact secrecy check by rank over GF(p), per coalition"),
+    ):
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="flat key=value configuration file")
+        for dest, (flag, kind, _, about) in OPTIONS[command].items():
+            if kind is _switch:
+                sub.add_argument(flag, dest=dest, action="store_const", const=True, help=about)
+            else:
+                sub.add_argument(flag, dest=dest, type=kind, help=about)
+        sub.set_defaults(func=func)
     return parser
 
 

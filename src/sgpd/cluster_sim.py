@@ -336,14 +336,6 @@ class LatencySummary:
     def mean(self) -> float:
         return float(np.mean(self.times)) if len(self.times) else math.inf
 
-    @property
-    def std(self) -> float:
-        return float(np.std(self.times, ddof=1)) if len(self.times) > 1 else 0.0
-
-    @property
-    def stderr(self) -> float:
-        return self.std / math.sqrt(len(self.times)) if len(self.times) else math.inf
-
 
 def latency_sweep(plan: EncodingPlan, model: LatencyModel, trials: int) -> LatencySummary:
     """Empirical distribution of the recovery_threshold-th completion time.
@@ -359,8 +351,6 @@ def latency_sweep(plan: EncodingPlan, model: LatencyModel, trials: int) -> Laten
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     p_r = plan.recovery_threshold
-    if plan.n_workers < p_r:
-        return LatencySummary(np.empty(0), trials, trials)
     seed_words = _latency_seed_words(model.seed, np.arange(trials))
     kth = np.empty(trials)  # the P_R-th completion time of every trial
     for start in range(0, trials, _SWEEP_CHUNK):

@@ -447,8 +447,6 @@ def exponent_audit(geometry: CodeGeometry) -> ExponentAuditReport:
 @dataclass(frozen=True)
 class LoadReport:
     elements: int  # total downloaded by the decoder
-    lower_bound: int  # size of the product itself, T*D
-    per_worker: int
 
 
 def communication_load(plan: EncodingPlan, big_t: int, big_d: int) -> LoadReport:
@@ -457,8 +455,7 @@ def communication_load(plan: EncodingPlan, big_t: int, big_d: int) -> LoadReport
             f"output shape {big_t}x{big_d} is not divisible by the grid "
             f"{plan.t}x{plan.d}"
         )
-    per_worker = (big_t // plan.t) * (big_d // plan.d)
-    return LoadReport(plan.recovery_threshold * per_worker, big_t * big_d, per_worker)
+    return LoadReport(plan.recovery_threshold * (big_t // plan.t) * (big_d // plan.d))
 
 
 # ---------------------------------------------------------------------------

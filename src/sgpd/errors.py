@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import floor, log10
+
 
 class SgpdError(Exception):
     """Base class for errors raised by this package."""
@@ -32,6 +34,12 @@ class SingularSystemError(SgpdError):
     """A linear system over GF(p) has no unique solution: its matrix is singular."""
 
 
+def _count(n: int) -> str:
+    """n in decimal, or "about 10^k" past 30 digits: Python refuses to write
+    an int of more than 4,300 digits, and an audit count can have millions."""
+    return str(n) if n < 10**30 else f"about 10^{floor(log10(n))}"
+
+
 class BudgetExceeded(SgpdError):
     """A secrecy audit would cover more assignments than its budget allows."""
 
@@ -39,5 +47,6 @@ class BudgetExceeded(SgpdError):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"the audit covers {required} assignments, budget is {budget}"
+            f"the audit covers {_count(required)} assignments, budget is {_count(budget)}"
         )
+

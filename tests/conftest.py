@@ -92,6 +92,12 @@ def small_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a.astype(np.int64) @ b.astype(np.int64)) % p
 
 
+def block(block_matrix, i: int, j: int) -> np.ndarray:
+    """Block (i, j) of a BlockMatrix, 0-indexed, sliced from its data."""
+    br, bc = block_matrix.block_shape
+    return block_matrix.data[i * br : (i + 1) * br, j * bc : (j + 1) * bc]
+
+
 def product_coefficients(pair, geometry) -> dict:
     """Symbolic convolution of the two encoding polynomials.
 
@@ -110,13 +116,13 @@ def product_coefficients(pair, geometry) -> dict:
             if not a_live[i, j]:
                 continue
             e_a = int(exps.a_exponents[i, j])
-            blk_a = pair.a_star.block(i, j)
+            blk_a = block(pair.a_star, i, j)
             for k in range(rows_b):
                 for l in range(cols_b):
                     if not b_live[k, l]:
                         continue
                     g = e_a + int(exps.b_exponents[k, l])
-                    term = small_matmul(blk_a, pair.b_star.block(k, l), p)
+                    term = small_matmul(blk_a, block(pair.b_star, k, l), p)
                     if g in coeffs:
                         coeffs[g] = (coeffs[g] + term) % p
                     else:
@@ -138,7 +144,7 @@ def encoding_terms(block_matrix, exponents: np.ndarray, live: np.ndarray) -> dic
     for i in range(rows):
         for j in range(cols):
             if live[i, j]:
-                terms[int(exponents[i, j])] = block_matrix.block(i, j)
+                terms[int(exponents[i, j])] = block(block_matrix, i, j)
     return terms
 
 

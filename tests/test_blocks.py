@@ -18,7 +18,7 @@ from sgpd import (
 from sgpd.blocks import read_text_file
 from sgpd.codec import CodedShare, read_share, write_share
 
-from conftest import make_pair, reference_read_text_file, small_matmul
+from conftest import block, make_pair, reference_read_text_file, small_matmul
 
 
 def test_partition_blocks_are_views(field257):
@@ -28,7 +28,7 @@ def test_partition_blocks_are_views(field257):
     assert bm.block_shape == (2, 2)
     for i in range(3):
         for j in range(2):
-            assert np.array_equal(bm.block(i, j), arr[2 * i : 2 * i + 2, 2 * j : 2 * j + 2])
+            assert np.array_equal(block(bm, i, j), arr[2 * i : 2 * i + 2, 2 * j : 2 * j + 2])
 
 
 def test_partition_rejects_bad_grid(field257):
@@ -133,9 +133,9 @@ def test_augment_tall_shapes_and_data_preserved(field257):
     assert np.array_equal(pair.original_a, a_arr)
     assert np.array_equal(pair.original_b, b_arr)
     # zeroed surplus blocks are real zeros in the stacked data
-    assert not pair.a_star.block(3, 1).any()
-    assert not pair.b_star.block(0, 2).any()
-    assert pair.a_star.block(3, 0).any() and pair.b_star.block(1, 2).any()
+    assert not block(pair.a_star, 3, 1).any()
+    assert not block(pair.b_star, 0, 2).any()
+    assert block(pair.a_star, 3, 0).any() and block(pair.b_star, 1, 2).any()
 
 
 def test_augment_tall_product_embeds_true_product(field257):
@@ -155,8 +155,8 @@ def test_augment_wide_corner_shapes(field257):
     assert np.array_equal(pair.original_a, a_arr)
     assert np.array_equal(pair.original_b, b_arr)
     # appended A columns are zero except in the last block row
-    assert not pair.a_star.block(0, 3).any() and not pair.a_star.block(0, 4).any()
-    assert pair.a_star.block(1, 3).any()
+    assert not block(pair.a_star, 0, 3).any() and not block(pair.a_star, 0, 4).any()
+    assert block(pair.a_star, 1, 3).any()
 
 
 def test_augment_wide_padded_product_is_exact(field257):

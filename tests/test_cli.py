@@ -78,6 +78,55 @@ def test_run_modulus_conflict_with_files(tmp_path, capsys):
     assert code == 2
 
 
+
+def _write_4x2_and_2x4(tmp_path):
+    field = PrimeField(101)
+    rng = np.random.default_rng(8)
+    write_matrix(tmp_path / "a.mat", field.random_array((4, 2), rng), 101)
+    write_matrix(tmp_path / "b.mat", field.random_array((2, 4), rng), 101)
+    return ["--a", str(tmp_path / "a.mat"), "--b", str(tmp_path / "b.mat")]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key,value", [("modulus", 257), ("T", 99), ("S", 5), ("D", 3)])
+def test_run_refuses_values_that_contradict_the_files(tmp_path, capsys, source, key, value):
+    # A is 4x2 and B 2x4 over GF(101): a value the files contradict is refused,
+    # whether it comes from a flag or from the config file
+    argv = ["run", "--t", "2", "--s", "1", "--d", "2", "--P", "6", *_write_4x2_and_2x4(tmp_path)]
+    if source == "flag":
+        argv += [f"--{key}", str(value)]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert "success=" not in captured.out
+    assert f"{key}={value} contradicts the input files" in captured.err
+
+
+def test_run_accepts_values_that_match_the_files(tmp_path, capsys):
+    code = run_cli(
+        "run", "--t", "2", "--s", "1", "--d", "2", "--P", "6", *_write_4x2_and_2x4(tmp_path),
+        "--modulus", "101", "--T", "4", "--S", "2", "--D", "4",
+    )
+    assert code == 0
+    assert "success=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_run_refuses_an_unknown_model(tmp_path, capsys, source):
+    argv = ["run", "--t", "2", "--s", "1", "--d", "1", "--P", "4", "--T", "2", "--S", "1",
+            "--D", "1"]
+    if source == "flag":
+        argv += ["--model", "nope"]
+    else:
+        (tmp_path / "run.cfg").write_text("model=nope\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert "success=" not in captured.out
+    assert "unknown model 'nope' (expected fixed|subset|latency)" in captured.err
+
 def test_run_decode_failure_exits_one(capsys):
     code = run_cli(
         "run", "--t", "3", "--s", "2", "--d", "2", "--pc", "2", "--P", "30",
@@ -288,6 +337,26 @@ def test_audit_rejects_a_negative_budget(capsys, extra):
     assert "budget must be >= 0" in captured.err
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the wide-cli benchmark's plan at its full size
+        ["--t", "2", "--s", "4", "--d", "2", "--pc", "2", "--P", "60",
+         "--T", "128", "--S", "256", "--D", "128", "--modulus", "2147483647"],
+        ["--t", "2", "--s", "2", "--d", "2", "--pc", "1", "--P", "20",
+         "--T", "40", "--S", "40", "--D", "40", "--modulus", "257"],
+    ],
+    ids=["wide-cli", "p=257"],
+)
+def test_audit_past_micro_sizes_exceeds_the_budget(capsys, argv):
+    # the count of assignments has far more than 4,300 digits; it must still
+    # read as an exceeded budget (exit 3), not as a configuration error
+    assert run_cli("audit", *argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget is 10000000" in captured.err and "about 10^" in captured.err
+
 # Full stdout and exit code of the four audits that the design-audit benchmark
 # runs: secure-tall over GF(7) and secure-wide over GF(11), each with its
 # negative control.
@@ -455,6 +524,38 @@ def test_sweep_rejects_bad_dimensions(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "worker" in captured.err
 
+
+
+@pytest.mark.parametrize(
+    "argv,files",
+    [
+        (["run", "--t", "3", "--s", "2", "--d", "2", "--pc", "2", "--P", "30",
+          "--T", "6", "--S", "4", "--D", "6", "--seed", "11", "--model", "subset",
+          "--responder-count", "27", "--shift", "0.5", "--trial", "2"], False),
+        (["run", "--t", "2", "--s", "1", "--d", "2", "--pc", "1", "--P", "10",
+          "--model", "fixed", "--responders", "1,3,5,7,9,2,4,6,8"], True),
+        (["sweep", "--m", "4", "--n", "4", "--P", "50", "--pc-list", "0,1"], False),
+        (["audit", "--t", "2", "--s", "1", "--d", "2", "--pc", "1", "--P", "3",
+          "--T", "2", "--S", "1", "--D", "2", "--modulus", "7", "--negative-control"], False),
+    ],
+    ids=["run", "run-files", "sweep", "audit-control"],
+)
+def test_header_reads_back_as_a_config(tmp_path, capsys, argv, files):
+    # the '# key=value' header of an output, given back as --config with no
+    # other flag, reproduces that output and its exit code exactly
+    if files:
+        argv = argv + _write_4x2_and_2x4(tmp_path)
+    code = run_cli(*argv)
+    text = capsys.readouterr().out
+    header = [
+        line[2:] for line in text.splitlines()
+        if line.startswith("# ") and not line.startswith("# command=")
+    ]
+    assert header
+    config = tmp_path / "header.cfg"
+    config.write_text("\n".join(header) + "\n")
+    assert run_cli(argv[0], "--config", str(config)) == code
+    assert capsys.readouterr().out == text
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -30,6 +30,7 @@ from sgpd.codec import ExponentMap
 from sgpd.secrecy_audit import _ranks
 
 from conftest import (
+    block,
     enumerated_subset_verdict,
     gpd_b_map,
     make_pair,
@@ -157,10 +158,10 @@ def test_observation_matrix_is_the_encoders_map(t, s, d, p_c):
     random_a = [tuple(ij) for ij in np.argwhere(lay.a_live) if tuple(ij) not in corner_a]
     random_b = [tuple(kl) for kl in np.argwhere(lay.b_live) if tuple(kl) not in corner_b]
     x = np.concatenate(
-        [pair.a_star.block(*ij).ravel() for ij in corner_a]
-        + [pair.b_star.block(*kl).ravel() for kl in corner_b]
-        + [pair.a_star.block(*ij).ravel() for ij in random_a]
-        + [pair.b_star.block(*kl).ravel() for kl in random_b]
+        [block(pair.a_star, *ij).ravel() for ij in corner_a]
+        + [block(pair.b_star, *kl).ravel() for kl in corner_b]
+        + [block(pair.a_star, *ij).ravel() for ij in random_a]
+        + [block(pair.b_star, *kl).ravel() for kl in random_b]
     )
     for subset in [(1, 2), (7, 40), (3, 17, 29)]:
         observed = observation_matrix(inst, subset) @ x % field.p
