@@ -7,7 +7,8 @@ when rank[M_r] = rank[M_r | M_d].  The audit takes both ranks at block
 level, on the encoder's power tables over the coalition's points, and scales
 them by the entries of one block; each subset line reports them as
 ``rank_random`` and ``rank_view``.  The verdict covers every assignment of
-the data and randomness (``cases_per_subset``).  Zeroing the randomness (the
+the data and randomness, yet costs one rank pair per coalition, so the audit
+is capped by the number of coalitions alone.  Zeroing the randomness (the
 negative control) drops ``rank_random`` to 0 and must break this.
 """
 

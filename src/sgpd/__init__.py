@@ -65,11 +65,10 @@ from .cluster_sim import (
     run,
 )
 from .secrecy_audit import (
-    DEFAULT_BUDGET,
+    MAX_COALITIONS,
     AuditInstance,
     AuditVerdict,
     SubsetVerdict,
-    audit,
     audit_all_subsets,
     report_lines,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "CodeGeometry",
     "CodedShare",
     "ConfigurationError",
-    "DEFAULT_BUDGET",
     "EncodingPlan",
     "ExponentAuditReport",
     "ExponentMap",
@@ -93,6 +91,7 @@ __all__ = [
     "LatencyModel",
     "LatencySummary",
     "LoadReport",
+    "MAX_COALITIONS",
     "NotEnoughResults",
     "PrimeField",
     "RandomSubset",
@@ -102,7 +101,6 @@ __all__ = [
     "SubsetVerdict",
     "WorkerResult",
     "WrongCaseError",
-    "audit",
     "audit_all_subsets",
     "augment",
     "augmentation_layout",

@@ -8,13 +8,14 @@ explicit command-line flags; every output embeds the resolved configuration
 in '#'-prefixed header lines, which read back as a config file.
 
 Exit codes: 0 success (audit: SECURE), 1 run/audit failure (decode failed or
-INSECURE), 2 configuration error, 3 audit budget exceeded.
+INSECURE), 2 configuration error, 3 audit past its coalition cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from math import gcd
 from pathlib import Path
@@ -26,7 +27,7 @@ from .cluster_sim import FixedSet, LatencyModel, RandomSubset, run
 from .codec import build_plan, code_geometry, naive_secure_threshold
 from .errors import BudgetExceeded, ConfigurationError, SgpdError
 from .field import PrimeField
-from .secrecy_audit import DEFAULT_BUDGET, AuditInstance, audit_all_subsets, report_lines
+from .secrecy_audit import AuditInstance, audit_all_subsets, report_lines
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -91,9 +92,6 @@ OPTIONS = {
     },
     "audit": {
         **_CODE,
-        "budget": (
-            "--budget", int, DEFAULT_BUDGET, "max assignments covered over all subsets"
-        ),
         "negative_control": (
             "--negative-control", _switch, False,
             "zero the live randomness; the verdict must flip to INSECURE",
@@ -105,7 +103,7 @@ OPTIONS = {
 def _read_config(path) -> dict:
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.sub(r"(^|\s)#.*", "", raw).strip()  # a '#' inside a value stays
         if not line:
             continue
         if "=" not in line:
@@ -311,15 +309,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     merged, _ = _resolve(args, "audit")
     _require(merged, ["t", "s", "d", "workers", "T", "S", "D"])
-    if merged["budget"] < 0:
-        raise ConfigurationError(f"budget must be >= 0, got {merged['budget']}")
     instance = AuditInstance(
         merged["t"], merged["s"], merged["d"], merged["pc"], merged["workers"],
         PrimeField(merged["modulus"]),
         merged["T"], merged["S"], merged["D"],
         negative_control=merged["negative_control"],
     )
-    verdict = audit_all_subsets(instance, merged["budget"])
+    verdict = audit_all_subsets(instance)
     text = "\n".join(_header("audit", merged) + report_lines(instance, verdict)) + "\n"
     sys.stdout.write(text)
     if merged["out"]:

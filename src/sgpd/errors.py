@@ -36,17 +36,17 @@ class SingularSystemError(SgpdError):
 
 def _count(n: int) -> str:
     """n in decimal, or "about 10^k" past 30 digits: Python refuses to write
-    an int of more than 4,300 digits, and an audit count can have millions."""
+    an int of more than 4,300 digits, and C(P, P_C) can have thousands."""
     return str(n) if n < 10**30 else f"about 10^{floor(log10(n))}"
 
 
 class BudgetExceeded(SgpdError):
-    """A secrecy audit would cover more assignments than its budget allows."""
+    """A secrecy audit would check more coalitions than its cap allows."""
 
-    def __init__(self, required: int, budget: int):
-        self.required = required
-        self.budget = budget
+    def __init__(self, coalitions: int, cap: int):
+        self.coalitions = coalitions
+        self.cap = cap
         super().__init__(
-            f"the audit covers {_count(required)} assignments, budget is {_count(budget)}"
+            f"the audit checks {_count(coalitions)} coalitions, the cap is {_count(cap)}"
         )
 

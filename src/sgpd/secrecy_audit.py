@@ -7,8 +7,10 @@ live random entries, uniform and independent.  Given the data it is uniform
 on the coset M_d x_d + colspan(M_r), so it is independent of the data exactly
 when rank[M_r] = rank[M_r | M_d], which ``PrimeField.rank`` decides.  Each
 coalition's verdict reports both ranks, ``rank_random`` and ``rank_view``.
-The verdict covers all p**(data + live random entries) assignments, which
-``--budget`` caps; the tests enumerate them by brute force as an oracle.
+The verdict covers all p**(data + live random entries) assignments; the
+tests enumerate them by brute force as an oracle.  The audit's cost is one
+rank pair per coalition, so ``MAX_COALITIONS`` caps the number of
+coalitions, C(P, P_C), and nothing else.
 
 Structurally zero random blocks carry no entropy and are left out of M_r, so
 the audit tests whether the masking leaves enough live randomness.  The
@@ -37,7 +39,7 @@ from .codec import CodeGeometry, code_geometry
 from .errors import BudgetExceeded, ConfigurationError
 from .field import PrimeField
 
-DEFAULT_BUDGET = 10**7
+MAX_COALITIONS = 10**5
 
 
 @dataclass(frozen=True)
@@ -90,15 +92,6 @@ class AuditInstance:
         n_data = self.big_t * self.big_s + self.big_s * self.big_d
         return (self.big_t // self.t) * bs, bs * (self.big_d // self.d), n_data
 
-    def cases_per_subset(self, budgeted: bool = False) -> int:
-        """p ** (data entries + live random entries): the assignments one
-        subset's verdict covers.  ``budgeted`` counts the claimed randomness
-        even for a negative control, which has none, so the control is
-        charged the same as the instance it mimics."""
-        ea, eb, n_data = self.entry_sizes()
-        n_random = 0 if self.negative_control and not budgeted else self.p_c * (ea + eb)
-        return self.field.p ** (n_data + n_random)
-
 
 @dataclass(frozen=True)
 class SubsetVerdict:
@@ -113,9 +106,22 @@ class SubsetVerdict:
 
 @dataclass(frozen=True)
 class AuditVerdict:
-    secure: bool
+    instance: AuditInstance
     subsets: tuple
-    cases_per_subset: int
+
+    @property
+    def secure(self) -> bool:
+        return all(v.secure for v in self.subsets)
+
+    @property
+    def cases_per_subset(self) -> int:
+        """p ** (data entries + live random entries): the assignments one
+        coalition's verdict covers.  Only the benchmark's counter of audited
+        cases reads it; the audit itself never computes it."""
+        instance = self.instance
+        ea, eb, n_data = instance.entry_sizes()
+        n_random = 0 if instance.negative_control else instance.p_c * (ea + eb)
+        return instance.field.p ** (n_data + n_random)
 
 
 def _ranks(instance: AuditInstance, subset) -> tuple[int, int]:
@@ -143,37 +149,19 @@ def _ranks(instance: AuditInstance, subset) -> tuple[int, int]:
     return rank_r, rank
 
 
-def audit(instance: AuditInstance, subset, budget: int = DEFAULT_BUDGET) -> SubsetVerdict:
-    """Exact verdict for one colluding subset of worker ids (1-based)."""
-    subset = tuple(sorted(int(w) for w in subset))
-    if len(subset) != len(set(subset)):
-        raise ConfigurationError(f"subset {subset} contains duplicates")
-    if any(not 1 <= w <= instance.n_workers for w in subset):
-        raise ConfigurationError(f"subset {subset} outside pool 1..{instance.n_workers}")
-    if len(subset) > instance.p_c:
-        raise ConfigurationError(
-            f"subset size {len(subset)} exceeds the claimed collusion level {instance.p_c}"
-        )
-    required = instance.cases_per_subset(budgeted=True)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-    return SubsetVerdict(subset, *_ranks(instance, subset))
-
-
-def audit_all_subsets(instance: AuditInstance, budget: int = DEFAULT_BUDGET) -> AuditVerdict:
-    """SECURE iff every size-P_C subset of the pool passes."""
+def audit_all_subsets(instance: AuditInstance) -> AuditVerdict:
+    """SECURE iff every size-P_C subset of the pool passes.  A pool with more
+    than ``MAX_COALITIONS`` such subsets is refused before any rank is taken;
+    a negative control has its instance's coalitions, so it is refused alike."""
     n_subsets = comb(instance.n_workers, instance.p_c)
-    required = n_subsets * instance.cases_per_subset(budgeted=True)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-    verdicts = [
-        audit(instance, subset, budget)
-        for subset in combinations(range(1, instance.n_workers + 1), instance.p_c)
-    ]
+    if n_subsets > MAX_COALITIONS:
+        raise BudgetExceeded(n_subsets, MAX_COALITIONS)
     return AuditVerdict(
-        secure=all(v.secure for v in verdicts),
-        subsets=tuple(verdicts),
-        cases_per_subset=instance.cases_per_subset(),
+        instance,
+        tuple(
+            SubsetVerdict(subset, *_ranks(instance, subset))
+            for subset in combinations(range(1, instance.n_workers + 1), instance.p_c)
+        ),
     )
 
 
@@ -185,8 +173,6 @@ def report_lines(instance: AuditInstance, verdict: AuditVerdict) -> list:
         f" workers={instance.n_workers} modulus={instance.field.p}"
         f" T={instance.big_t} S={instance.big_s} D={instance.big_d}"
         f" negative_control={instance.negative_control}",
-        f"enumeration cases_per_subset={verdict.cases_per_subset}"
-        f" subsets={len(verdict.subsets)}",
     ]
     for v in verdict.subsets:
         lines.append(

@@ -195,8 +195,8 @@ def test_criterion_4_reduction_points():
         assert inner.normalized_load == 2 * m - 1
 
 
-# (t, s, d, p_c, (T, S, D), modulus, workers); every instance is enumerable
-# within the 1e7 budget and at least one per branch has a strict ceiling
+# (t, s, d, p_c, (T, S, D), modulus, workers); every instance is small enough
+# to enumerate by brute force and at least one per branch has a strict ceiling
 AUDIT_CATALOG = {
     "tall": [
         (2, 1, 1, 1, (2, 1, 1), 5, 4),
@@ -216,7 +216,6 @@ AUDIT_CATALOG = {
 def test_criterion_5_exhaustive_secrecy():
     """Every catalog instance is information-theoretically secure; zeroing
     the randomness flips each verdict to INSECURE."""
-    budget = 10**7
     strict_seen = False
     for branch, entries in AUDIT_CATALOG.items():
         assert len(entries) >= 3
@@ -228,13 +227,13 @@ def test_criterion_5_exhaustive_secrecy():
             layout = inst.geometry.layout
             if layout.case == "tall" and s * layout.delta - p_c > 0:
                 strict_seen = True
-            verdict = audit_all_subsets(inst, budget)
+            verdict = audit_all_subsets(inst)
             assert verdict.secure, (branch, t, s, d, p_c)
             control = AuditInstance(
                 t, s, d, p_c, workers, field, big_t, big_s, big_d,
                 negative_control=True,
             )
-            control_verdict = audit_all_subsets(control, budget)
+            control_verdict = audit_all_subsets(control)
             assert not control_verdict.secure, (branch, t, s, d, p_c)
             # the brute-force enumeration agrees on every subset
             for i, v in ((inst, verdict), (control, control_verdict)):

@@ -234,7 +234,7 @@ def test_config_rejects_malformed_line(tmp_path, capsys):
     assert run_cli("audit", "--config", str(cfg)) == 2
 
 
-def test_audit_exit_codes(capsys):
+def test_audit_exit_codes(tmp_path, capsys):
     base = [
         "audit", "--t", "2", "--s", "1", "--d", "1", "--pc", "1", "--P", "4",
         "--T", "2", "--S", "1", "--D", "1", "--modulus", "5",
@@ -243,8 +243,14 @@ def test_audit_exit_codes(capsys):
     capsys.readouterr()
     assert run_cli(*base, "--negative-control") == 1
     assert "verdict=INSECURE" in capsys.readouterr().out
-    assert run_cli(*base, "--budget", "10") == 3
-    assert "budget" in capsys.readouterr().err
+    # the audit is capped by its coalition count, not by an option
+    with pytest.raises(SystemExit) as info:
+        run_cli(*base, "--budget", "10")
+    assert info.value.code == 2
+    config = tmp_path / "budget.cfg"
+    config.write_text("budget=10\n")
+    assert run_cli(*base, "--config", str(config)) == 2
+    assert "unknown config key 'budget'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -322,40 +328,48 @@ def test_audit_rejects_empty_or_negative_dimensions(capsys, override, message):
     assert message in captured.err
 
 
-@pytest.mark.parametrize(
-    "extra", [["--budget", "-3"], ["--budget", "-1", "--negative-control"]],
-    ids=["budget=-3", "control-budget=-1"],
-)
-def test_audit_rejects_a_negative_budget(capsys, extra):
-    # exit 3 means the budget was exceeded; a budget below zero is a bad flag
+def test_audit_reaches_the_wide_cli_plan_at_full_size(capsys):
+    # p**(data + random entries) has about 764,000 digits, but the verdict is
+    # a pair of ranks for each of the 1,770 coalitions
     assert run_cli(
-        "audit", "--t", "2", "--s", "1", "--d", "1", "--pc", "1", "--P", "4",
-        "--T", "2", "--S", "1", "--D", "1", "--modulus", "5", *extra,
-    ) == 2
-    captured = capsys.readouterr()
-    assert "verdict=" not in captured.out
-    assert "budget must be >= 0" in captured.err
+        "audit", "--t", "2", "--s", "4", "--d", "2", "--pc", "2", "--P", "60",
+        "--T", "128", "--S", "256", "--D", "128", "--modulus", "2147483647",
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "verdict=SECURE"
+    assert sum(line.startswith("subset=") for line in lines) == 1770
 
+
+def test_audit_shows_the_small_field_leak_of_a_two_band_code(capsys):
+    # 16**4 = 1 mod 257, so workers 1 and 16 (and 15 and 17) draw the same
+    # randomness on B and see its data
+    assert run_cli(
+        "audit", "--t", "2", "--s", "2", "--d", "2", "--pc", "2", "--P", "19",
+        "--T", "2", "--S", "2", "--D", "2", "--modulus", "257",
+    ) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "INSECURE" in line] == [
+        "subset=1,16 verdict=INSECURE rank_random=2 rank_view=4",
+        "subset=15,17 verdict=INSECURE rank_random=2 rank_view=4",
+        "verdict=INSECURE",
+    ]
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        # the wide-cli benchmark's plan at its full size
-        ["--t", "2", "--s", "4", "--d", "2", "--pc", "2", "--P", "60",
-         "--T", "128", "--S", "256", "--D", "128", "--modulus", "2147483647"],
-        ["--t", "2", "--s", "2", "--d", "2", "--pc", "1", "--P", "20",
-         "--T", "40", "--S", "40", "--D", "40", "--modulus", "257"],
-    ],
-    ids=["wide-cli", "p=257"],
+    "pc,count", [("2", "499500"), ("40", "about 10^71")], ids=["pc=2", "pc=40"]
 )
-def test_audit_past_micro_sizes_exceeds_the_budget(capsys, argv):
-    # the count of assignments has far more than 4,300 digits; it must still
-    # read as an exceeded budget (exit 3), not as a configuration error
-    assert run_cli("audit", *argv) == 3
+def test_audit_past_the_coalition_cap_exits_3(capsys, pc, count):
+    # refused before any rank is taken; C(1000, 40) has 72 digits and is
+    # written as a power of ten
+    assert run_cli(
+        "audit", "--t", "1", "--s", "1", "--d", "1", "--pc", pc, "--P", "1000",
+        "--T", "1", "--S", "1", "--D", "1", "--modulus", "1009",
+    ) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "budget is 10000000" in captured.err and "about 10^" in captured.err
+    assert captured.err == (
+        f"error: the audit checks {count} coalitions, the cap is 100000\n"
+    )
 
 # Full stdout and exit code of the four audits that the design-audit benchmark
 # runs: secure-tall over GF(7) and secure-wide over GF(11), each with its
@@ -366,7 +380,6 @@ PINNED_AUDITS = {
 # D=2
 # S=1
 # T=2
-# budget=10000000
 # d=2
 # modulus=7
 # negative_control=False
@@ -375,7 +388,6 @@ PINNED_AUDITS = {
 # t=2
 # workers=3
 instance t=2 s=1 d=2 pc=1 workers=3 modulus=7 T=2 S=1 D=2 negative_control=False
-enumeration cases_per_subset=117649 subsets=3
 subset=1 verdict=SECURE rank_random=2 rank_view=2
 subset=2 verdict=SECURE rank_random=2 rank_view=2
 subset=3 verdict=SECURE rank_random=2 rank_view=2
@@ -386,7 +398,6 @@ verdict=SECURE
 # D=2
 # S=1
 # T=2
-# budget=10000000
 # d=2
 # modulus=7
 # negative_control=True
@@ -395,7 +406,6 @@ verdict=SECURE
 # t=2
 # workers=3
 instance t=2 s=1 d=2 pc=1 workers=3 modulus=7 T=2 S=1 D=2 negative_control=True
-enumeration cases_per_subset=2401 subsets=3
 subset=1 verdict=INSECURE rank_random=0 rank_view=2
 subset=2 verdict=INSECURE rank_random=0 rank_view=2
 subset=3 verdict=INSECURE rank_random=0 rank_view=2
@@ -406,7 +416,6 @@ verdict=INSECURE
 # D=2
 # S=1
 # T=1
-# budget=10000000
 # d=2
 # modulus=11
 # negative_control=False
@@ -415,7 +424,6 @@ verdict=INSECURE
 # t=1
 # workers=3
 instance t=1 s=1 d=2 pc=1 workers=3 modulus=11 T=1 S=1 D=2 negative_control=False
-enumeration cases_per_subset=161051 subsets=3
 subset=1 verdict=SECURE rank_random=2 rank_view=2
 subset=2 verdict=SECURE rank_random=2 rank_view=2
 subset=3 verdict=SECURE rank_random=2 rank_view=2
@@ -426,7 +434,6 @@ verdict=SECURE
 # D=2
 # S=1
 # T=1
-# budget=10000000
 # d=2
 # modulus=11
 # negative_control=True
@@ -435,7 +442,6 @@ verdict=SECURE
 # t=1
 # workers=3
 instance t=1 s=1 d=2 pc=1 workers=3 modulus=11 T=1 S=1 D=2 negative_control=True
-enumeration cases_per_subset=1331 subsets=3
 subset=1 verdict=INSECURE rank_random=0 rank_view=2
 subset=2 verdict=INSECURE rank_random=0 rank_view=2
 subset=3 verdict=INSECURE rank_random=0 rank_view=2
@@ -535,18 +541,31 @@ def test_sweep_rejects_bad_dimensions(capsys):
         (["run", "--t", "2", "--s", "1", "--d", "2", "--pc", "1", "--P", "10",
           "--model", "fixed", "--responders", "1,3,5,7,9,2,4,6,8"], True),
         (["sweep", "--m", "4", "--n", "4", "--P", "50", "--pc-list", "0,1"], False),
+        (["sweep", "--m", "2", "--n", "2", "--P", "5", "--out", "a#b/s.csv"], False),
         (["audit", "--t", "2", "--s", "1", "--d", "2", "--pc", "1", "--P", "3",
           "--T", "2", "--S", "1", "--D", "2", "--modulus", "7", "--negative-control"], False),
     ],
-    ids=["run", "run-files", "sweep", "audit-control"],
+    ids=["run", "run-files", "sweep", "sweep-out-with-hash", "audit-control"],
 )
-def test_header_reads_back_as_a_config(tmp_path, capsys, argv, files):
+def test_header_reads_back_as_a_config(tmp_path, monkeypatch, capsys, argv, files):
     # the '# key=value' header of an output, given back as --config with no
-    # other flag, reproduces that output and its exit code exactly
+    # other flag, reproduces that output and its exit code exactly; a '#'
+    # inside a value ("a#b/s.csv") does not start a comment
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a#b").mkdir()
+    out = tmp_path / "a#b" / "s.csv"
+
+    def output():
+        text = capsys.readouterr().out
+        if out.exists():
+            text += out.read_text()
+            out.unlink()
+        return text
+
     if files:
         argv = argv + _write_4x2_and_2x4(tmp_path)
     code = run_cli(*argv)
-    text = capsys.readouterr().out
+    text = output()
     header = [
         line[2:] for line in text.splitlines()
         if line.startswith("# ") and not line.startswith("# command=")
@@ -555,7 +574,8 @@ def test_header_reads_back_as_a_config(tmp_path, capsys, argv, files):
     config = tmp_path / "header.cfg"
     config.write_text("\n".join(header) + "\n")
     assert run_cli(argv[0], "--config", str(config)) == code
-    assert capsys.readouterr().out == text
+    assert output() == text
+    assert not (tmp_path / "a").exists()
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from sgpd import (
+    MAX_COALITIONS,
     AuditInstance,
     BudgetExceeded,
     ConfigurationError,
     PrimeField,
-    audit,
+    SubsetVerdict,
     audit_all_subsets,
     build_plan,
     code_geometry,
@@ -70,45 +71,28 @@ def test_micro_wide_is_secure():
     assert not audit_all_subsets(control).secure
 
 
-def test_single_subset_consistent_with_full_audit(micro_tall):
-    full = audit_all_subsets(micro_tall)
-    alone = audit(micro_tall, (2,))
-    matching = [s for s in full.subsets if s.subset == (2,)]
-    assert matching and matching[0] == alone
-
-
 def test_smaller_coalitions_also_learn_nothing():
     inst = AuditInstance(2, 1, 1, 2, 3, PrimeField(5), 2, 1, 1)
-    assert audit(inst, (1, 3)).secure
-    assert audit(inst, (2,)).secure  # below the collusion bound
+    for subset in [(1, 3), (2,)]:  # the second is below the collusion bound
+        rank, full_rank = _ranks(inst, subset)
+        assert rank == full_rank, subset
 
 
-def test_budget_refusal(micro_tall):
+def test_budget_refusal():
+    # 1000 workers have 499,500 coalitions of two: refused before any rank
+    inst = AuditInstance(1, 1, 1, 2, 1000, PrimeField(1009), 1, 1, 1)
     with pytest.raises(BudgetExceeded) as info:
-        audit_all_subsets(micro_tall, budget=100)
-    assert info.value.required == 4 * 3125
-    assert info.value.budget == 100
-    with pytest.raises(BudgetExceeded):
-        audit(micro_tall, (1,), budget=3124)
+        audit_all_subsets(inst)
+    assert (info.value.coalitions, info.value.cap) == (499500, MAX_COALITIONS)
 
 
-def test_negative_control_charged_like_the_real_audit(micro_tall):
-    # the control enumerates fewer variables but is budgeted identically, so
-    # a budget that blocks the audit also blocks its control
-    control = AuditInstance(2, 1, 1, 1, 4, PrimeField(5), 2, 1, 1, negative_control=True)
-    with pytest.raises(BudgetExceeded):
-        audit_all_subsets(control, budget=3125 * 4 - 1)
-
-
-def test_subset_validation(micro_tall):
-    with pytest.raises(ConfigurationError):
-        audit(micro_tall, (0,))
-    with pytest.raises(ConfigurationError):
-        audit(micro_tall, (5,))
-    with pytest.raises(ConfigurationError):
-        audit(micro_tall, (1, 1))
-    with pytest.raises(ConfigurationError):
-        audit(micro_tall, (1, 2))  # larger than the collusion level
+def test_negative_control_charged_like_the_real_audit():
+    # the control has no randomness but checks the same coalitions as the
+    # instance it mimics, so a pool that blocks the audit also blocks its control
+    control = AuditInstance(1, 1, 1, 2, 1000, PrimeField(1009), 1, 1, 1, negative_control=True)
+    with pytest.raises(BudgetExceeded) as info:
+        audit_all_subsets(control)
+    assert (info.value.coalitions, info.value.cap) == (499500, MAX_COALITIONS)
 
 
 def test_instance_validation():
@@ -125,16 +109,14 @@ def test_report_lines_shape(micro_tall):
     lines = report_lines(micro_tall, verdict)
     assert lines[0].startswith("instance t=2 s=1 d=1")
     assert lines[-1] == "verdict=SECURE"
-    assert sum("verdict=SECURE" in ln for ln in lines[2:-1]) == 4
+    assert sum("verdict=SECURE" in ln for ln in lines[1:-1]) == 4
 
 
 def test_observed_support_matches_collusion_dimension():
     # two colluding workers observe 4 symbols; the randomness alone spans all
     # of them, so the observed support is p^4
     inst = AuditInstance(2, 1, 1, 2, 3, PrimeField(5), 2, 1, 1)
-    verdict = audit(inst, (1, 2))
-    assert verdict.secure
-    assert verdict.rank_random == 4
+    assert _ranks(inst, (1, 2)) == (4, 4)
 
 
 @pytest.mark.parametrize(
@@ -175,13 +157,16 @@ def test_observation_matrix_is_the_encoders_map(t, s, d, p_c):
 def _oracle_grid():
     """t, s, d <= 3, P_C <= 2, p in {2, 3, 5, 7}, P in P_C..P_C + 2 (below p),
     one entry per block, with and without the negative control, kept where
-    the enumeration stays below 3 * 10**5 assignments."""
+    the enumeration stays below 3 * 10**5 assignments (counting the claimed
+    randomness even for a control, which has none)."""
     for t, s, d in itertools.product(range(1, 4), repeat=3):
         for p_c, p in itertools.product((1, 2), (2, 3, 5, 7)):
             for workers in range(p_c, min(p_c + 2, p - 1) + 1):
                 for negative in (False, True):
                     inst = AuditInstance(t, s, d, p_c, workers, PrimeField(p), t, s, d, negative)
-                    if comb(workers, p_c) * inst.cases_per_subset(budgeted=True) <= 3 * 10**5:
+                    ea, eb, n_data = inst.entry_sizes()
+                    n_vars = n_data + p_c * (ea + eb)
+                    if comb(workers, p_c) * p**n_vars <= 3 * 10**5:
                         yield inst
 
 
@@ -213,7 +198,8 @@ def test_rank_audit_matches_enumeration_below_collusion_level():
     for size in range(inst.p_c + 1):  # the empty coalition included
         for subset in itertools.combinations(range(1, 4), size):
             want = enumerated_subset_verdict(inst, subset)
-            assert verdict_fields(audit(inst, subset)) == want, subset
+            verdict = SubsetVerdict(subset, *_ranks(inst, subset))
+            assert verdict_fields(verdict) == want, subset
 
 
 def test_block_ranks_match_the_entry_level_matrix():
