@@ -6,11 +6,18 @@ earliest recovery_threshold finishers, decodes, and checks the output against
 the directly computed product.  Identical seeds give byte-identical reports.
 
 LatencyModel trial ``trial`` of seed ``seed`` draws from
-``PCG64(SeedSequence((0x1A7E, seed, trial)))``, the generator
-``np.random.default_rng((0x1A7E, seed, trial))`` returns.  The seeding is
-vectorised: SeedSequence's uint32 hash mixing runs in numpy for every trial
-at once, and numpy's own PCG64 takes each trial's four uint64 words, so the
-streams stay numpy's bit for bit.
+``np.random.default_rng((0x1A7E, seed, trial))``: P exponential delays, then
+P uniforms that mark the failures.
+
+``latency_sweep`` simulates no workers.  It draws each trial's P_R-th
+completion time from that time's exact law: N ~ Binomial(P, 1 - q) workers
+survive, the trial fails when N < P_R, and otherwise the P_R-th smallest of N
+iid Exp(1) delays is -log(1 - U) with U ~ Beta(P_R, N - P_R + 1).  With
+U = X / (X + Y), X ~ Gamma(P_R) and Y ~ Gamma(N - P_R + 1), the time is
+``shift + log1p(X / Y) / rate``, which never rounds U to 1.  All trials come
+from one generator per sweep, ``np.random.default_rng((0xD157, seed))``, so
+the sweep's trials have the law of ``completion_times`` trials but are not
+those trials.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .blocks import AugmentedPair, BlockMatrix
 from .codec import EncodingPlan, decode, encode, worker_compute, write_share
@@ -81,90 +87,10 @@ class RandomSubset:
         return {"model": "random-subset", "count": self.count, "seed": self.seed}
 
 
-# SeedSequence's documented constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFF_FFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_LATENCY_TAG = 0x1A7E  # first entropy word of every LatencyModel stream
-_SWEEP_CHUNK = 32  # trials per delay table in latency_sweep: 32 x P floats
-
-
-def _uint32_words(n: int) -> list:
-    """A non-negative int as SeedSequence reads it: uint32 words, low first."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _seed_sequence_state(entropy: list) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for many entropy
-    lists at once: entropy[j] holds word j of every list, one uint32 array each.
-
-    Only arrays take part in the arithmetic, where uint32 wraps silently as
-    the hash needs; numpy warns about the same wraparound on scalars."""
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = _INIT_B
-    state = np.empty((zero.size, 2 * _POOL_SIZE), dtype=np.uint32)
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> np.uint32(16))
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _latency_seed_words(seed: int, trials) -> np.ndarray:
-    """Row r: the four uint64 words ``SeedSequence((0x1A7E, seed, trials[r]))``
-    hands to PCG64.  A trial of 2**32 or more is two entropy words."""
-    trials = np.asarray(trials, dtype=np.uint64)
-    low = (trials & np.uint64(_MASK32)).astype(np.uint32)
-    high = (trials >> np.uint64(32)).astype(np.uint32)
-    prefix = _uint32_words(_LATENCY_TAG) + _uint32_words(seed)
-    words = np.empty((trials.size, 4), dtype=np.uint64)
-    for two_words in (False, True):
-        rows = (high != 0) == two_words
-        if rows.any():
-            tail = [low[rows], high[rows]] if two_words else [low[rows]]
-            fixed = [np.full(tail[0].size, w, dtype=np.uint32) for w in prefix]
-            words[rows] = _seed_sequence_state(fixed + tail)
-    return words
-
-
-class _SeedWords(ISeedSequence):
-    """Hands precomputed SeedSequence words to numpy's PCG64, which asks for
-    exactly ``generate_state(4, np.uint64)``."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+_LATENCY_TAG = 0x1A7E  # first entropy word of every LatencyModel trial stream
+# latency_sweep's stream per sweep.  SeedSequence pads entropy with zeros, so
+# (_LATENCY_TAG, seed) would be trial 0's stream: the sweep needs its own tag.
+_SWEEP_TAG = 0xD157
 
 
 class LatencyModel:
@@ -184,28 +110,14 @@ class LatencyModel:
         self.failure_prob = float(failure_prob)
         self.seed = int(seed)
 
-    def _delays(self, seed_words: np.ndarray, n_workers: int) -> np.ndarray:
-        """One row of worker completion times per row of seed words.
-
-        Each row draws what ``exponential(scale, n_workers)`` and then
-        ``random(n_workers)`` would from its trial's generator; the scale
-        and shift are applied to the whole table in the same IEEE order."""
-        times = np.empty((len(seed_words), n_workers))
-        failures = np.empty_like(times) if self.failure_prob else None
-        for r, words in enumerate(seed_words):
-            rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            rng.standard_exponential(out=times[r])
-            if failures is not None:
-                rng.random(out=failures[r])
-        times *= 0.0 if math.isinf(self.rate) else 1.0 / self.rate
-        times += self.shift
-        if failures is not None:
-            times[failures < self.failure_prob] = math.inf
-        return times
-
     def completion_times(self, n_workers: int, trial: int = 0) -> np.ndarray:
         _check_trial(trial)
-        return self._delays(_latency_seed_words(self.seed, [trial]), n_workers)[0]
+        rng = np.random.default_rng((_LATENCY_TAG, self.seed, trial))
+        scale = 0.0 if math.isinf(self.rate) else 1.0 / self.rate
+        times = self.shift + rng.exponential(scale, n_workers)
+        if self.failure_prob:
+            times[rng.random(n_workers) < self.failure_prob] = math.inf
+        return times
 
     def describe(self) -> dict:
         return {
@@ -340,21 +252,22 @@ class LatencySummary:
 def latency_sweep(plan: EncodingPlan, model: LatencyModel, trials: int) -> LatencySummary:
     """Empirical distribution of the recovery_threshold-th completion time.
 
-    Samples delays only; no matrix work is done, so large trial counts are
-    cheap.  Trials without enough survivors are counted, not included.  Only
-    a LatencyModel is accepted: the other models give the same rank times on
+    Each trial's time is drawn from its exact law (see the module docstring),
+    a few vectorised calls for all trials, and no matrix work is done.
+    Trials without enough survivors are counted, not included.  Only a
+    LatencyModel is accepted: the other models give the same rank times on
     every trial, so sweeping them measures nothing."""
     if not isinstance(model, LatencyModel):
         raise ConfigurationError(
             f"latency_sweep needs a LatencyModel, got {type(model).__name__}"
         )
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ConfigurationError(f"trials must be an int >= 1, got {trials!r}")
     p_r = plan.recovery_threshold
-    seed_words = _latency_seed_words(model.seed, np.arange(trials))
-    kth = np.empty(trials)  # the P_R-th completion time of every trial
-    for start in range(0, trials, _SWEEP_CHUNK):
-        delays = model._delays(seed_words[start:start + _SWEEP_CHUNK], plan.n_workers)
-        kth[start:start + _SWEEP_CHUNK] = np.partition(delays, p_r - 1, axis=1)[:, p_r - 1]
-    finished = np.isfinite(kth)
-    return LatencySummary(kth[finished], trials, trials - int(finished.sum()))
+    rng = np.random.default_rng((_SWEEP_TAG, model.seed))
+    survivors = rng.binomial(plan.n_workers, 1.0 - model.failure_prob, trials)
+    survivors = survivors[survivors >= p_r]
+    x = rng.standard_gamma(p_r, survivors.size)
+    y = rng.standard_gamma(survivors - p_r + 1)
+    times = model.shift + np.log1p(x / y) / model.rate
+    return LatencySummary(times, int(trials), int(trials - survivors.size))

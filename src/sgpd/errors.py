@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from math import floor, log10
-
 
 class SgpdError(Exception):
     """Base class for errors raised by this package."""
@@ -34,19 +32,16 @@ class SingularSystemError(SgpdError):
     """A linear system over GF(p) has no unique solution: its matrix is singular."""
 
 
-def _count(n: int) -> str:
-    """n in decimal, or "about 10^k" past 30 digits: Python refuses to write
-    an int of more than 4,300 digits, and C(P, P_C) can have thousands."""
-    return str(n) if n < 10**30 else f"about 10^{floor(log10(n))}"
-
-
 class BudgetExceeded(SgpdError):
-    """A secrecy audit would check more coalitions than its cap allows."""
+    """A secrecy audit would check more coalitions than its cap allows.
 
-    def __init__(self, coalitions: int, cap: int):
+    ``coalitions`` is the exact count up to about 30 digits.  Past that it is
+    None, and ``exponent``, floor(log10) of the count, names it in the
+    message as "about 10^exponent"."""
+
+    def __init__(self, coalitions: int | None, cap: int, exponent: int | None = None):
         self.coalitions = coalitions
         self.cap = cap
-        super().__init__(
-            f"the audit checks {_count(coalitions)} coalitions, the cap is {_count(cap)}"
-        )
-
+        self.exponent = exponent
+        count = f"about 10^{exponent}" if coalitions is None else coalitions
+        super().__init__(f"the audit checks {count} coalitions, the cap is {cap}")

@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, floor, lgamma, log
 
 import numpy as np
 
@@ -149,13 +149,28 @@ def _ranks(instance: AuditInstance, subset) -> tuple[int, int]:
     return rank_r, rank
 
 
+def _check_coalition_count(n: int, k: int) -> None:
+    """Raise ``BudgetExceeded`` when C(n, k) > ``MAX_COALITIONS``.
+
+    C(n, i + 1) = C(n, i)(n - i)/(i + 1) grows with i up to k <= n/2, so the
+    product stops as soon as it passes the cap, and a huge pool costs a few
+    multiplications, not its full count.  The refusal names the count: exact
+    up to 30 digits, past that its power of ten from ``lgamma``."""
+    count = 1
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)
+        if count > MAX_COALITIONS:
+            digits = (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)
+            if digits < 30:
+                raise BudgetExceeded(comb(n, k), MAX_COALITIONS)
+            raise BudgetExceeded(None, MAX_COALITIONS, floor(digits))
+
+
 def audit_all_subsets(instance: AuditInstance) -> AuditVerdict:
     """SECURE iff every size-P_C subset of the pool passes.  A pool with more
     than ``MAX_COALITIONS`` such subsets is refused before any rank is taken;
     a negative control has its instance's coalitions, so it is refused alike."""
-    n_subsets = comb(instance.n_workers, instance.p_c)
-    if n_subsets > MAX_COALITIONS:
-        raise BudgetExceeded(n_subsets, MAX_COALITIONS)
+    _check_coalition_count(instance.n_workers, instance.p_c)
     return AuditVerdict(
         instance,
         tuple(

@@ -15,8 +15,10 @@ The token-by-token parser is the oracle for the byte-level file reader.
 A Python-int Gauss-Jordan is the oracle for ``PrimeField.rank`` and
 ``solve``, and the Lagrange basis for the decoder's solve on a support
 0..n-1; a Python set of live sums for the recovery threshold.
-The per-target loop is the oracle for the array-pass exponent audit, and a
-per-trial ``default_rng`` for the latency sweep's batched seeding.
+The per-target loop is the oracle for the array-pass exponent audit.  The
+latency sweep draws each P_R-th completion time from its exact law; the
+oracles are that law's CDF, written as binomial tail sums, and a sweep that
+sorts every trial's simulated worker delays.
 """
 
 from __future__ import annotations
@@ -430,7 +432,7 @@ def looped_exponent_audit(geometry) -> ExponentAuditReport:
 
 def default_rng_completion_times(model, n_workers: int, trial: int) -> np.ndarray:
     """LatencyModel delays drawn from ``np.random.default_rng((0x1A7E, seed,
-    trial))``, one generator per trial: the oracle for the batched seeding."""
+    trial))``, one generator per trial: exponentials first, then failures."""
     rng = np.random.default_rng((0x1A7E, model.seed, trial))
     scale = 0.0 if math.isinf(model.rate) else 1.0 / model.rate
     times = model.shift + rng.exponential(scale, size=n_workers)
@@ -440,7 +442,8 @@ def default_rng_completion_times(model, n_workers: int, trial: int) -> np.ndarra
 
 
 def looped_latency_sweep(plan, model, trials: int) -> LatencySummary:
-    """The latency sweep one sorted trial at a time."""
+    """The latency sweep one simulated, sorted trial at a time: P worker
+    delays per trial, of which the P_R-th smallest is kept."""
     p_r = plan.recovery_threshold
     collected = []
     failed = 0
@@ -451,3 +454,22 @@ def looped_latency_sweep(plan, model, trials: int) -> LatencySummary:
             continue
         collected.append(float(times[p_r - 1]))
     return LatencySummary(np.asarray(collected), trials, failed)
+
+
+def binomial_at_least(n: int, p, k: int):
+    """P[Binomial(n, p) >= k], elementwise over an array of p."""
+    p = np.asarray(p, dtype=float)[..., None]
+    j = np.arange(k, n + 1)
+    coef = np.array([math.comb(n, int(i)) for i in j], dtype=float)
+    return (coef * p**j * (1.0 - p) ** (n - j)).sum(axis=-1)
+
+
+def kth_completion_cdf(times, n_workers: int, k: int, model):
+    """P(T <= t | the trial recovers) for T the k-th of n_workers LatencyModel
+    completion times: P[Bin(P, F(t)) >= k] / P[Bin(P, 1 - q) >= k], where
+    F(t) = (1 - q)(1 - exp(-rate (t - shift))) is the chance that one worker
+    has finished by t."""
+    q = model.failure_prob
+    elapsed = np.maximum(np.asarray(times, dtype=float) - model.shift, 0.0)
+    done = (1.0 - q) * -np.expm1(-model.rate * elapsed)
+    return binomial_at_least(n_workers, done, k) / binomial_at_least(n_workers, 1.0 - q, k)

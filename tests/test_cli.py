@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 import tomllib
 from pathlib import Path
 
@@ -370,6 +371,21 @@ def test_audit_past_the_coalition_cap_exits_3(capsys, pc, count):
     assert captured.err == (
         f"error: the audit checks {count} coalitions, the cap is 100000\n"
     )
+
+
+def test_audit_of_a_huge_pool_is_refused_in_bounded_time(capsys):
+    # C(10^6, 5 * 10^5) has 301,027 digits: the cap is decided after a few
+    # terms of the product, and the count is named by its power of ten
+    start = time.perf_counter()
+    assert run_cli(
+        "audit", "--t", "1", "--s", "1", "--d", "1", "--pc", "500000", "--P", "1000000",
+        "--T", "1", "--S", "1", "--D", "1", "--modulus", "1000003",
+    ) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: the audit checks about 10^301026 coalitions, the cap is 100000\n"
+    )
+
 
 # Full stdout and exit code of the four audits that the design-audit benchmark
 # runs: secure-tall over GF(7) and secure-wide over GF(11), each with its

@@ -18,10 +18,11 @@ from sgpd import (
     read_share,
     run,
 )
-from sgpd.cluster_sim import _SWEEP_CHUNK, _latency_seed_words
 
 from conftest import (
+    binomial_at_least,
     default_rng_completion_times,
+    kth_completion_cdf,
     looped_latency_sweep,
     make_pair,
     triple_loop_product,
@@ -172,7 +173,7 @@ def test_latency_sweep_all_failures(field257):
 
 
 def test_latency_sweep_monotone_in_threshold(field257):
-    # same pool, same delays: a larger threshold can only wait longer
+    # same pool and delay law: a larger threshold waits longer on average
     small = build_plan(2, 2, 2, 0, 30, field257)   # threshold 9
     large = build_plan(3, 2, 2, 2, 30, field257)   # threshold 25
     model = LatencyModel(1.0, 1.0, 0.0, seed=8)
@@ -181,28 +182,81 @@ def test_latency_sweep_monotone_in_threshold(field257):
     assert s_large.mean > s_small.mean
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 3])
-def test_latency_seed_words_match_seed_sequence(seed):
-    # 2**64 + 3 is three entropy words, so five in all: more than the pool of 4
-    trials = list(range(301)) + [2**32 + 1, 2**64 - 1]
-    want = [
-        np.random.SeedSequence((0x1A7E, seed, trial)).generate_state(4, np.uint64)
-        for trial in trials
-    ]
-    assert np.array_equal(_latency_seed_words(seed, trials), want)
+def _ks_distance(sample, cdf) -> float:
+    """Kolmogorov-Smirnov distance between a sample and a continuous CDF."""
+    x = np.sort(sample)
+    f = cdf(x)
+    i = np.arange(1, x.size + 1)
+    return float(max((i / x.size - f).max(), (f - (i - 1) / x.size).max()))
+
+
+def _two_sample_ks_distance(a, b) -> float:
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(np.sort(a), grid, side="right") / a.size
+    fb = np.searchsorted(np.sort(b), grid, side="right") / b.size
+    return float(np.abs(fa - fb).max())
+
+
+KS_CRITICAL = 1.95  # sqrt(n) * D at the 0.1% level
+
+
+@pytest.mark.parametrize("failure_prob", [0.0, 0.2])
+@pytest.mark.parametrize("rate", [1.0, 4.0])
+def test_latency_sweep_follows_the_exact_law(field257, failure_prob, rate):
+    # the 25th of 30 completion times, against its exact CDF given recovery,
+    # and the failed trials against their binomial mean and deviation
+    plan = build_plan(3, 2, 2, 2, 30, field257)
+    model = LatencyModel(1.5, rate, failure_prob, seed=43)
+    trials = 20_000
+    summary = latency_sweep(plan, model, trials)
+    d = _ks_distance(summary.times, lambda t: kth_completion_cdf(t, 30, 25, model))
+    assert math.sqrt(summary.times.size) * d < KS_CRITICAL, d
+    fail = 1.0 - binomial_at_least(30, 1.0 - failure_prob, 25)
+    sd = math.sqrt(trials * fail * (1.0 - fail))
+    assert abs(summary.failed_trials - trials * fail) <= 4 * sd + 1e-9
 
 
 @pytest.mark.parametrize("failure_prob", [0.0, 0.2, 1.0])
 @pytest.mark.parametrize("rate", [1.0, 4.0, float("inf")])
-@pytest.mark.parametrize("trials", [1, _SWEEP_CHUNK - 1, _SWEEP_CHUNK, _SWEEP_CHUNK + 1, 300])
+@pytest.mark.parametrize("trials", [1, 31, 32, 33, 300, 2000])
 def test_latency_sweep_matches_default_rng_oracle(field257, failure_prob, rate, trials):
+    # the oracle sorts each trial's P simulated delays; the sweep draws the
+    # P_R-th one directly from another stream, so the two agree in law only.
+    # Small counts check the bookkeeping; the large ones give the KS test power
     plan = build_plan(3, 2, 2, 2, 30, field257)
     model = LatencyModel(1.5, rate, failure_prob, seed=41)
     got = latency_sweep(plan, model, trials)
     want = looped_latency_sweep(plan, model, trials)
     assert got.times.dtype == want.times.dtype
-    assert np.array_equal(got.times, want.times)
-    assert (got.trials, got.failed_trials) == (want.trials, want.failed_trials)
+    assert got.trials == want.trials == trials
+    fail = 1.0 - binomial_at_least(30, 1.0 - failure_prob, 25)
+    sd = math.sqrt(2 * trials * fail * (1.0 - fail))  # of the difference
+    assert abs(got.failed_trials - want.failed_trials) <= 4 * sd + 1e-9
+    n, m = got.times.size, want.times.size
+    if n and m:
+        d = _two_sample_ks_distance(got.times, want.times)
+        assert math.sqrt(n * m / (n + m)) * d < KS_CRITICAL, d
+    if math.isinf(rate):
+        assert np.all(got.times == 1.5) and np.all(want.times == 1.5)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 3])
+def test_latency_sweep_same_seed_same_summary(field257, seed):
+    plan = build_plan(3, 2, 2, 2, 30, field257)
+    first = latency_sweep(plan, LatencyModel(1.0, 2.0, 0.2, seed), 500)
+    again = latency_sweep(plan, LatencyModel(1.0, 2.0, 0.2, seed), 500)
+    assert np.array_equal(first.times, again.times)
+    assert first.failed_trials == again.failed_trials
+    other = latency_sweep(plan, LatencyModel(1.0, 2.0, 0.2, seed + 1), 500)
+    assert not np.array_equal(first.times, other.times)
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.5, 3.0, "3", True, None])
+def test_latency_sweep_trials_must_be_a_positive_int(field257, trials):
+    plan = build_plan(3, 2, 2, 2, 30, field257)
+    with pytest.raises(ConfigurationError, match="trials must be an int >= 1"):
+        latency_sweep(plan, LatencyModel(), trials)
+    assert latency_sweep(plan, LatencyModel(), np.int64(3)).trials == 3
 
 
 @pytest.mark.parametrize("trial", [0, 7, 2**32 + 1])
@@ -219,8 +273,9 @@ def test_latency_sweep_needs_a_latency_model(field257, model):
         latency_sweep(plan, model, trials=10)
 
 
-def test_latency_sweep_memory_stays_chunked():
-    # a full 20,000 x 300 delay table alone would be 48 MB
+def test_latency_sweep_memory_stays_small():
+    # a few arrays of one number per trial, never a 20,000 x 300 delay
+    # table (48 MB alone)
     plan = build_plan(8, 3, 8, 4, 300, PrimeField(65537))
     model = LatencyModel(1.0, 1.0, 0.02, seed=3)
     tracemalloc.start()

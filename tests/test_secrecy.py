@@ -28,7 +28,7 @@ from sgpd import (
     report_lines,
 )
 from sgpd.codec import ExponentMap
-from sgpd.secrecy_audit import _ranks
+from sgpd.secrecy_audit import _check_coalition_count, _ranks
 
 from conftest import (
     block,
@@ -84,6 +84,24 @@ def test_budget_refusal():
     with pytest.raises(BudgetExceeded) as info:
         audit_all_subsets(inst)
     assert (info.value.coalitions, info.value.cap) == (499500, MAX_COALITIONS)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(447, 2), (448, 2), (10**5, 1), (10**5 + 1, 10**5), (1000, 40), (60, 30)]
+)
+def test_coalition_cap_is_decided_exactly(n, k):
+    # C(447, 2) = 99,681 is under the cap and C(448, 2) = 100,128 over it;
+    # past 30 digits the refusal names the count's power of ten
+    count = comb(n, k)
+    if count <= MAX_COALITIONS:
+        _check_coalition_count(n, k)
+        return
+    with pytest.raises(BudgetExceeded) as info:
+        _check_coalition_count(n, k)
+    if count < 10**30:
+        assert (info.value.coalitions, info.value.exponent) == (count, None)
+    else:
+        assert (info.value.coalitions, info.value.exponent) == (None, len(str(count)) - 1)
 
 
 def test_negative_control_charged_like_the_real_audit():
