@@ -182,16 +182,26 @@ def naive_secure_threshold(t: int, s: int, d: int, p_c: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def pool_points(n_workers: int, field: PrimeField) -> range:
+    """The one point rule, read by plans, shares, decoding and the secrecy audit:
+    worker w (1-based) evaluates at ``pool_points(P, field)[w - 1]``, today at w,
+    so a field serves P >= 1 workers when p > P.  A range, never an array of P."""
+    if n_workers < 1:
+        raise ConfigurationError(f"need at least one worker, got {n_workers}")
+    if field.p <= n_workers:
+        raise ConfigurationError(
+            f"modulus {field.p} cannot supply {n_workers} distinct nonzero points"
+        )
+    return range(1, n_workers + 1)
+
+
 @dataclass(frozen=True)
 class EncodingPlan(CodeGeometry):
     """A code geometry bound to a field and a pool of evaluation points."""
 
     field: PrimeField
     n_workers: int
-    evaluation_points: np.ndarray  # worker w (1-based) evaluates at [w - 1]
-
-    def __post_init__(self):
-        self.evaluation_points.setflags(write=False)
+    evaluation_points: range  # pool_points: worker w (1-based) evaluates at [w - 1]
 
 
 def build_plan(
@@ -204,13 +214,12 @@ def build_plan(
 ) -> EncodingPlan:
     """Validate parameters and assemble the full code description.
 
-    The recovery threshold comes from the exponent maps over live blocks.
-    Worker w evaluates at w, as the secrecy audit assumes.
+    The recovery threshold comes from the exponent maps over live blocks,
+    the points from ``pool_points``.
     """
     geometry = code_geometry(t, s, d, p_c)
     p_r = geometry.recovery_threshold
-    if n_workers < 1:
-        raise ConfigurationError(f"need at least one worker, got {n_workers}")
+    points = pool_points(n_workers, field)
     if p_c >= n_workers and p_c > 0:
         raise ConfigurationError(
             f"collusion level {p_c} must be below the pool size {n_workers}: "
@@ -225,17 +234,12 @@ def build_plan(
             f"recovery threshold {p_r} is below 2*P_C={2 * p_c}; the secrecy "
             "argument needs at least that many product coefficients"
         )
-    if field.p <= n_workers:
-        raise ConfigurationError(
-            f"modulus {field.p} cannot supply {n_workers} distinct nonzero points"
-        )
     # x**(p-1) = 1 for every point, so exponents equal mod p - 1 give equal columns of V
     if np.unique(geometry.support % (field.p - 1)).size < p_r:
         raise ConfigurationError(
             f"the support spans exponents equal mod {field.p - 1}: no responder "
             f"set could decode over GF({field.p})"
         )
-    points = np.arange(1, n_workers + 1, dtype=np.int64)
     return EncodingPlan(
         t, s, d, p_c, geometry.layout, geometry.exponent_map, field, n_workers, points
     )
@@ -298,16 +302,9 @@ def encode(plan: EncodingPlan, pair: AugmentedPair) -> list:
     v_b = plan.field.power_table(plan.evaluation_points, emap.b_exponents[lay.b_live])
     shares_a = plan.field.matmul(v_a, a_rows)
     shares_b = plan.field.matmul(v_b, b_rows)
-    ab = pair.a_star.block_shape
-    bb = pair.b_star.block_shape
+    ab, bb = pair.a_star.block_shape, pair.b_star.block_shape
     return [
-        CodedShare(
-            w + 1,
-            int(z),
-            shares_a[w].reshape(ab),
-            shares_b[w].reshape(bb),
-            plan.field,
-        )
+        CodedShare(w + 1, z, shares_a[w].reshape(ab), shares_b[w].reshape(bb), plan.field)
         for w, z in enumerate(plan.evaluation_points)
     ]
 
@@ -450,9 +447,9 @@ class LoadReport:
 
 
 def communication_load(plan: EncodingPlan, big_t: int, big_d: int) -> LoadReport:
-    if big_t % plan.t or big_d % plan.d:
+    if big_t < 1 or big_d < 1 or big_t % plan.t or big_d % plan.d:
         raise ConfigurationError(
-            f"output shape {big_t}x{big_d} is not divisible by the grid "
+            f"output shape {big_t}x{big_d} is not a positive multiple of the grid "
             f"{plan.t}x{plan.d}"
         )
     return LoadReport(plan.recovery_threshold * (big_t // plan.t) * (big_d // plan.d))

@@ -28,14 +28,14 @@ The tests keep that entry-level map as an oracle.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb, floor, lgamma, log
 
 import numpy as np
 
-from .codec import CodeGeometry, code_geometry
+from . import codec
 from .errors import BudgetExceeded, ConfigurationError
 from .field import PrimeField
 
@@ -48,8 +48,8 @@ class AuditInstance:
 
     The worker pool may be smaller than the recovery threshold: secrecy is a
     property of the shares alone, so the auditor never builds a full plan and
-    can characterize codes that no feasible pool could decode.  Worker w
-    evaluates at w, as in a default plan.
+    can characterize codes that no feasible pool could decode.  Its points
+    are a plan's, by ``codec.pool_points``.
     """
 
     t: int
@@ -62,10 +62,8 @@ class AuditInstance:
     big_s: int
     big_d: int
     negative_control: bool = False
-    geometry: CodeGeometry = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "geometry", code_geometry(self.t, self.s, self.d, self.p_c))
         if self.p_c < 1:
             raise ConfigurationError(
                 "secrecy audits need a collusion level of at least 1; "
@@ -75,16 +73,20 @@ class AuditInstance:
             raise ConfigurationError(
                 f"collusion level {self.p_c} exceeds the pool size {self.n_workers}"
             )
-        if self.field.p <= self.n_workers:
-            raise ConfigurationError(
-                f"modulus {self.field.p} cannot supply {self.n_workers} distinct nonzero points"
-            )
+        codec.pool_points(self.n_workers, self.field)  # refuses a pool the field cannot serve
         bigs, parts = (self.big_t, self.big_s, self.big_d), (self.t, self.s, self.d)
         for name, big, part in zip("TSD", bigs, parts):
+            if part < 1:
+                raise ConfigurationError(f"{name.lower()} must be >= 1, got {part}")
             if big < 1 or big % part:
                 raise ConfigurationError(
                     f"{name}={big} is not a positive multiple of {name.lower()}={part}"
                 )
+
+    @cached_property
+    def geometry(self) -> codec.CodeGeometry:
+        """Grows with P_C, so ``audit_all_subsets`` builds it after the cap."""
+        return codec.code_geometry(self.t, self.s, self.d, self.p_c)
 
     def entry_sizes(self) -> tuple[int, int, int]:
         """(entries per A block, entries per B block, data entries of A and B)."""
@@ -125,27 +127,27 @@ class AuditVerdict:
 
 
 def _ranks(instance: AuditInstance, subset) -> tuple[int, int]:
-    """(rank[M_r], rank[M_r | M_d]) of the coalition's view.  Per side, V_d
-    and V_r are the encoder's power tables over the colluders' points and the
-    exponents of the data corner and of the live random blocks (none under
-    the negative control); each entry-level rank is one block's entries times
-    the block-level one."""
+    """(rank[M_r], rank[M_r | M_d]) of the coalition's view.  Per side, one
+    power table over the colluders' pool points and the live blocks' exponents,
+    the map ``encode`` builds, splits into the data corner, V_d, and the live
+    random blocks, V_r (none under the negative control).  Each entry-level
+    rank is one block's entries times the block-level one."""
     geo, field = instance.geometry, instance.field
     emap, lay = geo.exponent_map, geo.layout
-    points = np.array(subset, dtype=np.int64)
+    pool = codec.pool_points(instance.n_workers, field)
+    points = np.array([pool[w - 1] for w in subset], dtype=np.int64)
     ea, eb, _ = instance.entry_sizes()
     rank_r = rank = 0
     for exps, live, rows, cols, entries in (
         (emap.a_exponents, lay.a_live, geo.t, geo.s, ea),
         (emap.b_exponents, lay.b_live, geo.s, geo.d, eb),
     ):
-        corner = np.zeros(live.shape, bool)
-        corner[:rows, :cols] = True
-        random = live & ~corner & (not instance.negative_control)
-        v_d = field.power_table(points, exps[corner])
-        v_r = field.power_table(points, exps[random])
+        table = field.power_table(points, exps[live])
+        i, j = np.nonzero(live)  # row-major, as exps[live]
+        data = (i < rows) & (j < cols)  # the data corner, always live
+        v_r = table[:, ~data & (not instance.negative_control)]
         rank_r += entries * field.rank(v_r)
-        rank += entries * field.rank(np.hstack([v_r, v_d]))
+        rank += entries * field.rank(np.hstack([v_r, table[:, data]]))
     return rank_r, rank
 
 

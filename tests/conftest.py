@@ -40,6 +40,7 @@ from sgpd import (
     PrimeField,
     SubsetVerdict,
     augment,
+    codec,
     partition,
 )
 
@@ -227,10 +228,12 @@ def observation_matrix(instance: AuditInstance, subset) -> np.ndarray:
 
     Variable order: A data entries, B data entries, then live random entries
     (A side, B side).  Each worker's rows are its a-share entries, then its
-    b-share entries, as ``encode`` forms them."""
+    b-share entries, as ``encode`` forms them, at the point the pool's rule
+    gives its worker id."""
     geo = instance.geometry
     emap, lay = geo.exponent_map, geo.layout
-    points = np.array(sorted(subset), dtype=np.int64)
+    pool = codec.pool_points(instance.n_workers, instance.field)
+    points = np.array([pool[w - 1] for w in sorted(subset)], dtype=np.int64)
     ea, eb, _ = instance.entry_sizes()
     m_a = _side_map(instance, points, emap.a_exponents, lay.a_live, geo.t, geo.s, ea)
     m_b = _side_map(instance, points, emap.b_exponents, lay.b_live, geo.s, geo.d, eb)

@@ -2,14 +2,14 @@
 
 Run with ``pytest -v tests/test_acceptance.py``; the verbose listing shows a
 single PASSED/FAILED line per criterion.  Criterion 2 additionally writes
-``reports/threshold_discrepancies.txt`` documenting closed-form variants that
-deliberately do not match the implemented construction.
+``threshold_discrepancies.txt`` into its pytest temporary directory,
+documenting closed-form variants that deliberately do not match the
+implemented construction.
 """
 
 import itertools
 from fractions import Fraction
 from math import sqrt
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,8 +38,6 @@ from conftest import (
     triple_loop_product,
     verdict_fields,
 )
-
-REPORTS = Path(__file__).resolve().parents[1] / "reports"
 
 
 def test_criterion_1_end_to_end_exactness():
@@ -71,7 +69,7 @@ def test_criterion_1_end_to_end_exactness():
     assert seen_p_c == {0, 1, 2, 3}
 
 
-def test_criterion_2_threshold_closed_forms():
+def test_criterion_2_threshold_closed_forms(tmp_path):
     """Construction-derived thresholds equal the closed forms on the grid.
 
     Asserted exactly: every s<t case (both branches of the closed form) and
@@ -79,9 +77,8 @@ def test_criterion_2_threshold_closed_forms():
     random band (p_c=0, or a single-row/column output grid).  Remaining wide
     cases use a two-band construction whose threshold intentionally differs
     from the single-band closed form; those values, plus the recorded
-    closed-form variants, go to reports/threshold_discrepancies.txt.
+    closed-form variants, go to threshold_discrepancies.txt under tmp_path.
     """
-    REPORTS.mkdir(exist_ok=True)
     asserted = 0
     branch_zero = branch_pos = 0
     lines = [
@@ -154,9 +151,9 @@ def test_criterion_2_threshold_closed_forms():
                 )
     assert branch_zero > 0 and branch_pos > 0  # both s<t branches exercised
     assert asserted > 600
-    artifact = REPORTS / "threshold_discrepancies.txt"
+    artifact = tmp_path / "threshold_discrepancies.txt"
     artifact.write_text("\n".join(lines) + "\n")
-    assert any(ln.startswith("kind=two_band_wide") for ln in lines)
+    assert any(ln.startswith("kind=two_band_wide") for ln in artifact.read_text().splitlines())
 
 
 def test_criterion_3_subset_independence(field257):

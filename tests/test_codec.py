@@ -495,7 +495,7 @@ def test_build_plan_needs_enough_points(field5):
     # default points are 1..P and must be distinct nonzero mod p
     with pytest.raises(ConfigurationError):
         build_plan(2, 1, 1, 0, 5, field5)
-    assert build_plan(2, 1, 1, 0, 4, field5).evaluation_points.tolist() == [1, 2, 3, 4]
+    assert list(build_plan(2, 1, 1, 0, 4, field5).evaluation_points) == [1, 2, 3, 4]
 
 
 def test_plan_star_dimensions(field257):
@@ -749,6 +749,14 @@ def test_communication_load(field257):
     assert report.elements == 25 * 6
     with pytest.raises(ConfigurationError):
         communication_load(plan, 7, 6)
+
+
+@pytest.mark.parametrize("big_t,big_d", [(-4, 4), (0, 4), (4, -2), (4, 0)])
+def test_communication_load_refuses_empty_or_negative_outputs(field257, big_t, big_d):
+    # -4 and 0 are multiples of t = 2, yet they would read -60 and 0 elements
+    plan = build_plan(2, 2, 2, 1, 20, field257)
+    with pytest.raises(ConfigurationError, match="positive multiple"):
+        communication_load(plan, big_t, big_d)
 
 
 # ---------------------------------------------------------------------------

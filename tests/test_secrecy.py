@@ -9,6 +9,7 @@ about the instance, not a sample; the brute-force enumeration in
 
 import dataclasses
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -24,8 +25,11 @@ from sgpd import (
     audit_all_subsets,
     build_plan,
     code_geometry,
+    codec,
+    decode,
     encode,
     report_lines,
+    worker_compute,
 )
 from sgpd.codec import ExponentMap
 from sgpd.secrecy_audit import _check_coalition_count, _ranks
@@ -36,6 +40,7 @@ from conftest import (
     gpd_b_map,
     make_pair,
     observation_matrix,
+    triple_loop_product,
     verdict_fields,
 )
 
@@ -111,6 +116,24 @@ def test_negative_control_charged_like_the_real_audit():
     with pytest.raises(BudgetExceeded) as info:
         audit_all_subsets(control)
     assert (info.value.coalitions, info.value.cap) == (499500, MAX_COALITIONS)
+
+
+@pytest.mark.parametrize(
+    "p_c,workers,p", [(5 * 10**5, 10**6, 1000003), (2, 10**7, 10000019)]
+)
+def test_cap_refusal_allocates_nothing_of_pool_size(p_c, workers, p):
+    # the geometry grows with P_C and a point array with P: neither is built
+    # before the cap refuses (the first case's geometry alone is about 16 MB)
+    field = PrimeField(p)
+    tracemalloc.start()
+    try:
+        inst = AuditInstance(1, 1, 1, p_c, workers, field, 1, 1, 1)
+        with pytest.raises(BudgetExceeded):
+            audit_all_subsets(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_instance_validation():
@@ -324,3 +347,32 @@ def test_above_the_bound_the_gpd_placement_keeps_small_fields_secure():
     for subset in coalitions:
         rank, full_rank = _ranks(inst, subset)
         assert rank < full_rank, subset
+
+
+def test_plan_shares_decode_and_audit_read_one_point_rule(monkeypatch):
+    # (2,2,2,2) over GF(257) with 19 workers leaks where two points share a
+    # 4th power on B: 1 and 16, 15 and 17.  Moving every worker w to the
+    # point w + 1 in the one rule moves the plan, its shares, its decode and
+    # the audit together, so only workers 14 and 16 (points 15, 17) leak
+    field = PrimeField(257)
+    inst = AuditInstance(2, 2, 2, 2, 19, field, 2, 2, 2)
+    leaks = [v.subset for v in audit_all_subsets(inst).subsets if not v.secure]
+    assert leaks == [(1, 16), (15, 17)]
+    monkeypatch.setattr(codec, "pool_points", lambda n_workers, field: range(2, n_workers + 2))
+    inst = AuditInstance(2, 2, 2, 2, 19, field, 2, 2, 2)
+    leaks = [v.subset for v in audit_all_subsets(inst).subsets if not v.secure]
+    assert leaks == [(14, 16)]
+    n_data, coalitions = inst.entry_sizes()[2], 0
+    for subset in itertools.combinations(range(1, 20), 2):
+        matrix = observation_matrix(inst, subset)
+        expected = (field.rank(matrix[:, n_data:]), field.rank(matrix))
+        assert _ranks(inst, subset) == expected, subset
+        coalitions += 1
+    assert coalitions == 171
+    plan = build_plan(2, 2, 2, 2, 19, field)
+    assert list(plan.evaluation_points) == list(range(2, 21))
+    a, b, pair = make_pair(2, 2, 2, 2, field, np.random.default_rng(16), bt=2, bs=2, bd=2)
+    shares = encode(plan, pair)
+    assert [sh.point for sh in shares] == [sh.worker_id + 1 for sh in shares]
+    product = decode(plan, [worker_compute(sh) for sh in shares])
+    assert np.array_equal(product.data, triple_loop_product(a, b, field.p))
