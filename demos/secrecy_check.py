@@ -8,7 +8,8 @@ level, on the encoder's power tables over the coalition's points, and scales
 them by the entries of one block; each subset line reports them as
 ``rank_random`` and ``rank_view``.  The verdict covers every assignment of
 the data and randomness, yet costs one rank pair per coalition, so the audit
-is capped by the number of coalitions alone.  Zeroing the randomness (the
+is capped by the coalitions times the entries of one rank pair, not by the
+assignments.  Zeroing the randomness (the
 negative control) drops ``rank_random`` to 0 and must break this.
 """
 

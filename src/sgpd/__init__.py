@@ -9,8 +9,9 @@ about the inputs.
 
 Modules:
     field          exact arithmetic in GF(p)
-    blocks         block partitioning and the random-padding layouts
-    codec          exponent maps, encoding plans, encode/decode, thresholds
+    blocks         block matrices and their text files
+    codec          layouts, exponent maps, augmentation, encode/decode,
+                   exponent audit
     cluster_sim    straggler models and end-to-end simulated runs
     secrecy_audit  exhaustive information-theoretic leakage check
     cli            command-line front end
@@ -26,17 +27,10 @@ from .errors import (
     WrongCaseError,
 )
 from .field import PrimeField, is_prime
-from .blocks import (
+from .blocks import BlockMatrix, partition, read_matrix, write_matrix
+from .codec import (
     AugmentationLayout,
     AugmentedPair,
-    BlockMatrix,
-    augment,
-    augmentation_layout,
-    partition,
-    read_matrix,
-    write_matrix,
-)
-from .codec import (
     CodeGeometry,
     CodedShare,
     EncodingPlan,
@@ -44,6 +38,7 @@ from .codec import (
     ExponentMap,
     LoadReport,
     WorkerResult,
+    augment,
     build_plan,
     code_geometry,
     communication_load,
@@ -51,7 +46,6 @@ from .codec import (
     encode,
     exponent_audit,
     naive_secure_threshold,
-    read_share,
     worker_compute,
     write_share,
 )
@@ -65,7 +59,7 @@ from .cluster_sim import (
     run,
 )
 from .secrecy_audit import (
-    MAX_COALITIONS,
+    MAX_AUDIT_SIZE,
     AuditInstance,
     AuditVerdict,
     SubsetVerdict,
@@ -91,7 +85,7 @@ __all__ = [
     "LatencyModel",
     "LatencySummary",
     "LoadReport",
-    "MAX_COALITIONS",
+    "MAX_AUDIT_SIZE",
     "NotEnoughResults",
     "PrimeField",
     "RandomSubset",
@@ -103,7 +97,6 @@ __all__ = [
     "WrongCaseError",
     "audit_all_subsets",
     "augment",
-    "augmentation_layout",
     "build_plan",
     "code_geometry",
     "communication_load",
@@ -115,7 +108,6 @@ __all__ = [
     "naive_secure_threshold",
     "partition",
     "read_matrix",
-    "read_share",
     "report_lines",
     "run",
     "worker_compute",

@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import augment, partition, read_matrix, write_matrix
+from .blocks import partition, read_matrix, write_matrix
 from .cluster_sim import FixedSet, LatencyModel, RandomSubset, run
-from .codec import build_plan, code_geometry, naive_secure_threshold
+from .codec import augment, build_plan, code_geometry, naive_secure_threshold
 from .errors import BudgetExceeded, ConfigurationError, SgpdError
 from .field import PrimeField
 from .secrecy_audit import AuditInstance, audit_all_subsets, report_lines

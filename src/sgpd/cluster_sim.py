@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import AugmentedPair, BlockMatrix
-from .codec import EncodingPlan, decode, encode, worker_compute, write_share
+from .blocks import BlockMatrix
+from .codec import AugmentedPair, EncodingPlan, decode, encode, worker_compute, write_share
 from .errors import ConfigurationError, SingularSystemError
 
 

@@ -1,34 +1,13 @@
-"""Share encoding and decoding for coded distributed matrix multiplication.
+"""Secure generalized PolyDot codes: augmentation, encoding and decoding.
 
-Each worker receives one evaluation of two block-coefficient polynomials,
-F(z) built from A* and G(z) built from B*, and returns the product
-F(z_p)G(z_p).  The exponent maps are chosen so that every output block
-C_{i,l} of C = AB appears as one clean coefficient of F(z)G(z): solve for
-the product polynomial's coefficients from any recovery_threshold
-evaluations, read the extraction exponents, done.
-
-Exponent layout per case (0-based indices throughout):
-
-* non-secure: a(i,j) = s*i + j, b(k,l) = (s-1-k) + t*s*l.  Within an output
-  column band the b offsets run in reverse so that block pairs with matching
-  inner index j = k stack on one exponent.
-* secure-tall (s < t): same a map over t* = t + ceil(P_C/s) block rows; the b
-  map keeps the data bands with stride t*s and parks the appended random
-  columns above every extraction exponent, at t*sd + s(l-d+1) - k - 1.
-* secure-wide (s >= t): with w appended columns/rows the maps are the
-  non-secure ones with s_w = s + w substituted.  When min(t, d) == 1 the b
-  random rows ascend within each band, b(k>=s, l) = t*s_w*l + k, and the
-  extraction stays at the data alignment s_w*i + s - 1 + t*s_w*l; together
-  with the live strips chosen in the augmentation layout this keeps every
-  random product off the extraction exponents.  When min(t, d) >= 2 the maps
-  and extractions are plain GPD over the widened grid; A*B* = AB exactly
-  because each side's random band faces a zero band on the other side.
-  When also P_C <= d, B's P_C live random blocks take the exponents s_w,
-  2 s_w, ..., P_C s_w instead, which leaves gaps in the product's support and
-  so lowers the threshold.  Above that bound the GPD exponents stay: there
-  the sparse placement leaks B over small fields (two points with equal
-  s_w-th powers give two colluders the same randomness on B) where the GPD
-  placement does not.
+Before encoding, the confidential inputs are augmented with uniformly random
+blocks so that any P_C colluding workers learn nothing.  Each worker then
+receives one evaluation of two block-coefficient polynomials, F(z) built
+from A* and G(z) built from B*, and returns the product F(z_p)G(z_p).  The
+exponent maps are chosen so that every output block C_{i,l} of C = AB
+appears as one clean coefficient of F(z)G(z): solve for the product
+polynomial's coefficients from any recovery_threshold evaluations, read the
+extraction exponents, done.
 
 recovery_threshold is always derived from the construction: the number of
 distinct exponents in the live sumset {a + b} over live (non-masked) blocks,
@@ -48,37 +27,54 @@ from math import ceil
 
 import numpy as np
 
-from .blocks import (
-    AugmentationLayout,
-    AugmentedPair,
-    BlockMatrix,
-    augmentation_layout,
-    read_text_file,
-    write_text_file,
-)
+from .blocks import BlockMatrix, write_text_file
 from .errors import (
     ConfigurationError,
     FieldMismatchError,
     NotEnoughResults,
     WrongCaseError,
 )
-from .field import PrimeField
+from .field import PrimeField, int64_array
 
 _CASE_LABELS = {"gpd": "non-secure", "tall": "secure-tall", "wide": "secure-wide"}
 
 
 # ---------------------------------------------------------------------------
-# exponent maps
+# code geometry: live masks and exponent maps
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class AugmentationLayout:
+    """Which blocks of A* and B* are live for a given (t, s, d, P_C).
+
+    ``a_live`` covers A*'s whole block grid (t* x s_w) and ``b_live`` B*'s
+    (s_w x d*); False marks a structurally zero block.  Data blocks sit in
+    the top-left t x s and s x d corners and are always live, and exactly
+    P_C appended blocks per side stay random.
+    """
+
+    case: str  # "gpd" | "tall" | "wide"
+    t: int
+    s: int
+    d: int
+    p_c: int
+    delta: int  # tall: appended block rows of A / columns of B
+    width: int  # wide: appended block columns of A / rows of B
+    a_live: np.ndarray
+    b_live: np.ndarray
+
+    def __post_init__(self):
+        self.a_live.setflags(write=False)
+        self.b_live.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class ExponentMap:
     """One monomial exponent per block of A* and of B*, plus the read-out spots.
 
-    Which blocks are live is the layout's business: structurally zero blocks
-    carry an exponent here, but nothing reads it, and it need not be distinct
-    from the live ones.
+    Structurally zero blocks carry an exponent here, but nothing reads it,
+    and it need not be distinct from the live ones.
     """
 
     a_exponents: np.ndarray
@@ -88,34 +84,6 @@ class ExponentMap:
     def __post_init__(self):
         for arr in (self.a_exponents, self.b_exponents, self.extraction):
             arr.setflags(write=False)
-
-
-def _exponent_maps(layout: AugmentationLayout) -> ExponentMap:
-    """Plain GPD exponents over the augmented grid, then the per-case changes."""
-    t, s, d = layout.t, layout.s, layout.d
-    rows, width = layout.a_live.shape  # t* and s_w
-    band = rows * width * np.arange(layout.b_live.shape[1])[None, :]
-    k = np.arange(width)[:, None]
-    a = width * np.arange(rows)[:, None] + np.arange(width)[None, :]
-    b = (width - 1 - k) + band
-    ext = width * (np.arange(t) + 1)[:, None] - 1 + band[:, :d]
-    if layout.case == "tall":
-        # appended columns are parked above every extraction exponent
-        b[:, d:] = (width - 1 - k) + rows * width * d + width * np.arange(layout.delta)
-    elif layout.case == "wide" and min(t, d) == 1:
-        # random rows ascend within each band; read-out at the data alignment
-        b[:s, :] = (s - 1 - k[:s]) + band
-        b[s:, :] = k[s:] + band
-        ext = width * np.arange(t)[:, None] + (s - 1) + band
-    elif layout.case == "wide" and layout.p_c <= d:
-        # B's live random blocks move to the multiples of s_w.  The GPD ones
-        # sit at c + t*s_w*l, so a coalition's random map on B goes from a
-        # Vandermonde matrix in x**(t*s_w) to one in x**s_w: invertible
-        # wherever it was, whatever p and the points
-        random = layout.b_live.copy()
-        random[:s] = False
-        b[random] = width * np.arange(1, layout.p_c + 1)
-    return ExponentMap(a, b, ext)
 
 
 @dataclass(frozen=True)
@@ -159,9 +127,145 @@ class CodeGeometry:
         return Fraction(self.recovery_threshold, self.t * self.d)
 
 
+def _first_live(n: int, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols band whose first n blocks in row-major order are live."""
+    return (np.arange(rows * cols) < n).reshape(rows, cols)
+
+
+def _gpd_maps(a_live: np.ndarray, b_live: np.ndarray, t: int, d: int):
+    """Plain GPD exponents over the grids of the masks, where A* has t* x s_w
+    blocks: a(i, j) = s_w i + j and b(k, l) = (s_w - 1 - k) + t* s_w l.
+    Within an output column band the b offsets run in reverse, so block pairs
+    with matching inner index j = k stack on one exponent, and C_{i,l} is
+    read at s_w (i + 1) - 1 + t* s_w l."""
+    rows, width = a_live.shape
+    band = rows * width * np.arange(b_live.shape[1])
+    k = np.arange(width)[:, None]
+    a = width * np.arange(rows)[:, None] + np.arange(width)
+    ext = width * np.arange(1, t + 1)[:, None] - 1 + band[:d]
+    return a, (width - 1 - k) + band, ext
+
+
 def code_geometry(t: int, s: int, d: int, p_c: int) -> CodeGeometry:
-    layout = augmentation_layout(t, s, d, p_c)
-    return CodeGeometry(t, s, d, p_c, layout, _exponent_maps(layout))
+    """The live masks and exponent maps of (t, s, d, P_C), written together
+    regime by regime (0-based indices): where the random blocks go and which
+    exponents they carry are one design, each keeping random products off
+    the extraction coefficients."""
+    for name, v in (("t", t), ("s", s), ("d", d)):
+        if v < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {v}")
+    if p_c < 0:
+        raise ConfigurationError(f"collusion tolerance must be >= 0, got {p_c}")
+    delta = width = 0
+    if p_c == 0:  # non-secure: nothing appended, plain GPD
+        case, a_live, b_live = "gpd", np.ones((t, s), bool), np.ones((s, d), bool)
+        a, b, ext = _gpd_maps(a_live, b_live, t, d)
+    elif s < t:
+        # secure-tall: delta = ceil(P_C/s) random block rows under A, so A* has
+        # t* = t + delta block rows, and as many random block columns right of
+        # B.  When s does not divide P_C the surplus is zeroed from the highest
+        # exponent down: the rightmost blocks of A's last appended row, the
+        # topmost of B's last column.  B's data bands keep the stride t* s, and
+        # its appended columns are parked above every extraction exponent, at
+        # t* s d + s(l-d+1) - k - 1.
+        case, delta = "tall", ceil(p_c / s)
+        a_live, b_live = np.ones((t + delta, s), bool), np.ones((s, d + delta), bool)
+        a_live[t:, :] = _first_live(p_c, delta, s)
+        b_live[:, d:] = _first_live(p_c, delta, s).T[::-1]
+        a, b, ext = _gpd_maps(a_live, b_live, t, d)
+        b[:, d:] = (s - 1 - np.arange(s)[:, None]) + (t + delta) * s * d + s * np.arange(delta)
+    elif min(t, d) == 1:
+        # secure-wide, one band: P_C random columns right of A and rows under
+        # B, s_w = s + P_C, live only in A's last block row and B's last block
+        # column.  A keeps the GPD map; B's data rows keep the offsets s-1-k of
+        # GPD over s, its random rows ascend, b(k >= s, l) = t s_w l + k, and C
+        # is read at the data alignment s_w i + s-1 + t s_w l: the live random
+        # strips' products land past every data exponent they could meet
+        case, width = "wide", p_c
+        a_live, b_live = np.ones((t, s + width), bool), np.ones((s + width, d), bool)
+        a_live[: t - 1, s:] = b_live[s:, : d - 1] = False
+        a = _gpd_maps(a_live, b_live, t, d)[0]
+        k, band = np.arange(s + width)[:, None], t * (s + width) * np.arange(d)
+        b = np.where(k < s, s - 1 - k, k) + band
+        ext = (s + width) * np.arange(t)[:, None] + (s - 1) + band
+    else:
+        # secure-wide, two bands (min(t, d) >= 2): plain GPD over s_w = s +
+        # ceil(P_C/t) + ceil(P_C/d).  A is random in its first ceil(P_C/t)
+        # appended columns and B in its last ceil(P_C/d) appended rows, each
+        # side zero where the other is random, so A*B* = AB exactly.  Surplus
+        # dies highest exponent first: A's last appended blocks in row-major
+        # order, the top rows of B's band.  When also P_C <= d, B's P_C live
+        # random blocks take the exponents s_w, 2 s_w, ..., P_C s_w: a
+        # coalition's random map on B goes from a Vandermonde matrix in
+        # x**(t*s_w) to one in x**s_w, invertible wherever it was, and the
+        # gaps this leaves in the support lower the threshold.  Above that
+        # bound the GPD exponents stay: there the sparse placement leaks B
+        # over small fields (two points with equal s_w-th powers give two
+        # colluders the same randomness on B) where the GPD placement does not
+        delta_a, delta_b = ceil(p_c / t), ceil(p_c / d)
+        case, width = "wide", delta_a + delta_b
+        a_live, b_live = np.ones((t, s + width), bool), np.ones((s + width, d), bool)
+        a_live[:, s:], b_live[s:, :] = False, False
+        a_live[:, s : s + delta_a] = _first_live(p_c, t, delta_a)
+        b_live[s + delta_a :, :] = _first_live(p_c, d, delta_b).T[::-1]
+        a, b, ext = _gpd_maps(a_live, b_live, t, d)
+        if p_c <= d:
+            b[s:][b_live[s:]] = (s + width) * np.arange(1, p_c + 1)
+    layout = AugmentationLayout(case, t, s, d, p_c, delta, width, a_live, b_live)
+    return CodeGeometry(t, s, d, p_c, layout, ExponentMap(a, b, ext))
+
+
+# ---------------------------------------------------------------------------
+# augmentation
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AugmentedPair:
+    """The encoder's inputs: A and B with their random padding attached."""
+
+    layout: AugmentationLayout
+    a_star: BlockMatrix
+    b_star: BlockMatrix
+
+    @property
+    def original_a(self) -> np.ndarray:
+        br, bc = self.a_star.block_shape
+        return self.a_star.data[: self.layout.t * br, : self.layout.s * bc]
+
+    @property
+    def original_b(self) -> np.ndarray:
+        br, bc = self.b_star.block_shape
+        return self.b_star.data[: self.layout.s * br, : self.layout.d * bc]
+
+
+def _pad(m: BlockMatrix, live: np.ndarray, rng: np.random.Generator) -> BlockMatrix:
+    """Zero-extend m to the grid of ``live``, fill the appended strip with
+    uniform randomness, then zero every block that is not live."""
+    br, bc = m.block_shape
+    rows, cols = m.shape
+    out = np.zeros((live.shape[0] * br, live.shape[1] * bc), dtype=np.int64)
+    out[:rows, :cols] = m.data
+    strip = out[rows:, :] if out.shape[0] > rows else out[:, cols:]
+    strip[...] = m.field.random_array(strip.shape, rng)
+    out.reshape(live.shape[0], br, live.shape[1], bc).swapaxes(1, 2)[~live] = 0
+    return BlockMatrix(out, live.shape, m.field)
+
+
+def augment(
+    a: BlockMatrix, b: BlockMatrix, p_c: int, rng: np.random.Generator
+) -> AugmentedPair:
+    """Pad A and B to the live masks of ``code_geometry(t, s, d, P_C)``,
+    drawing A's strip first.  With P_C = 0 nothing is drawn."""
+    if a.field != b.field:
+        raise FieldMismatchError("A and B must share one field")
+    (t, s), (s2, d) = a.grid, b.grid
+    if s != s2 or a.shape[1] != b.shape[0]:
+        raise ConfigurationError(
+            f"inner partitions do not agree: A {a.shape}/{a.grid}, B {b.shape}/{b.grid}"
+        )
+    layout = code_geometry(t, s, d, p_c).layout
+    return AugmentedPair(layout, _pad(a, layout.a_live, rng), _pad(b, layout.b_live, rng))
 
 
 def naive_secure_threshold(t: int, s: int, d: int, p_c: int) -> int:
@@ -359,7 +463,7 @@ def decode(plan: EncodingPlan, results) -> BlockMatrix:
     picks = np.zeros((p_r, t * d), dtype=np.int64)  # unit columns at the extraction rows
     picks[np.searchsorted(plan.support, ext.ravel()), np.arange(t * d)] = 1
     weights = plan.field.solve(vandermonde.T, picks).T
-    values = np.stack([np.asarray(r.product, dtype=np.int64).reshape(-1) for r in chosen])
+    values = np.stack([int64_array(r.product).reshape(-1) for r in chosen])
     br, bc = chosen[0].product.shape
     coeffs = plan.field.matmul(weights, values)
     out = coeffs.reshape(t, d, br, bc).transpose(0, 2, 1, 3).reshape(t * br, d * bc)
@@ -466,7 +570,3 @@ def write_share(path, share: CodedShare) -> None:
     header = (share.worker_id, share.point, *share.a_share.shape, *share.b_share.shape)
     write_text_file(path, header, [share.a_share, share.b_share], share.field.p)
 
-
-def read_share(path, field: PrimeField) -> CodedShare:
-    header, (a, b) = read_text_file(path, 6, slice(2, 6), field.p)
-    return CodedShare(header[0], header[1], a, b, field)

@@ -33,15 +33,20 @@ class SingularSystemError(SgpdError):
 
 
 class BudgetExceeded(SgpdError):
-    """A secrecy audit would check more coalitions than its cap allows.
+    """A secrecy audit's coalitions would rank more entries than its cap allows.
 
+    The cap charges each coalition ``size``, the entries of its rank pair.
     ``coalitions`` is the exact count up to about 30 digits.  Past that it is
     None, and ``exponent``, floor(log10) of the count, names it in the
     message as "about 10^exponent"."""
 
-    def __init__(self, coalitions: int | None, cap: int, exponent: int | None = None):
+    def __init__(self, coalitions: int | None, size: int, cap: int, exponent: int | None = None):
         self.coalitions = coalitions
+        self.size = size
         self.cap = cap
         self.exponent = exponent
         count = f"about 10^{exponent}" if coalitions is None else coalitions
-        super().__init__(f"the audit checks {count} coalitions, the cap is {cap}")
+        super().__init__(
+            f"the audit checks {count} coalitions of {size} rank entries each, "
+            f"past the cap of {cap} in all"
+        )

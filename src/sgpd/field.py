@@ -67,6 +67,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def int64_array(x) -> np.ndarray:
+    """x as an int64 array, refusing what that cast would change silently:
+    entries of a dtype other than bool or integer (1.5 would become 1) and a
+    uint64 entry past 2**63 - 1 (2**64 - 1 would become -1)."""
+    arr = np.asarray(x)
+    if arr.size and arr.dtype.kind not in "biu":
+        raise ConfigurationError(f"entries must be integers, got dtype {arr.dtype}")
+    if arr.dtype == np.uint64 and arr.size and arr.max() > np.iinfo(np.int64).max:
+        raise ConfigurationError(f"entry {arr.max()} lies outside the int64 range")
+    return arr.astype(np.int64, copy=False)
+
+
 class PrimeField:
     """The field of integers modulo a prime p, with p <= 2**31.
 
@@ -85,7 +97,15 @@ class PrimeField:
     # -- array operations ----------------------------------------------------
 
     def reduce(self, arr: np.ndarray) -> np.ndarray:
-        return np.asarray(arr, dtype=np.int64) % self.p
+        return int64_array(arr) % self.p
+
+    def residues(self, x) -> np.ndarray:
+        """x as int64 entries in [0, p): copied and reduced only when an entry
+        lies outside, so a reduced int64 array is used as it is."""
+        x = int64_array(x)
+        if x.size and (x.min() < 0 or x.max() >= self.p):
+            return x % self.p
+        return x
 
     def random_array(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, self.p, size=shape, dtype=np.int64)
@@ -95,20 +115,12 @@ class PrimeField:
         integer entries: limb products and a float reduction per column tile,
         summed over slices of the inner dimension (see the module docstring).
         The result is a new int64 array; a and b are only read."""
-        a, b = self._operand(a), self._operand(b)
+        a, b = self.residues(a), self.residues(b)
         out = self._tiled_matmul(a[:, :_SLICE], b[:_SLICE])
         for lo in range(_SLICE, a.shape[1], _SLICE):
             out += self._tiled_matmul(a[:, lo : lo + _SLICE], b[lo : lo + _SLICE])
             out %= self.p
         return out
-
-    def _operand(self, x) -> np.ndarray:
-        """x as int64 entries in [0, p): copied and reduced only when an entry
-        lies outside, so a reduced int64 operand is used as it is."""
-        x = np.asarray(x, dtype=np.int64)
-        if x.size and (x.min() < 0 or x.max() >= self.p):
-            return x % self.p
-        return x
 
     def _tiled_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(a @ b) mod p for entries in [0, p) and an inner dimension <= 2**17.

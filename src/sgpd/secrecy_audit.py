@@ -9,8 +9,9 @@ when rank[M_r] = rank[M_r | M_d], which ``PrimeField.rank`` decides.  Each
 coalition's verdict reports both ranks, ``rank_random`` and ``rank_view``.
 The verdict covers all p**(data + live random entries) assignments; the
 tests enumerate them by brute force as an oracle.  The audit's cost is one
-rank pair per coalition, so ``MAX_COALITIONS`` caps the number of
-coalitions, C(P, P_C), and nothing else.
+rank pair per coalition, whose matrices have P_C rows and a column per live
+block, so ``MAX_AUDIT_SIZE`` caps the coalition count, C(P, P_C), times
+that size, and nothing else.
 
 Structurally zero random blocks carry no entropy and are left out of M_r, so
 the audit tests whether the masking leaves enough live randomness.  The
@@ -39,7 +40,7 @@ from . import codec
 from .errors import BudgetExceeded, ConfigurationError
 from .field import PrimeField
 
-MAX_COALITIONS = 10**5
+MAX_AUDIT_SIZE = 4 * 10**5  # rank entries in all: 10**5 coalitions of the smallest, 4 each
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,12 @@ class AuditInstance:
                 raise ConfigurationError(
                     f"{name}={big} is not a positive multiple of {name.lower()}={part}"
                 )
+
+    @property
+    def rank_size(self) -> int:
+        """Entries of one coalition's view matrices, [V_r | V_d] per side: P_C
+        rows by the live blocks, t*s + P_C of A* and s*d + P_C of B*."""
+        return self.p_c * (self.t * self.s + self.s * self.d + 2 * self.p_c)
 
     @cached_property
     def geometry(self) -> codec.CodeGeometry:
@@ -151,28 +158,29 @@ def _ranks(instance: AuditInstance, subset) -> tuple[int, int]:
     return rank_r, rank
 
 
-def _check_coalition_count(n: int, k: int) -> None:
-    """Raise ``BudgetExceeded`` when C(n, k) > ``MAX_COALITIONS``.
+def _check_audit_size(n: int, k: int, size: int) -> None:
+    """Raise ``BudgetExceeded`` when C(n, k) coalitions of rank size ``size``
+    pass ``MAX_AUDIT_SIZE`` in all.
 
     C(n, i + 1) = C(n, i)(n - i)/(i + 1) grows with i up to k <= n/2, so the
     product stops as soon as it passes the cap, and a huge pool costs a few
     multiplications, not its full count.  The refusal names the count: exact
     up to 30 digits, past that its power of ten from ``lgamma``."""
     count = 1
-    for i in range(min(k, n - k)):
-        count = count * (n - i) // (i + 1)
-        if count > MAX_COALITIONS:
+    for i in range(min(k, n - k) + 1):
+        if count * size > MAX_AUDIT_SIZE:
             digits = (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)
             if digits < 30:
-                raise BudgetExceeded(comb(n, k), MAX_COALITIONS)
-            raise BudgetExceeded(None, MAX_COALITIONS, floor(digits))
+                raise BudgetExceeded(comb(n, k), size, MAX_AUDIT_SIZE)
+            raise BudgetExceeded(None, size, MAX_AUDIT_SIZE, floor(digits))
+        count = count * (n - i) // (i + 1)
 
 
 def audit_all_subsets(instance: AuditInstance) -> AuditVerdict:
-    """SECURE iff every size-P_C subset of the pool passes.  A pool with more
-    than ``MAX_COALITIONS`` such subsets is refused before any rank is taken;
-    a negative control has its instance's coalitions, so it is refused alike."""
-    _check_coalition_count(instance.n_workers, instance.p_c)
+    """SECURE iff every size-P_C subset of the pool passes.  An audit past
+    ``MAX_AUDIT_SIZE`` is refused before any rank is taken; a negative control
+    is charged as its instance, so it is refused alike."""
+    _check_audit_size(instance.n_workers, instance.p_c, instance.rank_size)
     return AuditVerdict(
         instance,
         tuple(

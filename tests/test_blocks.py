@@ -10,13 +10,13 @@ from sgpd import (
     FieldMismatchError,
     PrimeField,
     augment,
-    augmentation_layout,
+    code_geometry,
     partition,
     read_matrix,
     write_matrix,
 )
 from sgpd.blocks import read_text_file
-from sgpd.codec import CodedShare, read_share, write_share
+from sgpd.codec import CodedShare, write_share
 
 from conftest import block, make_pair, reference_read_text_file, small_matmul
 
@@ -33,11 +33,11 @@ def test_partition_blocks_are_views(field257):
 
 def test_partition_rejects_bad_grid(field257):
     with pytest.raises(ConfigurationError):
-        partition(np.zeros((6, 4)), (4, 2), field257)
+        partition(np.zeros((6, 4), dtype=np.int64), (4, 2), field257)
     with pytest.raises(ConfigurationError):
-        partition(np.zeros((6, 4)), (3, 0), field257)
+        partition(np.zeros((6, 4), dtype=np.int64), (3, 0), field257)
     with pytest.raises(ConfigurationError):
-        partition(np.zeros(6), (2, 3), field257)
+        partition(np.zeros(6, dtype=np.int64), (2, 3), field257)
 
 
 def test_block_matrix_reduces_and_freezes(field5):
@@ -53,7 +53,7 @@ def test_block_matrix_reduces_and_freezes(field5):
 
 
 def test_layout_gpd_appends_nothing():
-    lay = augmentation_layout(3, 2, 2, 0)
+    lay = code_geometry(3, 2, 2, 0).layout
     assert lay.case == "gpd"
     assert lay.a_live.shape == (3, 2) and lay.b_live.shape == (2, 2)
     assert lay.a_live.all() and lay.b_live.all()
@@ -61,7 +61,7 @@ def test_layout_gpd_appends_nothing():
 
 def test_layout_tall_partial_band_zeroes_surplus():
     # delta=1 appended band of 2 blocks per side, only 1 may stay random
-    lay = augmentation_layout(3, 2, 2, 1)
+    lay = code_geometry(3, 2, 2, 1).layout
     assert (lay.case, lay.delta, lay.a_live.shape, lay.b_live.shape) == (
         "tall", 1, (4, 2), (2, 3)
     )
@@ -72,34 +72,34 @@ def test_layout_tall_partial_band_zeroes_surplus():
 
 
 def test_layout_tall_full_band_keeps_everything():
-    lay = augmentation_layout(3, 2, 2, 2)
+    lay = code_geometry(3, 2, 2, 2).layout
     assert lay.a_live.shape == (4, 2) and lay.b_live.shape == (2, 3)
     assert lay.a_live.all() and lay.b_live.all()
 
 
 def test_layout_tall_two_band_surplus_sits_in_last_band():
-    lay = augmentation_layout(3, 2, 2, 3)
+    lay = code_geometry(3, 2, 2, 3).layout
     assert lay.delta == 2
     assert lay.a_live[3:].tolist() == [[True, True], [True, False]]
     assert lay.b_live[:, 2:].tolist() == [[True, False], [True, True]]
 
 
 def test_layout_wide_single_output_row_keeps_corner():
-    lay = augmentation_layout(2, 3, 1, 2)
+    lay = code_geometry(2, 3, 1, 2).layout
     assert (lay.case, lay.width, lay.a_live.shape[1]) == ("wide", 2, 5)
     assert lay.a_live[:, 3:].tolist() == [[False, False], [True, True]]
     assert lay.b_live[3:].tolist() == [[True], [True]]
 
 
 def test_layout_wide_padded_bands_face_zeros():
-    lay = augmentation_layout(2, 2, 2, 2)
+    lay = code_geometry(2, 2, 2, 2).layout
     assert lay.width == 2
     assert lay.a_live[:, 2:].tolist() == [[True, False], [True, False]]
     assert lay.b_live[2:].tolist() == [[False, False], [True, True]]
 
 
 def test_layout_wide_padded_surplus_masking():
-    lay = augmentation_layout(3, 3, 3, 2)
+    lay = code_geometry(3, 3, 3, 2).layout
     assert lay.a_live[:, 3].tolist() == [True, True, False]
     assert not lay.a_live[:, 4].any()
     assert not lay.b_live[3].any()
@@ -108,7 +108,7 @@ def test_layout_wide_padded_surplus_masking():
 
 def test_layout_rejects_negative_collusion():
     with pytest.raises(ConfigurationError):
-        augmentation_layout(2, 2, 2, -1)
+        code_geometry(2, 2, 2, -1).layout
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +177,25 @@ def test_augment_case_dispatch(field257):
     assert augment(wide_a, wide_b, 1, rng).layout.case == "wide"
 
 
+def test_augment_pads_to_the_masks_of_the_code_geometry(field257):
+    # every regime: gpd, tall (full and partial bands), one-band and two-band
+    # wide (sparse and GPD exponents on B)
+    rng = np.random.default_rng(12)
+    for t, s, d, p_c in [(2, 3, 2, 0), (3, 2, 2, 2), (3, 2, 2, 3), (2, 3, 1, 2),
+                         (1, 2, 3, 4), (2, 2, 2, 2), (3, 3, 2, 4)]:
+        pair = make_pair(t, s, d, p_c, field257, rng)[2]
+        lay = code_geometry(t, s, d, p_c).layout
+        assert (pair.layout.case, pair.layout.delta, pair.layout.width) == (
+            lay.case, lay.delta, lay.width
+        )
+        assert np.array_equal(pair.layout.a_live, lay.a_live)
+        assert np.array_equal(pair.layout.b_live, lay.b_live)
+
+
 def test_augment_rejects_field_mismatch(field257, field5):
     rng = np.random.default_rng(9)
-    a = partition(np.zeros((2, 2)), (2, 2), field257)
-    b = partition(np.zeros((2, 2)), (2, 2), field5)
+    a = partition(np.zeros((2, 2), dtype=np.int64), (2, 2), field257)
+    b = partition(np.zeros((2, 2), dtype=np.int64), (2, 2), field5)
     with pytest.raises(FieldMismatchError):
         augment(a, b, 1, rng)
 
@@ -384,7 +399,7 @@ def test_file_reader_agrees_with_token_oracle(tmp_path_factory, data, p, shapes)
 
     point = data.draw(st.integers(0, p - 1))
     write_share(path, CodedShare(9, point, a, b, field))
-    share = read_share(path, field)
-    assert (share.worker_id, share.point) == (9, point)
-    assert np.array_equal(share.a_share, a) and np.array_equal(share.b_share, b)
+    header, (a_back, b_back) = read_text_file(path, 6, slice(2, 6), p)
+    assert header[:2] == [9, point]
+    assert np.array_equal(a_back, a) and np.array_equal(b_back, b)
     _respaced_reads_as_oracle(data, path, 6, slice(2, 6), p)

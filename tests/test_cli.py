@@ -357,19 +357,23 @@ def test_audit_shows_the_small_field_leak_of_a_two_band_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "pc,count", [("2", "499500"), ("40", "about 10^71")], ids=["pc=2", "pc=40"]
+    "pc,workers,count,size",
+    [("2", "1000", "499500", 12), ("40", "1000", "about 10^71", 3280), ("199", "200", "200", 79600)],
+    ids=["pc=2", "pc=40", "pc=199"],
 )
-def test_audit_past_the_coalition_cap_exits_3(capsys, pc, count):
+def test_audit_past_the_coalition_cap_exits_3(capsys, pc, workers, count, size):
     # refused before any rank is taken; C(1000, 40) has 72 digits and is
-    # written as a power of ten
+    # written as a power of ten; 200 coalitions of 199 workers are few, but
+    # their rank pairs are large
     assert run_cli(
-        "audit", "--t", "1", "--s", "1", "--d", "1", "--pc", pc, "--P", "1000",
+        "audit", "--t", "1", "--s", "1", "--d", "1", "--pc", pc, "--P", workers,
         "--T", "1", "--S", "1", "--D", "1", "--modulus", "1009",
     ) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: the audit checks {count} coalitions, the cap is 100000\n"
+        f"error: the audit checks {count} coalitions of {size} rank entries each, "
+        "past the cap of 400000 in all\n"
     )
 
 
@@ -383,7 +387,8 @@ def test_audit_of_a_huge_pool_is_refused_in_bounded_time(capsys):
     ) == 3
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "error: the audit checks about 10^301026 coalitions, the cap is 100000\n"
+        "error: the audit checks about 10^301026 coalitions of 500001000000 rank entries "
+        "each, past the cap of 400000 in all\n"
     )
 
 

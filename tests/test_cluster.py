@@ -15,9 +15,9 @@ from sgpd import (
     RandomSubset,
     build_plan,
     latency_sweep,
-    read_share,
     run,
 )
+from sgpd.blocks import read_text_file
 
 from conftest import (
     binomial_at_least,
@@ -294,8 +294,8 @@ def test_trace_dump(tmp_path, tall_setup, field257):
     assert report.success
     shares = sorted(tmp_path.glob("worker_*.share"))
     assert len(shares) == 30
-    sh = read_share(shares[2], field257)
-    assert sh.worker_id == 3 and sh.point == 3
+    header, _ = read_text_file(shares[2], 6, slice(2, 6), field257.p)
+    assert header[:2] == [3, 3]
     manifest = (tmp_path / "manifest.txt").read_text()
     assert "t=3" in manifest and "model=fixed-set" in manifest and "success=True" in manifest
 

@@ -1,6 +1,7 @@
 """Exponent maps, thresholds, encode/decode, and their independent oracles."""
 
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -24,10 +25,10 @@ from sgpd import (
     exponent_audit,
     naive_secure_threshold,
     partition,
-    read_share,
     worker_compute,
     write_share,
 )
+from sgpd.blocks import read_text_file
 from sgpd.codec import CodedShare, WorkerResult
 
 from conftest import (
@@ -89,6 +90,23 @@ def test_recovery_threshold_examples():
     geo = code_geometry(2, 2, 2, 2)
     assert geo.recovery_threshold == 16 == distinct_live_sums(geo)
     assert geo.support.tolist() == list(range(2, 18))
+
+
+# sha256 of every geometry over t, s, d in 1..5 and P_C in 0..6: the regime
+# table's cases, masks, exponent maps and extraction spots
+REGIME_TABLE_SHA256 = "1cba7f5f23a8e9926815aeece157d62253ad6821f7035924191db919e8ad62a0"
+
+
+def test_regime_table_is_pinned():
+    h = hashlib.sha256()
+    for t, s, d, p_c in itertools.product(range(1, 6), range(1, 6), range(1, 6), range(7)):
+        geo = code_geometry(t, s, d, p_c)
+        lay, emap = geo.layout, geo.exponent_map
+        h.update(repr((t, s, d, p_c, lay.case, lay.delta, lay.width)).encode())
+        for arr in (lay.a_live, lay.b_live, emap.a_exponents, emap.b_exponents, emap.extraction):
+            h.update(repr(arr.shape).encode())
+            h.update(arr.astype(np.int64).tobytes())
+    assert h.hexdigest() == REGIME_TABLE_SHA256
 
 
 def test_case_labels():
@@ -465,6 +483,17 @@ def test_decode_rejects_point_that_disagrees_with_plan(field257):
         decode(plan, results)
 
 
+def test_decode_refuses_a_non_integer_product(field257):
+    # a float product would be truncated to a wrong C, not refused
+    rng = np.random.default_rng(75)
+    _, _, pair = make_pair(3, 2, 2, 2, field257, rng)
+    plan = build_plan(3, 2, 2, 2, 30, field257)
+    results = [worker_compute(sh) for sh in encode(plan, pair)][:25]
+    results[2] = dataclasses.replace(results[2], product=results[2].product + 0.5)
+    with pytest.raises(ConfigurationError, match="integers"):
+        decode(plan, results)
+
+
 def test_decode_rejects_worker_outside_pool(field257):
     rng = np.random.default_rng(73)
     _, _, pair = make_pair(3, 2, 2, 2, field257, rng)
@@ -679,10 +708,10 @@ def test_share_file_round_trip(tmp_path, field257):
         share.a_share.shape[0], share.a_share.shape[1],
         share.b_share.shape[0], share.b_share.shape[1],
     ]
-    back = read_share(path, field257)
-    assert back.worker_id == share.worker_id and back.point == share.point
-    assert np.array_equal(back.a_share, share.a_share)
-    assert np.array_equal(back.b_share, share.b_share)
+    back, (a_back, b_back) = read_text_file(path, 6, slice(2, 6), field257.p)
+    assert back[:2] == [share.worker_id, share.point]
+    assert np.array_equal(a_back, share.a_share)
+    assert np.array_equal(b_back, share.b_share)
 
 
 @pytest.mark.parametrize(
@@ -723,7 +752,7 @@ def test_share_file_rejects_bad_entries(tmp_path, field257, token, message):
     path = tmp_path / "w.share"
     path.write_text(f"1 1 1 2 2 1\n5 {token}\n7\n8\n")
     with pytest.raises(ConfigurationError, match=message) as info:
-        read_share(path, field257)
+        read_text_file(path, 6, slice(2, 6), field257.p)
     assert str(path) in str(info.value)
 
 
@@ -731,14 +760,14 @@ def test_share_file_rejects_non_integer_header(tmp_path, field257):
     path = tmp_path / "w.share"
     path.write_text("1 one 1 1 1 1\n5\n7\n")
     with pytest.raises(ConfigurationError, match="non-integer"):
-        read_share(path, field257)
+        read_text_file(path, 6, slice(2, 6), field257.p)
 
 
 def test_share_file_rejects_negative_dimensions(tmp_path, field257):
     path = tmp_path / "w.share"
     path.write_text("1 1 -1 -2 1 1\n5 6\n7\n")
     with pytest.raises(ConfigurationError, match="negative dimension") as info:
-        read_share(path, field257)
+        read_text_file(path, 6, slice(2, 6), field257.p)
     assert str(path) in str(info.value)
 
 

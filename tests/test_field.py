@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgpd import ConfigurationError, PrimeField, SingularSystemError, is_prime, partition
+from sgpd import (
+    ConfigurationError,
+    PrimeField,
+    SingularSystemError,
+    is_prime,
+    partition,
+    write_matrix,
+)
 from sgpd.field import _SLICE, _TILE
 
 from conftest import python_gauss_jordan, triple_loop_product
@@ -130,6 +137,39 @@ def test_matmul_and_partition_leave_the_callers_arrays_alone():
     a[0, 0] = (a[0, 0] + 1) % field.p
     assert block.data[0, 0] == saved[0][0, 0]
     assert not block.data.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[1.5, 2.0], [3.0, 4.7]]),  # would decode as [[1, 2], [3, 4]]
+        np.array([[1.0, 2.0]]),  # integral floats are refused too
+        np.array([[2**64 - 1, 1]], dtype=np.uint64),  # would wrap to -1
+        np.array([[2**64, 1]], dtype=object),
+        np.array([["1", "2"]]),
+    ],
+    ids=["fractions", "integral-floats", "uint64-past-int64", "object", "strings"],
+)
+def test_entries_the_int64_cast_would_change_are_refused(tmp_path, field257, bad):
+    rows, cols = bad.shape
+    with pytest.raises(ConfigurationError):
+        partition(bad, (1, 1), field257)
+    with pytest.raises(ConfigurationError):
+        field257.matmul(bad, np.eye(cols, dtype=np.int64))
+    with pytest.raises(ConfigurationError):
+        field257.matmul(np.eye(rows, dtype=np.int64), bad)
+    with pytest.raises(ConfigurationError):
+        write_matrix(tmp_path / "m.mat", bad, 257)
+    assert not (tmp_path / "m.mat").exists()
+
+
+def test_every_integer_dtype_reduces_exactly(field257):
+    # uint64 up to 2**63 - 1, small signed types and bool cast without loss
+    top = np.array([[2**63 - 1, 5]], dtype=np.uint64)
+    want = [[(2**63 - 1) % 257, 5]]
+    assert partition(top, (1, 1), field257).data.tolist() == want
+    assert field257.matmul(top, np.eye(2, dtype=bool)).tolist() == want
+    assert partition(np.array([[-1]], dtype=np.int8), (1, 1), field257).data.tolist() == [[256]]
 
 
 def test_matmul_near_modulus_entries_do_not_overflow():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from sgpd import (
-    MAX_COALITIONS,
+    MAX_AUDIT_SIZE,
     AuditInstance,
     BudgetExceeded,
     ConfigurationError,
@@ -29,10 +29,11 @@ from sgpd import (
     decode,
     encode,
     report_lines,
+    secrecy_audit,
     worker_compute,
 )
 from sgpd.codec import ExponentMap
-from sgpd.secrecy_audit import _check_coalition_count, _ranks
+from sgpd.secrecy_audit import _check_audit_size, _ranks
 
 from conftest import (
     block,
@@ -84,29 +85,56 @@ def test_smaller_coalitions_also_learn_nothing():
 
 
 def test_budget_refusal():
-    # 1000 workers have 499,500 coalitions of two: refused before any rank
+    # 1000 workers have 499,500 coalitions of two, each ranking 12 entries:
+    # refused before any rank
     inst = AuditInstance(1, 1, 1, 2, 1000, PrimeField(1009), 1, 1, 1)
     with pytest.raises(BudgetExceeded) as info:
         audit_all_subsets(inst)
-    assert (info.value.coalitions, info.value.cap) == (499500, MAX_COALITIONS)
+    assert (info.value.coalitions, info.value.size, info.value.cap) == (
+        499500, 12, MAX_AUDIT_SIZE
+    )
 
 
 @pytest.mark.parametrize(
-    "n,k", [(447, 2), (448, 2), (10**5, 1), (10**5 + 1, 10**5), (1000, 40), (60, 30)]
+    "n,k",
+    [(447, 2), (448, 2), (10**5, 1), (10**5 + 1, 10**5), (1000, 40), (60, 30),
+     (258, 2), (259, 2), (10**5 + 1, 1), (446, 446), (447, 447)],
 )
 def test_coalition_cap_is_decided_exactly(n, k):
-    # C(447, 2) = 99,681 is under the cap and C(448, 2) = 100,128 over it;
-    # past 30 digits the refusal names the count's power of ten
-    count = comb(n, k)
-    if count <= MAX_COALITIONS:
-        _check_coalition_count(n, k)
+    # (1,1,1) ranks k x (2k + 2) entries per coalition: C(258, 2) * 12 =
+    # 397,836 is under the cap and C(259, 2) * 12 = 400,932 over it, 10^5
+    # coalitions of 4 entries reach it exactly, and one coalition of 446
+    # (398,724) is under it and of 447 (400,512) over it; past 30 digits the
+    # refusal names the count's power of ten
+    count, size = comb(n, k), k * (2 * k + 2)
+    if count * size <= MAX_AUDIT_SIZE:
+        _check_audit_size(n, k, size)
         return
     with pytest.raises(BudgetExceeded) as info:
-        _check_coalition_count(n, k)
+        _check_audit_size(n, k, size)
+    assert info.value.size == size
     if count < 10**30:
         assert (info.value.coalitions, info.value.exponent) == (count, None)
     else:
         assert (info.value.coalitions, info.value.exponent) == (None, len(str(count)) - 1)
+
+
+def test_cap_charges_each_coalition_by_its_rank_size(monkeypatch):
+    # 200 coalitions of 199 workers are few, but each ranks 199 x 400 entries
+    # (about 0.1 s a coalition): refused before any rank is taken, while one
+    # coalition of all 200 workers (80,400 entries) is audited
+    def no_rank(*_):
+        raise AssertionError("a rank was taken")
+
+    field = PrimeField(401)
+    inst = AuditInstance(1, 1, 1, 199, 200, field, 1, 1, 1)
+    monkeypatch.setattr(secrecy_audit, "_ranks", no_rank)
+    with pytest.raises(BudgetExceeded) as info:
+        audit_all_subsets(inst)
+    assert (info.value.coalitions, info.value.size) == (200, 79600)
+    monkeypatch.undo()
+    verdict = audit_all_subsets(AuditInstance(1, 1, 1, 200, 200, field, 1, 1, 1))
+    assert verdict.secure and len(verdict.subsets) == 1
 
 
 def test_negative_control_charged_like_the_real_audit():
@@ -115,7 +143,9 @@ def test_negative_control_charged_like_the_real_audit():
     control = AuditInstance(1, 1, 1, 2, 1000, PrimeField(1009), 1, 1, 1, negative_control=True)
     with pytest.raises(BudgetExceeded) as info:
         audit_all_subsets(control)
-    assert (info.value.coalitions, info.value.cap) == (499500, MAX_COALITIONS)
+    assert (info.value.coalitions, info.value.size, info.value.cap) == (
+        499500, 12, MAX_AUDIT_SIZE
+    )
 
 
 @pytest.mark.parametrize(
