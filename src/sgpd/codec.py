@@ -107,12 +107,22 @@ class CodeGeometry:
         return _CASE_LABELS[self.layout.case]
 
     @cached_property
+    def sum_counts(self) -> np.ndarray:
+        """[e] = the (live A* block, live B* block) pairs with a + b = e: the
+        live sumset counted once, for ``support`` and ``exponent_audit``."""
+        emap, lay = self.exponent_map, self.layout
+        a, b = emap.a_exponents[lay.a_live], emap.b_exponents[lay.b_live]
+        if (a < 0).any() or (b < 0).any():
+            raise ConfigurationError(f"live exponent {min(a.min(), b.min())} is negative")
+        counts = np.bincount(np.add.outer(a, b).ravel())
+        counts.setflags(write=False)
+        return counts
+
+    @cached_property
     def support(self) -> np.ndarray:
         """The exponents F*G can carry: the distinct sums of one live A* and
-        one live B* exponent, ascending."""
-        emap, lay = self.exponent_map, self.layout
-        sums = np.add.outer(emap.a_exponents[lay.a_live], emap.b_exponents[lay.b_live])
-        support = np.flatnonzero(np.bincount(sums.ravel()))
+        one live B* exponent, ascending, where ``sum_counts`` is nonzero."""
+        support = np.flatnonzero(self.sum_counts)
         support.setflags(write=False)
         return support
 
@@ -487,45 +497,45 @@ class ExponentAuditReport:
 
 
 def exponent_audit(geometry: CodeGeometry) -> ExponentAuditReport:
-    """Exhaustively check that extraction coefficients receive exactly the
-    intended data products: one (A_{i,k}, B_{k,l}) pair per inner index k and
-    nothing from any random block.  A plan is a geometry and is accepted too."""
+    """Check that each extraction exponent receives exactly the intended data
+    products, one (A_{i,k}, B_{k,l}) pair per inner k and nothing random; a
+    plan is a geometry too.  A target whose ``sum_counts`` entry is s and that
+    its s intended pairs all hit is clean; only the others are explained."""
     emap, lay = geometry.exponent_map, geometry.layout
     t, s, d = geometry.t, geometry.s, geometry.d
-    findings = []
     a_exps, b_exps = emap.a_exponents[lay.a_live], emap.b_exponents[lay.b_live]
-    for name, exps in (("a", a_exps), ("b", b_exps)):
-        if len(np.unique(exps)) != exps.size:
-            findings.append(f"{name}-side live exponents are not distinct")
-    a_blocks = np.argwhere(lay.a_live)  # row-major, so findings keep loop order
-    b_blocks = np.argwhere(lay.b_live)
+    ext, targets = emap.extraction, emap.extraction.ravel()
+    sides = (("a-side live", a_exps), ("b-side live", b_exps), ("extraction", targets))
+    findings = [
+        f"{n} exponents are not distinct" for n, e in sides if len(set(e.tolist())) != e.size
+    ]
+    hits = np.concatenate(([0], geometry.sum_counts, [0])).take(targets + 1, mode="clip")
+    intended = emap.a_exponents[:t, :s, None] + emap.b_exponents[None, :s, :d]  # data corners
+    flagged = np.flatnonzero((hits != s) | ~(intended == ext[:, None, :]).all(axis=1).ravel())
+    params, pairs = (t, s, d, geometry.p_c), a_exps.size * b_exps.size
+    if not flagged.size:
+        return ExponentAuditReport(params, pairs, tuple(findings))
+    for e in sorted(set(targets[hits == 0].tolist())):  # no live pair hits e
+        findings.append(f"extraction exponent {e} not in the live support")
+    targets = targets[flagged]
     sums = np.add.outer(a_exps, b_exps)
-    ext = emap.extraction
-    if len(np.unique(ext.ravel())) != ext.size:
-        findings.append("extraction exponents are not distinct")
-    # every (target, block pair) hit at once: target-major, pair row-major
-    targets = ext.ravel()
+    # every (flagged target, block pair) hit at once: target-major, pair row-major
     cand = np.flatnonzero(np.isin(sums, targets))
     tgt, hit = np.nonzero(targets[:, None] == sums.ravel()[cand])
-    # a target no live pair hits lies outside the support
-    missed = targets[np.bincount(tgt, minlength=targets.size) == 0]
-    for e in sorted(set(missed.tolist())):
-        findings.append(f"extraction exponent {e} not in the live support")
     x, y = np.divmod(cand[hit], sums.shape[1])
-    ai, aj = a_blocks[x].T
-    bk, bl = b_blocks[y].T
-    i, l = np.divmod(tgt, ext.shape[1])
+    ai, aj = np.argwhere(lay.a_live)[x].T  # row-major, as a_exps
+    bk, bl = np.argwhere(lay.b_live)[y].T
+    i, l = np.divmod(flagged[tgt], ext.shape[1])
     a_data = (ai < t) & (aj < s)  # data fill the top-left corners
     b_data = (bk < s) & (bl < d)
     random = ~(a_data & b_data)
     good = ~random & (ai == i) & (bl == l) & (aj == bk)
     # each target must see every inner index k in 0..s-1 exactly once
-    inner = np.bincount(tgt[good] * s + aj[good], minlength=targets.size * s)
-    inner = inner.reshape(targets.size, s)
+    inner = np.bincount(tgt[good] * s + aj[good], minlength=targets.size * s).reshape(-1, s)
     short = (inner != 1).any(axis=1)
     bad = np.flatnonzero(~good)
     for g in np.union1d(tgt[bad], np.flatnonzero(short)).tolist():
-        gi, gl = divmod(g, ext.shape[1])
+        gi, gl = divmod(int(flagged[g]), ext.shape[1])
         at = f"C[{gi},{gl}] at exponent {targets[g]} receives"
         for h in bad[tgt[bad] == g].tolist():
             pair = f"a[{ai[h]},{aj[h]}] x b[{bk[h]},{bl[h]}]"
@@ -537,7 +547,7 @@ def exponent_audit(geometry: CodeGeometry) -> ExponentAuditReport:
         if short[g]:
             seen = np.repeat(np.arange(s), inner[g]).tolist()
             findings.append(f"C[{gi},{gl}] inner-sum terms {seen} != 0..{s - 1}")
-    return ExponentAuditReport((t, s, d, geometry.p_c), sums.size, tuple(findings))
+    return ExponentAuditReport(params, pairs, tuple(findings))
 
 
 # ---------------------------------------------------------------------------

@@ -166,11 +166,13 @@ class PrimeField:
         return out
 
     def power_table(self, points, exponents) -> np.ndarray:
-        """Matrix [w, k] = points[w] ** exponents[k] mod p, for exponents >= 0:
-        the powers 0..max(exponents) of all points, one numpy step per power,
-        then the requested columns.  The encoder's evaluation map."""
+        """Matrix [w, k] = points[w] ** exponents[k] mod p, for exponents >= 0
+        (a negative one raises ``ConfigurationError``): the powers 0..max of
+        all points, one numpy step per power, then the requested columns."""
         points = self.reduce(points).reshape(-1)
         exponents = np.asarray(exponents, dtype=np.int64).reshape(-1)
+        if (exponents < 0).any():
+            raise ConfigurationError(f"exponents must be >= 0, got {int(exponents.min())}")
         top = int(exponents.max()) if exponents.size else 0
         table = np.empty((top + 1, points.size), dtype=np.int64)
         table[0] = 1 % self.p

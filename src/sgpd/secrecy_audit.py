@@ -133,28 +133,32 @@ class AuditVerdict:
         return instance.field.p ** (n_data + n_random)
 
 
-def _ranks(instance: AuditInstance, subset) -> tuple[int, int]:
-    """(rank[M_r], rank[M_r | M_d]) of the coalition's view.  Per side, one
-    power table over the colluders' pool points and the live blocks' exponents,
-    the map ``encode`` builds, splits into the data corner, V_d, and the live
-    random blocks, V_r (none under the negative control).  Each entry-level
-    rank is one block's entries times the block-level one."""
-    geo, field = instance.geometry, instance.field
-    emap, lay = geo.exponent_map, geo.layout
-    pool = codec.pool_points(instance.n_workers, field)
-    points = np.array([pool[w - 1] for w in subset], dtype=np.int64)
-    ea, eb, _ = instance.entry_sizes()
-    rank_r = rank = 0
-    for exps, live, rows, cols, entries in (
-        (emap.a_exponents, lay.a_live, geo.t, geo.s, ea),
-        (emap.b_exponents, lay.b_live, geo.s, geo.d, eb),
+def _rank_columns(instance: AuditInstance) -> tuple:
+    """What each coalition's ranks read, once per audit: the pool's points and,
+    per side, the live exponents, random first, how many are random and one
+    block's entries.  Under the negative control no column is random."""
+    geo, (ea, eb, _) = instance.geometry, instance.entry_sizes()
+    sides = []
+    for exps, live, corner, entries in (
+        (geo.exponent_map.a_exponents, geo.layout.a_live, np.s_[: geo.t, : geo.s], ea),
+        (geo.exponent_map.b_exponents, geo.layout.b_live, np.s_[: geo.s, : geo.d], eb),
     ):
-        table = field.power_table(points, exps[live])
-        i, j = np.nonzero(live)  # row-major, as exps[live]
-        data = (i < rows) & (j < cols)  # the data corner, always live
-        v_r = table[:, ~data & (not instance.negative_control)]
-        rank_r += entries * field.rank(v_r)
-        rank += entries * field.rank(np.hstack([v_r, table[:, data]]))
+        random = live & (not instance.negative_control)
+        random[corner] = False  # the data corner, always live
+        sides.append((np.concatenate([exps[random], exps[corner].ravel()]), random.sum(), entries))
+    return codec.pool_points(instance.n_workers, instance.field), sides
+
+
+def _ranks(instance: AuditInstance, subset, columns=None) -> tuple[int, int]:
+    """(rank[M_r], rank[M_r | M_d]) of the coalition's view at block level,
+    from ``_rank_columns(instance)``, which an audit passes once."""
+    pool, sides = columns or _rank_columns(instance)
+    points = [pool[w - 1] for w in subset]
+    rank_r = rank = 0
+    for exps, n_random, entries in sides:
+        table = instance.field.power_table(points, exps)
+        rank_r += entries * instance.field.rank(table[:, :n_random])
+        rank += entries * instance.field.rank(table)
     return rank_r, rank
 
 
@@ -181,10 +185,11 @@ def audit_all_subsets(instance: AuditInstance) -> AuditVerdict:
     ``MAX_AUDIT_SIZE`` is refused before any rank is taken; a negative control
     is charged as its instance, so it is refused alike."""
     _check_audit_size(instance.n_workers, instance.p_c, instance.rank_size)
+    columns = _rank_columns(instance)
     return AuditVerdict(
         instance,
         tuple(
-            SubsetVerdict(subset, *_ranks(instance, subset))
+            SubsetVerdict(subset, *_ranks(instance, subset, columns))
             for subset in combinations(range(1, instance.n_workers + 1), instance.p_c)
         ),
     )

@@ -15,7 +15,7 @@ The token-by-token parser is the oracle for the byte-level file reader.
 A Python-int Gauss-Jordan is the oracle for ``PrimeField.rank`` and
 ``solve``, and the Lagrange basis for the decoder's solve on a support
 0..n-1; a Python set of live sums for the recovery threshold.
-The per-target loop is the oracle for the array-pass exponent audit.  The
+The per-target loop is the oracle for the counting exponent audit.  The
 latency sweep draws each P_R-th completion time from its exact law; the
 oracles are that law's CDF, written as binomial tail sums, and a sweep that
 sorts every trial's simulated worker delays.
@@ -384,7 +384,7 @@ def lagrange_coefficient_matrix(field: PrimeField, xs) -> np.ndarray:
 
 def looped_exponent_audit(geometry) -> ExponentAuditReport:
     """The exponent audit as one ``argwhere`` per extraction target, each hit
-    classified in Python: the oracle for the array-pass ``exponent_audit``."""
+    classified in Python: the oracle for the counting ``exponent_audit``."""
     emap, lay = geometry.exponent_map, geometry.layout
     t, s, d = geometry.t, geometry.s, geometry.d
     findings = []

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -667,6 +668,73 @@ def test_exponent_audit_matches_looped_oracle_on_corrupted_maps():
                     assert exponent_audit(bad) == want, (t, s, d, p_c)
                     dirty += not want.clean
     assert dirty > 1000  # most corruptions are caught, so the findings text is compared
+
+
+def test_exponent_audit_catches_a_count_preserving_swap():
+    # swapping b[0,0] and b[1,0] of (3,2,2,2) leaves every count at every
+    # target at s = 2, but pairs a[i,0] with b[1,0]: only the intended-pair
+    # check sees it
+    geo = code_geometry(3, 2, 2, 2)
+    b = geo.exponent_map.b_exponents.copy()
+    b[0, 0], b[1, 0] = b[1, 0], b[0, 0]
+    swapped = _with_map(geo, b_exponents=b)
+    assert np.array_equal(swapped.sum_counts, geo.sum_counts)
+    report = exponent_audit(swapped)
+    assert report == looped_exponent_audit(swapped)
+    assert report.collisions[0] == "C[0,0] at exponent 1 receives misaligned data pair a[0,0] x b[1,0]"
+
+
+def test_exponent_audit_matches_looped_oracle_on_every_swap():
+    # every swap of two live exponents on one side, t, s, d <= 4, P_C <= 4
+    swaps = dirty = 0
+    for t, s, d in itertools.product(range(1, 5), repeat=3):
+        for p_c in range(5):
+            geo = code_geometry(t, s, d, p_c)
+            for name, live in (("a_exponents", geo.layout.a_live), ("b_exponents", geo.layout.b_live)):
+                for u, v in itertools.combinations(map(tuple, np.argwhere(live)), 2):
+                    arr = getattr(geo.exponent_map, name).copy()
+                    arr[u], arr[v] = arr[v], arr[u]
+                    bad = _with_map(geo, **{name: arr})
+                    want = looped_exponent_audit(bad)
+                    assert exponent_audit(bad) == want, (t, s, d, p_c, name, u, v)
+                    swaps += 1
+                    dirty += not want.clean
+    assert (swaps, dirty) == (25280, 24000)
+
+
+def test_clean_exponent_audit_forms_no_per_target_pairs():
+    # the clean verdict reads the count: its peak stays below two int64
+    # arrays of every live pair, where forming each (target, hit) pair did not
+    geo = code_geometry(32, 32, 32, 64)
+    tracemalloc.start()
+    try:
+        report = exponent_audit(geo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.clean and report.checked_pairs == 1183744
+    assert peak < 16 * report.checked_pairs, peak
+
+
+def test_support_is_where_the_sum_count_is_nonzero():
+    for t, s, d in itertools.product(range(1, 5), repeat=3):
+        for p_c in range(5):
+            geo = code_geometry(t, s, d, p_c)
+            counts = geo.sum_counts
+            assert np.array_equal(geo.support, np.flatnonzero(counts))
+            assert counts.sum() == exponent_audit(geo).checked_pairs
+            assert not counts.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["a_exponents", "b_exponents"])
+def test_sum_count_refuses_a_negative_live_exponent(name):
+    geo = code_geometry(3, 2, 2, 2)
+    arr = getattr(geo.exponent_map, name).copy()
+    arr[0, 0] = -3
+    bad = _with_map(geo, **{name: arr})
+    for read in (lambda g: g.sum_counts, lambda g: g.support, exponent_audit):
+        with pytest.raises(ConfigurationError, match="live exponent -3 is negative"):
+            read(bad)
 
 
 @pytest.mark.parametrize("t,s,d,p_c", [(3, 2, 2, 1), (2, 2, 2, 1), (2, 4, 2, 2)])

@@ -235,6 +235,14 @@ def test_power_table_matches_pow(p):
     assert field.power_table([], exponents).shape == (0, len(exponents))
 
 
+@pytest.mark.parametrize("exponents", [[2, 3, -1], [-1], [0, -7, 4]])
+def test_power_table_refuses_negative_exponents(field257, exponents):
+    # a negative exponent would index the table from its end: x**-1 read as
+    # x**top, or an IndexError past it
+    with pytest.raises(ConfigurationError, match=f"got {min(exponents)}"):
+        field257.power_table([2, 3], exponents)
+
+
 def test_random_array_reproducible(field257):
     a = field257.random_array((4, 4), np.random.default_rng(9))
     b = field257.random_array((4, 4), np.random.default_rng(9))
