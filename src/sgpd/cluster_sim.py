@@ -1,9 +1,10 @@
 """Master/worker pool simulation with stragglers and failures.
 
 Time is simulated, never slept: a straggler model assigns each worker a
-completion time (infinity marks a permanent failure), the run collects the
-earliest recovery_threshold finishers, decodes, and checks the output against
-the directly computed product.  Identical seeds give byte-identical reports.
+completion time (infinity marks a permanent failure), the run encodes the
+shares of the earliest recovery_threshold finishers only, computes, decodes
+and checks the output against the directly computed product.  Identical seeds
+give byte-identical reports.
 
 LatencyModel trial ``trial`` of seed ``seed`` draws from
 ``np.random.default_rng((0x1A7E, seed, trial))``: P exponential delays, then
@@ -174,43 +175,39 @@ def run(
     trial: int = 0,
     trace_dir=None,
 ) -> RunReport:
-    """Dispatch all shares, collect the earliest finishers, decode, verify."""
-    shares = encode(plan, pair)
+    """Collect the earliest finishers, encode and compute their shares,
+    decode, verify.  Only the shares the decoder reads are encoded, or every
+    worker's share when ``trace_dir`` is given, since the trace writes them all."""
+    plan.check_pair(pair)  # a mismatched pair is refused before the model is consulted
     times = model.completion_times(plan.n_workers, trial)
     order = _completion_order(times)
     p_r = plan.recovery_threshold
-    if trace_dir is not None:
+    used = order[:p_r] if len(order) >= p_r else []
+    if trace_dir is None:
+        shares = encode(plan, pair, [w + 1 for w in used]) if used else []
+    else:
+        shares = encode(plan, pair)
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
         for share in shares:
             write_share(trace_dir / f"worker_{share.worker_id:04d}.share", share)
-    if len(order) < p_r:
-        report = RunReport(
-            success=False,
-            responders=tuple(w + 1 for w in order),
-            points=tuple(shares[w].point for w in order),
-            wall_clock=math.inf,
-            measured_load=0,
-            checksum="",
-            cause=f"NotEnoughResults: have {len(order)}, need {p_r}",
-        )
-        _maybe_manifest(trace_dir, plan, model, trial, report)
-        return report
-    used = order[:p_r]
-    results = [worker_compute(shares[w], float(times[w])) for w in used]
-    try:
-        decoded = decode(plan, results)
-    except SingularSystemError as exc:
-        decoded, cause = None, f"SingularSystemError: {exc}"
-    else:
-        expected = plan.field.matmul(pair.original_a, pair.original_b)
-        ok = bool(np.array_equal(decoded.data, expected))
-        cause = "" if ok else "decoded output failed verification"
+        shares = [shares[w] for w in used]
+    results = [worker_compute(share, float(times[w])) for share, w in zip(shares, used)]
+    decoded, cause = None, f"NotEnoughResults: have {len(order)}, need {p_r}"
+    if used:
+        try:
+            decoded = decode(plan, results)
+        except SingularSystemError as exc:
+            cause = f"SingularSystemError: {exc}"
+        else:
+            ok = np.array_equal(decoded.data, plan.field.matmul(pair.original_a, pair.original_b))
+            cause = "" if ok else "decoded output failed verification"
+    shown = used or order  # the responders read, or every finisher of a short run
     report = RunReport(
         success=not cause,
-        responders=tuple(w + 1 for w in used),
-        points=tuple(shares[w].point for w in used),
-        wall_clock=float(times[used[-1]]),
+        responders=tuple(w + 1 for w in shown),
+        points=tuple(plan.evaluation_points[w] for w in shown),
+        wall_clock=float(times[used[-1]]) if used else math.inf,
         measured_load=sum(r.product.size for r in results),
         checksum="" if decoded is None else _checksum(decoded),
         cause=cause,

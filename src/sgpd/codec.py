@@ -317,6 +317,19 @@ class EncodingPlan(CodeGeometry):
     n_workers: int
     evaluation_points: range  # pool_points: worker w (1-based) evaluates at [w - 1]
 
+    def check_pair(self, pair: AugmentedPair) -> None:
+        """Raise unless ``pair`` was augmented for this plan's field and code."""
+        emap, lay = self.exponent_map, pair.layout
+        if pair.a_star.field != self.field or pair.b_star.field != self.field:
+            raise FieldMismatchError("augmented pair does not live in the plan's field")
+        if (pair.a_star.grid, pair.b_star.grid, lay.t, lay.s, lay.d, lay.p_c) != (
+            emap.a_exponents.shape, emap.b_exponents.shape, self.t, self.s, self.d, self.p_c
+        ):
+            raise ConfigurationError(
+                f"augmented grids {pair.a_star.grid}/{pair.b_star.grid} do not match "
+                f"the plan's maps {emap.a_exponents.shape}/{emap.b_exponents.shape}"
+            )
+
 
 def build_plan(
     t: int,
@@ -331,9 +344,10 @@ def build_plan(
     The recovery threshold comes from the exponent maps over live blocks,
     the points from ``pool_points``.
     """
-    geometry = code_geometry(t, s, d, p_c)
-    p_r = geometry.recovery_threshold
+    geo = code_geometry(t, s, d, p_c)
     points = pool_points(n_workers, field)
+    plan = EncodingPlan(t, s, d, p_c, geo.layout, geo.exponent_map, field, n_workers, points)
+    p_r = plan.recovery_threshold
     if p_c >= n_workers and p_c > 0:
         raise ConfigurationError(
             f"collusion level {p_c} must be below the pool size {n_workers}: "
@@ -349,14 +363,12 @@ def build_plan(
             "argument needs at least that many product coefficients"
         )
     # x**(p-1) = 1 for every point, so exponents equal mod p - 1 give equal columns of V
-    if np.unique(geometry.support % (field.p - 1)).size < p_r:
+    if np.unique(plan.support % (field.p - 1)).size < p_r:
         raise ConfigurationError(
             f"the support spans exponents equal mod {field.p - 1}: no responder "
             f"set could decode over GF({field.p})"
         )
-    return EncodingPlan(
-        t, s, d, p_c, geometry.layout, geometry.exponent_map, field, n_workers, points
-    )
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -394,32 +406,26 @@ def _block_stack(m: BlockMatrix) -> np.ndarray:
     )
 
 
-def encode(plan: EncodingPlan, pair: AugmentedPair) -> list:
-    """One CodedShare per worker: both polynomials evaluated at its point.
-    Only live blocks enter the sums; the dead ones are zero."""
+def encode(plan: EncodingPlan, pair: AugmentedPair, workers=None) -> list:
+    """One CodedShare per listed 1-based worker id, in list order (all P in
+    worker order when ``workers`` is None): both polynomials evaluated at the
+    worker's point.  Only live blocks enter the sums; the dead ones are zero."""
     emap, lay = plan.exponent_map, plan.layout
-    if pair.a_star.field != plan.field or pair.b_star.field != plan.field:
-        raise FieldMismatchError("augmented pair does not live in the plan's field")
-    if (
-        pair.a_star.grid != emap.a_exponents.shape
-        or pair.b_star.grid != emap.b_exponents.shape
-        or (pair.layout.t, pair.layout.s, pair.layout.d, pair.layout.p_c)
-        != (plan.t, plan.s, plan.d, plan.p_c)
-    ):
-        raise ConfigurationError(
-            f"augmented grids {pair.a_star.grid}/{pair.b_star.grid} do not match "
-            f"the plan's maps {emap.a_exponents.shape}/{emap.b_exponents.shape}"
-        )
+    plan.check_pair(pair)
+    ids = range(1, plan.n_workers + 1) if workers is None else [int(w) for w in workers]
+    if any(not 1 <= w <= plan.n_workers for w in ids):
+        raise ConfigurationError(f"worker ids {ids} must lie in the pool 1..{plan.n_workers}")
+    points = [plan.evaluation_points[w - 1] for w in ids]
     a_rows = _block_stack(pair.a_star)[lay.a_live.ravel()]
     b_rows = _block_stack(pair.b_star)[lay.b_live.ravel()]
-    v_a = plan.field.power_table(plan.evaluation_points, emap.a_exponents[lay.a_live])
-    v_b = plan.field.power_table(plan.evaluation_points, emap.b_exponents[lay.b_live])
+    v_a = plan.field.power_table(points, emap.a_exponents[lay.a_live])
+    v_b = plan.field.power_table(points, emap.b_exponents[lay.b_live])
     shares_a = plan.field.matmul(v_a, a_rows)
     shares_b = plan.field.matmul(v_b, b_rows)
     ab, bb = pair.a_star.block_shape, pair.b_star.block_shape
     return [
-        CodedShare(w + 1, z, shares_a[w].reshape(ab), shares_b[w].reshape(bb), plan.field)
-        for w, z in enumerate(plan.evaluation_points)
+        CodedShare(w, z, shares_a[i].reshape(ab), shares_b[i].reshape(bb), plan.field)
+        for i, (w, z) in enumerate(zip(ids, points))
     ]
 
 

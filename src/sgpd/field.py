@@ -1,29 +1,30 @@
 """Exact arithmetic over a prime field GF(p).
 
 Elements are entries of ``numpy`` int64 arrays reduced mod p.  Matrix
-products run on float64 BLAS and are still exact: the operands are integers,
-and every float sum the kernel forms stays below 2**50, where float64 holds
-every integer.  Each operand entry x in [0, p) is split into 16-bit limbs
-x = x1 * 2**16 + x0 (x1 < 2**15 since p <= 2**31), and
+products run on float64 BLAS and are still exact: every float the kernel
+forms is an integer of magnitude at most 2**52.  Both operands are taken as
+balanced residues x - p*[x > h], h = p // 2, so |x| <= h, and only the left
+one is split, at L = ceil(bitlength(h) / 2) bits (15 at p = 2**31 - 1):
+a = a1*2**L + a0 with a1 = rint(a / 2**L), |a1| <= A1 = (h >> L) + 1 and
+|a0| <= A0 = 2**(L-1).  One dgemm of the stacked [a1; a0] against B gives
+s1 = a1 @ b and s0 = a0 @ b, 2k units of work for an inner dimension k, cut
+into slices of at most K(p): the largest K <= 2**10 (a bound on one slice's
+float buffers) with K*A1*h <= 2**52 and (h + 1)*2**L + K*A0*h <= 2**51 - 1
+(K = 126 at p = 2**31 - 1).  So:
 
-    a @ b = (hi * 2**16 + mid) * 2**16 + lo,
-    hi = a1 @ b1,  mid = a0 @ b1 + a1 @ b0,  lo = a0 @ b0.
+* Every partial sum of s1 or s0, in any order, is an integer of magnitude at
+  most K*A1*h <= 2**52 or K*A0*h < 2**51: both are exact.
+* q = s1 * fl(1/p) is off from s1/p by at most |s1|/p * 2**-52 * (1 + 2**-53),
+  so r1 = s1 - p*rint(q) has |r1| <= p/2 + 1 + 2**-53, that is |r1| <= h + 1,
+  and x = r1*2**L + s0, congruent to the product, has |x| <= 2**51 - 1.
+* The last step x - p*floor((x + 1/2) * fl(1/p)) lands in [0, p): x + 1/2 is
+  exact, its quotient is off by less than (|x| + 1/2)/p * 2**-52 * (1 + 2**-53)
+  < 1/(2p), and (x + 1/2)/p lies at least 1/(2p) from every integer, so the
+  floor is floor(x/p).  Slices are summed in int64 and reduced.
 
-The inner dimension is cut into slices of k <= 2**17, so hi < 2**47 and
-mid, lo < 2**49.  The three limb dgemms run on one tile of at most 512
-output columns at a time and are reduced in float64 by Horner's rule:
-
-* r - p * floor(r * (1/p)) for an integer 0 <= r < 2**50.  The computed
-  quotient is off from r / p by less than 2**50 / p * 2**-52 = 1/(4p), so
-  its floor is floor(r / p), or one less when p divides r: the result lies
-  in [0, p], at most p.  So hi reduces to at most p, and each Horner step
-  r * 2**16 + (mid or lo) stays below 2**47 + 2**49 < 2**50.
-* The last step floors (r + 1/2) * (1/p) instead.  (r + 1/2) / p lies at
-  least 1/(2p) from every integer, farther than the error, so that floor is
-  exact and the result is canonical, in [0, p).
-
-Every tile reuses the same float buffers, so the float temporaries of a
-product grow with its rows but not with its columns.
+Each slice runs one tile of at most 512 output columns at a time, reusing
+the same float buffers, so the float temporaries grow with the rows of a
+product but not with its columns.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ from .errors import ConfigurationError, SingularSystemError
 
 MAX_MODULUS = 2**31
 
-_LIMB = 16  # bits in the low limb of the split
-_MASK = (1 << _LIMB) - 1
-_SLICE = 2**17  # inner width of one tiled product: every float sum < 2**50
 _TILE = 512  # output columns per tile
 
 _MR_BASES = (2, 3, 5, 7, 11)  # deterministic for n < 3_215_031_751
@@ -82,9 +80,9 @@ def int64_array(x) -> np.ndarray:
 class PrimeField:
     """The field of integers modulo a prime p, with p <= 2**31.
 
-    ``matmul`` is exact by construction (see the module docstring): 16-bit
-    limb products on float64 BLAS, reduced in float64 one column tile at a
-    time and sliced along the inner dimension.
+    ``matmul`` is exact by construction (see the module docstring): balanced
+    residues, one split of the left operand and one dgemm per column tile on
+    float64 BLAS, reduced in float64 and sliced along the inner dimension.
     """
 
     def __init__(self, p: int):
@@ -93,6 +91,11 @@ class PrimeField:
         if p > MAX_MODULUS:
             raise ConfigurationError(f"modulus {p} exceeds the supported bound 2**31")
         self.p = p
+        h = p // 2  # L and K(p) of the module docstring
+        self._shift = shift = (h.bit_length() + 1) // 2
+        a1, a0 = (h >> shift) + 1, 1 << (shift - 1)
+        fits = 2**52 // (a1 * h), (2**51 - 1 - ((h + 1) << shift)) // (a0 * h)
+        self._slice = min(*fits, 2**10)  # 2**10 bounds one slice's float buffers
 
     # -- array operations ----------------------------------------------------
 
@@ -111,58 +114,52 @@ class PrimeField:
         return rng.integers(0, self.p, size=shape, dtype=np.int64)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact (a @ b) mod p of two 2-D arrays through float64 BLAS, for any
-        integer entries: limb products and a float reduction per column tile,
+        """Exact (a @ b) mod p of two 2-D integer arrays through float64 BLAS,
         summed over slices of the inner dimension (see the module docstring).
         The result is a new int64 array; a and b are only read."""
-        a, b = self.residues(a), self.residues(b)
-        out = self._tiled_matmul(a[:, :_SLICE], b[:_SLICE])
-        for lo in range(_SLICE, a.shape[1], _SLICE):
-            out += self._tiled_matmul(a[:, lo : lo + _SLICE], b[lo : lo + _SLICE])
+        a, b, width = self.residues(a), self.residues(b), self._slice
+        out = self._tiled_matmul(a[:, :width], b[:width])
+        for lo in range(width, a.shape[1], width):
+            out += self._tiled_matmul(a[:, lo : lo + width], b[lo : lo + width])
             out %= self.p
         return out
 
     def _tiled_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(a @ b) mod p for entries in [0, p) and an inner dimension <= 2**17.
-
-        A's limbs are split once, as [a0 | a1], so one dgemm against a tile's
-        [b1; b0] gives mid.  Every tile reuses the same float buffers."""
-        p, inv = float(self.p), 1.0 / self.p
+        """(a @ b) mod p for entries in [0, p) and an inner dimension <= K(p):
+        A is balanced and split once, as [a1; a0], so one dgemm against each
+        balanced tile of B gives s1 and s0."""
+        p, h, inv, scale = float(self.p), float(self.p // 2), 1.0 / self.p, 2.0**self._shift
         (m, k), n = a.shape, b.shape[1]
         out = np.empty((m, n), dtype=np.int64)
-        a01 = np.empty((m, 2 * k))
-        np.bitwise_and(a, _MASK, out=a01[:, :k], casting="unsafe")
-        np.right_shift(a, _LIMB, out=a01[:, k:], casting="unsafe")
-        a0, a1 = a01[:, :k], a01[:, k:]
+        a10 = np.empty((2 * m, k))
+        a1, a0 = a10[:m], a10[m:]
+        np.copyto(a0, a, casting="unsafe")
+        a0 -= np.greater(a0, h, out=a1) * p  # balanced
+        np.rint(np.multiply(a0, 1.0 / scale, out=a1), out=a1)
+        a0 -= a1 * scale
         width = min(_TILE, n)
-        b10_buf = np.empty((2 * k, width))
-        acc_buf, part_buf, quot_buf = (np.empty((m, width)) for _ in range(3))
-
-        def fold(acc, quot):  # acc -> a value in [0, p], congruent mod p
-            np.multiply(acc, inv, out=quot)
-            np.floor(quot, out=quot)
-            quot *= p
-            acc -= quot
-
+        b_buf, high_buf = np.empty((k, width)), np.empty((k, width))
+        s_buf, quot_buf = np.empty((2 * m, width)), np.empty((m, width))
         for c in range(0, n, _TILE):
             w = min(_TILE, n - c)
-            b10, acc, part, quot = (x[:, :w] for x in (b10_buf, acc_buf, part_buf, quot_buf))
-            np.right_shift(b[:, c : c + w], _LIMB, out=b10[:k], casting="unsafe")
-            np.bitwise_and(b[:, c : c + w], _MASK, out=b10[k:], casting="unsafe")
-            np.matmul(a1, b10[:k], out=acc)  # hi
-            fold(acc, quot)
-            acc *= 2.0**_LIMB
-            np.matmul(a01, b10, out=part)  # mid
-            acc += part
-            fold(acc, quot)
-            acc *= 2.0**_LIMB
-            np.matmul(a0, b10[k:], out=part)  # lo
-            acc += part
-            np.add(acc, 0.5, out=quot)  # the exact last step, into [0, p)
+            bt, high, s, quot = b_buf[:, :w], high_buf[:, :w], s_buf[:, :w], quot_buf[:, :w]
+            np.copyto(bt, b[:, c : c + w], casting="unsafe")
+            np.greater(bt, h, out=high)
+            high *= p
+            bt -= high  # balanced
+            np.matmul(a10, bt, out=s)
+            s1, s0 = s[:m], s[m:]
+            np.multiply(s1, inv, out=quot)  # fold s1: |r1| <= h + 1
+            np.rint(quot, out=quot)
+            quot *= p
+            s1 -= quot
+            s1 *= scale
+            s1 += s0  # x, |x| < 2**51
+            np.add(s1, 0.5, out=quot)  # the exact last step, into [0, p)
             quot *= inv
             np.floor(quot, out=quot)
             quot *= p
-            np.subtract(acc, quot, out=out[:, c : c + w], casting="unsafe")
+            np.subtract(s1, quot, out=out[:, c : c + w], casting="unsafe")
         return out
 
     def power_table(self, points, exponents) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config precedence, exit codes, CSV."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from sgpd import PrimeField, code_geometry, read_matrix, write_matrix
+from sgpd.codec import CodeGeometry
 from sgpd.cli import main
 
 from conftest import distinct_live_sums, triple_loop_product
@@ -35,6 +37,28 @@ def test_run_writes_verified_product(tmp_path, capsys):
     assert "# command=run" in text
     decoded, modulus = read_matrix(out)
     assert modulus == 257 and decoded.shape == (6, 6)
+
+
+def test_run_counts_the_live_sumset_once(monkeypatch, capsys):
+    # build_plan checks the plan's own count, which decode then reads again
+    counts = []
+    original = CodeGeometry.__dict__["sum_counts"].func
+
+    @functools.cached_property
+    def sum_counts(self):
+        counts.append((self.t, self.s, self.d, self.p_c))
+        return original(self)
+
+    sum_counts.__set_name__(CodeGeometry, "sum_counts")
+    monkeypatch.setattr(CodeGeometry, "sum_counts", sum_counts)
+    code = run_cli(
+        "run", "--t", "2", "--s", "4", "--d", "2", "--pc", "2", "--P", "60",
+        "--T", "8", "--S", "16", "--D", "8", "--modulus", "2147483647",
+        "--model", "subset", "--responder-count", "26",
+    )
+    assert code == 0
+    assert "success=True" in capsys.readouterr().out
+    assert counts == [(2, 4, 2, 2)]
 
 
 def test_run_without_collusion_verifies_wide_grid(capsys):

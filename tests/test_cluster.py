@@ -9,11 +9,15 @@ import pytest
 
 from sgpd import (
     ConfigurationError,
+    FieldMismatchError,
     FixedSet,
     LatencyModel,
     PrimeField,
     RandomSubset,
     build_plan,
+    cluster_sim,
+    codec,
+    encode,
     latency_sweep,
     run,
 )
@@ -288,16 +292,97 @@ def test_latency_sweep_memory_stays_small():
     assert peak < 8 * 2**20, peak
 
 
-def test_trace_dump(tmp_path, tall_setup, field257):
+RUN_MODELS = [
+    FixedSet(range(30, 5, -1)),
+    RandomSubset(27, seed=5),
+    LatencyModel(1.0, 2.0, 0.1, seed=3),
+    FixedSet(range(1, 25)),  # one short of the threshold
+    RandomSubset(3, seed=1),
+]
+
+
+def _record_encodes(monkeypatch) -> list:
+    """Wrap the encode that run() calls: one entry per call, the row counts
+    of the share products it formed."""
+    calls = []
+    matmul = PrimeField.matmul
+
+    def recording_encode(*args):
+        rows = []
+        calls.append(rows)
+        with monkeypatch.context() as m:
+            m.setattr(PrimeField, "matmul", lambda f, a, b: rows.append(len(a)) or matmul(f, a, b))
+            return codec.encode(*args)
+
+    monkeypatch.setattr(cluster_sim, "encode", recording_encode)
+    return calls
+
+
+def test_trace_dump(monkeypatch, tmp_path, tall_setup, field257):
+    # the trace writes every worker's share, so run encodes all P of them
     plan, pair, _, _ = tall_setup
+    calls = _record_encodes(monkeypatch)
     report = run(plan, pair, FixedSet(list(range(1, 26))), trace_dir=tmp_path)
     assert report.success
+    assert calls == [[plan.n_workers] * 2]
     shares = sorted(tmp_path.glob("worker_*.share"))
     assert len(shares) == 30
-    header, _ = read_text_file(shares[2], 6, slice(2, 6), field257.p)
-    assert header[:2] == [3, 3]
+    for path, want in zip(shares, encode(plan, pair), strict=True):
+        header, (a_share, b_share) = read_text_file(path, 6, slice(2, 6), field257.p)
+        assert header[:2] == [want.worker_id, want.point]
+        assert np.array_equal(a_share, want.a_share)
+        assert np.array_equal(b_share, want.b_share)
     manifest = (tmp_path / "manifest.txt").read_text()
     assert "t=3" in manifest and "model=fixed-set" in manifest and "success=True" in manifest
+
+
+@pytest.mark.parametrize("model", RUN_MODELS[:3], ids=["fixed", "subset", "latency"])
+def test_run_encodes_only_the_shares_it_reads(monkeypatch, tall_setup, model):
+    plan, pair, a_arr, b_arr = tall_setup
+    calls = _record_encodes(monkeypatch)
+    report = run(plan, pair, model)
+    assert report.success
+    assert np.array_equal(report.decoded.data, triple_loop_product(a_arr, b_arr, 257))
+    assert calls == [[plan.recovery_threshold] * 2]  # A's and B's share products
+
+
+@pytest.mark.parametrize("model", RUN_MODELS[3:], ids=["fixed", "subset"])
+def test_run_with_too_few_finishers_encodes_no_share(monkeypatch, tall_setup, model):
+    plan, pair, _, _ = tall_setup
+    calls = _record_encodes(monkeypatch)
+    report = run(plan, pair, model)
+    assert not report.success and report.cause.startswith("NotEnoughResults")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "model", RUN_MODELS, ids=["fixed", "subset", "latency", "fixed-short", "subset-short"]
+)
+def test_run_report_is_the_same_with_and_without_a_trace(tmp_path, tall_setup, model):
+    plan, pair, _, _ = tall_setup
+    plain = run(plan, pair, model, trial=2)
+    traced = run(plan, pair, model, trial=2, trace_dir=tmp_path)
+    assert plain.lines() == traced.lines()
+    assert (plain.decoded is None) == (traced.decoded is None)
+    if plain.decoded is not None:
+        assert np.array_equal(plain.decoded.data, traced.decoded.data)
+    assert len(list(tmp_path.glob("worker_*.share"))) == plan.n_workers
+
+
+class _RefusingModel:
+    def completion_times(self, n_workers, trial=0):
+        raise AssertionError("the model was consulted")
+
+
+def test_run_refuses_a_mismatched_pair_before_the_model(tall_setup, field257, field65537):
+    plan, _, _, _ = tall_setup
+    rng = np.random.default_rng(8)
+    _, _, other_code = make_pair(3, 2, 2, 1, field257, rng)
+    with pytest.raises(ConfigurationError):
+        run(plan, other_code, _RefusingModel())
+    _, _, other_field = make_pair(3, 2, 2, 2, field65537, rng)
+    with pytest.raises(FieldMismatchError):
+        run(plan, other_field, _RefusingModel())
 
 
 def test_singular_responder_set_is_a_failed_run():

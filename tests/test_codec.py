@@ -259,6 +259,23 @@ def test_encode_rejects_mismatched_pair(field257):
         encode(plan, other)
 
 
+def test_encode_gives_the_listed_workers_in_list_order(field257):
+    rng = np.random.default_rng(4)
+    plan = build_plan(3, 2, 2, 2, 30, field257)
+    _, _, pair = make_pair(3, 2, 2, 2, field257, rng, bt=2, bs=1, bd=2)
+    every = encode(plan, pair)
+    assert [share.worker_id for share in every] == list(range(1, 31))
+    ids = [17, 3, 30, 1, 3]
+    for mine, want in zip(encode(plan, pair, ids), (every[w - 1] for w in ids), strict=True):
+        assert (mine.worker_id, mine.point) == (want.worker_id, want.point)
+        assert np.array_equal(mine.a_share, want.a_share)
+        assert np.array_equal(mine.b_share, want.b_share)
+    assert encode(plan, pair, []) == []
+    for bad in ([0], [31], [2, -1]):
+        with pytest.raises(ConfigurationError, match="pool 1..30"):
+            encode(plan, pair, bad)
+
+
 def test_encode_rejects_wrong_field(field257, field65537):
     rng = np.random.default_rng(3)
     plan = build_plan(2, 1, 1, 0, 4, field257)

@@ -13,7 +13,7 @@ from sgpd import (
     partition,
     write_matrix,
 )
-from sgpd.field import _SLICE, _TILE
+from sgpd.field import _TILE
 
 from conftest import python_gauss_jordan, triple_loop_product
 
@@ -68,6 +68,15 @@ def test_reduce_handles_negatives(field5):
 def _fill(kind, p, shape):
     if kind == "max":
         return np.full(shape, p - 1, dtype=np.int64)
+    if kind in ("+h", "-h"):
+        # +-h with h = p // 2 (entries h and h + 1): the balanced residues of
+        # largest magnitude.  The sum is odd when an odd count of products is
+        # odd, so when k * h is even the last column steps to +-(h - 1)
+        h, sign = p // 2, 1 if kind == "+h" else -1
+        arr = np.full(shape, sign * h, dtype=np.int64)
+        if shape[-1] * h % 2 == 0:
+            arr[:, -1] = sign * (h - 1)
+        return arr % p
     # odd products whose sum is odd: a float64 sum past 2**53 cannot hold it
     arr = np.full(shape, p - 2, dtype=np.int64)
     if shape[-1] % 2 == 0:
@@ -201,19 +210,36 @@ def test_matmul_empty_inner_dimension(p):
     assert np.array_equal(got, np.zeros((3, 2), dtype=np.int64))
 
 
+@pytest.mark.parametrize("p", [3, 257, 65537, 2147483647, 2147483629])
+def test_matmul_at_the_slice_width_with_balanced_extremes(p):
+    # k = K(p) fills one inner slice and K(p) + 1 starts a second, with the
+    # largest balanced entries on both sides and odd sums
+    field = PrimeField(p)
+    width = field._slice
+    for k in (width, width + 1):
+        for kind_a, kind_b in (("+h", "+h"), ("+h", "-h"), ("-h", "-h")):
+            a = _fill(kind_a, p, (2, k))
+            b = _fill(kind_b, p, (3, k)).T
+            got = field.matmul(a, b)
+            assert np.array_equal(got, triple_loop_product(a, b, p)), (k, kind_a, kind_b)
+
+
 def test_matmul_slices_the_inner_dimension_past_the_limb_bound():
-    # every low limb is 2**16 - 1, so the low-limb sum over k terms is
-    # k * (2**16 - 1)**2: odd for odd k, and past 2**53 from k = 2**21 + 65,
-    # where one unsliced limb dgemm could not hold it
+    # A's entry splits into the odd limbs a1 = 2**15 - 1 and a0 = 2**14 - 1,
+    # and B's entry is -h, so the high-limb sum over k terms is odd and past
+    # 2**53 from k = 257, where one unsliced dgemm could not hold it
     p = 2147483647
-    k = 2**21 + 65
-    assert k > _SLICE
-    v = (2**15 - 2) << 16 | 0xFFFF
+    h = p // 2
+    field = PrimeField(p)
+    assert (field._shift, field._slice) == (15, 126)
+    k = 4 * 126 + 9
+    v = (2**15 - 1) * 2**15 + 2**14 - 1
     a = np.full((1, k), v, dtype=np.int64)
-    b = np.full((k, 1), v, dtype=np.int64)
-    got = PrimeField(p).matmul(a, b)
+    b = np.full((k, 1), h + 1, dtype=np.int64)
+    got = field.matmul(a, b)
     assert got.shape == (1, 1)
-    assert int(got[0, 0]) == k * v * v % p
+    assert int(got[0, 0]) == k * v * (h + 1) % p
+    assert np.array_equal(got, triple_loop_product(a, b, p))
 
 
 def test_powers_row(field257):
