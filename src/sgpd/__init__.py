@@ -24,7 +24,6 @@ from .errors import (
     NotEnoughResults,
     SgpdError,
     SingularSystemError,
-    WrongCaseError,
 )
 from .field import PrimeField, is_prime
 from .blocks import BlockMatrix, partition, read_matrix, write_matrix
@@ -94,7 +93,6 @@ __all__ = [
     "SingularSystemError",
     "SubsetVerdict",
     "WorkerResult",
-    "WrongCaseError",
     "audit_all_subsets",
     "augment",
     "build_plan",

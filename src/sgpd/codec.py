@@ -28,12 +28,7 @@ from math import ceil
 import numpy as np
 
 from .blocks import BlockMatrix, write_text_file
-from .errors import (
-    ConfigurationError,
-    FieldMismatchError,
-    NotEnoughResults,
-    WrongCaseError,
-)
+from .errors import ConfigurationError, FieldMismatchError, NotEnoughResults
 from .field import PrimeField, int64_array
 
 _CASE_LABELS = {"gpd": "non-secure", "tall": "secure-tall", "wide": "secure-wide"}
@@ -283,7 +278,7 @@ def naive_secure_threshold(t: int, s: int, d: int, p_c: int) -> int:
     plain construction, without rearranging the appended exponents.  Always
     >= the rearranged threshold; strictly larger once P_C > s."""
     if s >= t:
-        raise WrongCaseError(f"baseline comparison is defined for s < t, got s={s}, t={t}")
+        raise ConfigurationError(f"baseline comparison is defined for s < t, got s={s}, t={t}")
     if p_c == 0:
         return t * s * d + s - 1
     delta = ceil(p_c / s)
@@ -523,36 +518,26 @@ def exponent_audit(geometry: CodeGeometry) -> ExponentAuditReport:
         return ExponentAuditReport(params, pairs, tuple(findings))
     for e in sorted(set(targets[hits == 0].tolist())):  # no live pair hits e
         findings.append(f"extraction exponent {e} not in the live support")
-    targets = targets[flagged]
-    sums = np.add.outer(a_exps, b_exps)
-    # every (flagged target, block pair) hit at once: target-major, pair row-major
-    cand = np.flatnonzero(np.isin(sums, targets))
-    tgt, hit = np.nonzero(targets[:, None] == sums.ravel()[cand])
-    x, y = np.divmod(cand[hit], sums.shape[1])
-    ai, aj = np.argwhere(lay.a_live)[x].T  # row-major, as a_exps
-    bk, bl = np.argwhere(lay.b_live)[y].T
-    i, l = np.divmod(flagged[tgt], ext.shape[1])
-    a_data = (ai < t) & (aj < s)  # data fill the top-left corners
-    b_data = (bk < s) & (bl < d)
-    random = ~(a_data & b_data)
-    good = ~random & (ai == i) & (bl == l) & (aj == bk)
-    # each target must see every inner index k in 0..s-1 exactly once
-    inner = np.bincount(tgt[good] * s + aj[good], minlength=targets.size * s).reshape(-1, s)
-    short = (inner != 1).any(axis=1)
-    bad = np.flatnonzero(~good)
-    for g in np.union1d(tgt[bad], np.flatnonzero(short)).tolist():
-        gi, gl = divmod(int(flagged[g]), ext.shape[1])
-        at = f"C[{gi},{gl}] at exponent {targets[g]} receives"
-        for h in bad[tgt[bad] == g].tolist():
-            pair = f"a[{ai[h]},{aj[h]}] x b[{bk[h]},{bl[h]}]"
-            if random[h]:
-                sides = " x ".join("data" if side else "random" for side in (a_data[h], b_data[h]))
+    a_blocks, b_blocks = np.argwhere(lay.a_live).tolist(), np.argwhere(lay.b_live).tolist()
+    sums = np.add.outer(a_exps, b_exps)  # row-major over live blocks, as a_blocks x b_blocks
+    x, y = np.nonzero(np.isin(sums, targets[flagged]))  # every flagged target's hits, once
+    hit_sums = sums[x, y]
+    for g in flagged.tolist():
+        (i, l), mine, seen = divmod(g, d), hit_sums == targets[g], []
+        at = f"C[{i},{l}] at exponent {targets[g]} receives"
+        for u, v in zip(x[mine].tolist(), y[mine].tolist()):
+            (ai, aj), (bk, bl) = a_blocks[u], b_blocks[v]
+            a_data, b_data = ai < t and aj < s, bk < s and bl < d  # data fill the top-left corners
+            pair = f"a[{ai},{aj}] x b[{bk},{bl}]"
+            if not (a_data and b_data):
+                sides = " x ".join("data" if side else "random" for side in (a_data, b_data))
                 findings.append(f"{at} {pair} ({sides})")
-            else:
+            elif (ai, aj, bl) != (i, bk, l):
                 findings.append(f"{at} misaligned data pair {pair}")
-        if short[g]:
-            seen = np.repeat(np.arange(s), inner[g]).tolist()
-            findings.append(f"C[{gi},{gl}] inner-sum terms {seen} != 0..{s - 1}")
+            else:
+                seen.append(aj)
+        if sorted(seen) != list(range(s)):  # each inner index k in 0..s-1 exactly once
+            findings.append(f"C[{i},{l}] inner-sum terms {sorted(seen)} != 0..{s - 1}")
     return ExponentAuditReport(params, pairs, tuple(findings))
 
 

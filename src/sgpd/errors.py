@@ -11,10 +11,6 @@ class ConfigurationError(SgpdError, ValueError):
     """Parameters are structurally invalid (bad modulus, non-divisible shapes, ...)."""
 
 
-class WrongCaseError(ConfigurationError):
-    """A computation was asked for outside the partition-shape regime it is defined for."""
-
-
 class FieldMismatchError(SgpdError, ValueError):
     """Operands belong to prime fields with different moduli."""
 

@@ -99,14 +99,11 @@ class PrimeField:
 
     # -- array operations ----------------------------------------------------
 
-    def reduce(self, arr: np.ndarray) -> np.ndarray:
-        return int64_array(arr) % self.p
-
     def residues(self, x) -> np.ndarray:
         """x as int64 entries in [0, p): copied and reduced only when an entry
         lies outside, so a reduced int64 array is used as it is."""
         x = int64_array(x)
-        if x.size and (x.min() < 0 or x.max() >= self.p):
+        if x.size and x.view(np.uint64).max() >= self.p:  # a negative reads >= 2**63
             return x % self.p
         return x
 
@@ -166,7 +163,7 @@ class PrimeField:
         """Matrix [w, k] = points[w] ** exponents[k] mod p, for exponents >= 0
         (a negative one raises ``ConfigurationError``): the powers 0..max of
         all points, one numpy step per power, then the requested columns."""
-        points = self.reduce(points).reshape(-1)
+        points = int64_array(points).reshape(-1) % self.p
         exponents = np.asarray(exponents, dtype=np.int64).reshape(-1)
         if (exponents < 0).any():
             raise ConfigurationError(f"exponents must be >= 0, got {int(exponents.min())}")
@@ -187,7 +184,7 @@ class PrimeField:
         r - f * pivot lies above -2**62 before it is reduced.  A pivot row is
         zero left of its pivot, so a step touches only the columns from it on."""
         p = self.p
-        rows = self.reduce(matrix)
+        rows = int64_array(matrix) % p  # a fresh copy, eliminated in place
         rank = 0
         for col in range(pivot_cols):
             if rank == rows.shape[0]:

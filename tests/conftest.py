@@ -359,7 +359,7 @@ def lagrange_coefficient_matrix(field: PrimeField, xs) -> np.ndarray:
     Synthetic division by (z - x_i) and the Horner evaluation of each
     quotient at x_i run as one numpy step per degree over all points."""
     p = field.p
-    xs = field.reduce(xs).reshape(-1)
+    xs = field.residues(xs).reshape(-1)
     n = xs.size
     master = np.zeros(n + 1, dtype=np.int64)  # prod (z - x_i), low-to-high coeffs
     master[0] = 1

@@ -16,7 +16,6 @@ from sgpd import (
     NotEnoughResults,
     PrimeField,
     SingularSystemError,
-    WrongCaseError,
     augment,
     build_plan,
     code_geometry,
@@ -149,7 +148,7 @@ def test_naive_threshold_examples():
     assert naive_secure_threshold(3, 2, 2, 2) == 25
     assert naive_secure_threshold(4, 2, 3, 2) == 41
     assert naive_secure_threshold(5, 2, 3, 0) == 5 * 2 * 3 + 1  # no augmentation
-    with pytest.raises(WrongCaseError):
+    with pytest.raises(ConfigurationError, match="s < t"):
         naive_secure_threshold(2, 3, 2, 1)
 
 

@@ -41,7 +41,7 @@ def test_field_rejects_oversized_modulus():
 @given(st.sampled_from([5, 257, 65537]), st.data())
 @settings(max_examples=60)
 def test_element_axioms(p, data):
-    # field elements are int64 array entries: add/sub via reduce, mul via matmul
+    # field elements are int64 array entries: add/sub via residues, mul via matmul
     field = PrimeField(p)
     a, b, c = (data.draw(st.integers(0, p - 1)) for _ in range(3))
 
@@ -49,10 +49,10 @@ def test_element_axioms(p, data):
         return int(field.matmul(np.array([[x]]), np.array([[y]]))[0, 0])
 
     def add(x, y):
-        return int(field.reduce(np.array([x + y]))[0])
+        return int(field.residues(np.array([x + y]))[0])
 
     assert add(a, b) == (a + b) % p
-    assert int(field.reduce(np.array([a - b]))[0]) == (a - b) % p
+    assert int(field.residues(np.array([a - b]))[0]) == (a - b) % p
     assert mul(a, b) == (a * b) % p
     assert add(add(a, b), c) == add(a, add(b, c))
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
@@ -62,7 +62,27 @@ def test_element_axioms(p, data):
 
 def test_reduce_handles_negatives(field5):
     arr = np.array([[-1, -7, 12]])
-    assert (field5.reduce(arr) == [[4, 3, 2]]).all()
+    assert (field5.residues(arr) == [[4, 3, 2]]).all()
+
+
+@pytest.mark.parametrize("p", [5, 65537, 2**31 - 1])
+def test_residues_copy_only_an_unreduced_input(p):
+    # a reduced int64 array comes back as itself, strided or not; anything
+    # else equals x % p, including -2**63, which reads as 2**63 unsigned
+    field = PrimeField(p)
+    reduced = np.arange(24, dtype=np.int64).reshape(4, 6) % p
+    strided = reduced[::2, 1::3]
+    for x in (reduced, strided, reduced[:1, :1]):
+        assert field.residues(x) is x
+    entries = np.array([-1, -(2**63), p - 1, p, 2**62, 0], dtype=np.int64)
+    saved = entries.copy()
+    inputs = [entries, entries.reshape(2, 3)[:, ::2], entries[::-1], np.array([True, False])]
+    inputs += [np.array([e]) for e in entries] + [np.zeros((0, 3), dtype=np.int64)]
+    for x in inputs:
+        got = field.residues(x)
+        assert got.dtype == np.int64 and got.shape == x.shape
+        assert np.array_equal(got, x.astype(np.int64) % p), x
+    assert np.array_equal(entries, saved)
 
 
 def _fill(kind, p, shape):
