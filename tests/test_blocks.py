@@ -1,5 +1,8 @@
 """Block partitioning, random augmentation layouts, matrix file round-trips."""
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from sgpd import (
     read_matrix,
     write_matrix,
 )
+from sgpd import blocks
 from sgpd.blocks import read_text_file
 from sgpd.codec import CodedShare, write_share
 
@@ -243,7 +247,7 @@ P31 = 2**31 - 1
     "matrix,modulus,expected",
     [
         ([[0, P31 - 1, 1], [P31 - 2, 0, 65536]], P31,
-         b"2 3 2147483647\n0 2147483646 1\n2147483645 0 65536\n"),
+         b"2 3 2147483647\n         0 2147483646          1\n2147483645          0      65536\n"),
         ([[0, 2], [1, 0], [2, 2]], 3, b"3 2 3\n0 2\n1 0\n2 2\n"),
         (np.zeros((2, 0)), 7, b"2 0 7\n\n\n"),
         (np.zeros((0, 3)), 7, b"0 3 7\n"),
@@ -403,3 +407,133 @@ def test_file_reader_agrees_with_token_oracle(tmp_path_factory, data, p, shapes)
     assert header[:2] == [9, point]
     assert np.array_equal(a_back, a) and np.array_equal(b_back, b)
     _respaced_reads_as_oracle(data, path, 6, slice(2, 6), p)
+
+
+def _token_parser_refused(path, raw, header_len):
+    raise AssertionError(f"{path} reached the token parser")
+
+
+_EDGES = [0, 9, 10, 9_999, 10**4, 10**8 - 1, 10**8]
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 257, 65537, 2**31 - 1])
+def test_written_files_are_read_as_grids_at_every_width(tmp_path, monkeypatch, p):
+    # every written file, at the edges of each digit count, reads back through
+    # the byte grid alone: the token parser is never reached
+    monkeypatch.setattr(blocks, "_token_entries", _token_parser_refused)
+    field = PrimeField(p)
+    edges = [v for v in _EDGES if v < p] + [p - 1]
+    a = np.array([edges, edges[::-1]], dtype=np.int64)
+    path = tmp_path / "m.mat"
+    write_matrix(path, a, p)
+    rows = path.read_bytes().split(b"\n")[1:-1]
+    assert {len(row) for row in rows} == {len(edges) * (len(str(p - 1)) + 1) - 1}
+    back, modulus = read_matrix(path)
+    assert modulus == p and np.array_equal(back, a)
+
+    b = a.T.copy()
+    write_share(path, CodedShare(7, p - 1, a, b, field))
+    header, (a_back, b_back) = read_text_file(path, 6, slice(2, 6), p)
+    assert header == [7, p - 1, *a.shape, *b.shape]
+    assert np.array_equal(a_back, a) and np.array_equal(b_back, b)
+
+
+@pytest.mark.parametrize(
+    "text,entry",
+    [
+        ("1 2 2147483647\n9999999999          1\n", 9999999999),
+        ("1 2 2147483647\n         1 2147483647\n", 2147483647),
+        ("2 1 257\n999\n  1\n", 999),
+        ("1 1 2\n2\n", 2),
+    ],
+)
+def test_grid_entry_outside_field_is_refused(tmp_path, monkeypatch, text, entry):
+    monkeypatch.setattr(blocks, "_token_entries", _token_parser_refused)
+    path = tmp_path / "bad.mat"
+    path.write_text(text)
+    modulus = int(text.split()[2])
+    with pytest.raises(ConfigurationError) as info:
+        read_matrix(path)
+    assert str(info.value) == f"{path}: entry {entry} lies outside [0, {modulus})"
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        # a field of spaces alone, whose missing digit a "1 3" field makes up
+        ("1 2 257\n    1 3\n", [[1, 3]]),
+        # two tokens in one field
+        ("1 1 257\n1 3\n", "expected 1 entries, found 2"),
+        # a field that ends in digits but holds another byte
+        ("1 1 65537\n  x12\n", "line 2: non-integer entry"),
+        ("1 1 65537\n\t  12\n", [[12]]),
+    ],
+)
+def test_files_of_grid_length_read_by_their_tokens(tmp_path, text, expected):
+    path = tmp_path / "m.mat"
+    path.write_text(text)
+    if isinstance(expected, str):
+        with pytest.raises(ConfigurationError, match=expected):
+            read_matrix(path)
+    else:
+        assert read_matrix(path)[0].tolist() == expected
+
+
+# ASCII whitespace-separated tokens of an optional "-" and 1 to 18 digits
+_TOKEN_FILE = re.compile(rb"\s*(?:-?[0-9]{1,18}(?:\s+|\Z))*")
+
+
+def _message(read, *args):
+    try:
+        header, arrays = read(*args)
+    except ConfigurationError as exc:
+        return str(exc)
+    return header, [arr.tolist() for arr in arrays]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from(_MODULI),
+    shapes=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=2, max_size=2),
+    share=st.booleans(),
+    edit=st.sampled_from(["replace", "insert", "delete"]),
+    byte=st.sampled_from(list(b"0123456789 \t\n\r-x")),
+)
+def test_one_byte_mutant_reads_as_the_token_reader(
+    tmp_path_factory, data, p, shapes, share, edit, byte
+):
+    # a written grid with one byte replaced, inserted or deleted: the grid
+    # reader takes it or hands it on, and the outcome, message included, is
+    # the token reader's; a mutant inside the grammar reads as the oracle
+    path = tmp_path_factory.mktemp("mutants") / "f"
+    a, b = (
+        np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=r * c, max_size=r * c)),
+                 dtype=np.int64).reshape(r, c)
+        for r, c in shapes
+    )
+    if share:
+        write_share(path, CodedShare(2, data.draw(st.integers(0, p - 1)), a, b, PrimeField(p)))
+        layout = (6, slice(2, 6), p)
+    else:
+        write_matrix(path, a, p)
+        layout = (3, slice(0, 2))
+    raw = bytearray(path.read_bytes())
+    at = data.draw(st.integers(0, len(raw) - (edit != "insert")))
+    if edit == "delete":
+        del raw[at]
+    elif edit == "insert":
+        raw.insert(at, byte)
+    else:
+        raw[at] = byte
+    path.write_bytes(bytes(raw))
+
+    got = _message(read_text_file, path, *layout)
+    with mock.patch.object(blocks, "_grid_entries", return_value=None):
+        assert got == _message(read_text_file, path, *layout)
+    if _TOKEN_FILE.fullmatch(raw):
+        assert _outcome(read_text_file, path, *layout) == _outcome(
+            reference_read_text_file, path, *layout
+        )
+    else:
+        assert isinstance(got, str) and f"{path}: line " in got
