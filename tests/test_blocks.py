@@ -246,8 +246,11 @@ P31 = 2**31 - 1
 @pytest.mark.parametrize(
     "matrix,modulus,expected",
     [
-        ([[0, P31 - 1, 1], [P31 - 2, 0, 65536]], P31,
-         b"2 3 2147483647\n         0 2147483646          1\n2147483645          0      65536\n"),
+        pytest.param(
+            [[0, P31 - 1, 1], [P31 - 2, 0, 65536]], P31,
+            b"2 3 2147483647\n         0 2147483646          1\n2147483645          0      65536\n",
+            id="p31-grid",
+        ),
         ([[0, 2], [1, 0], [2, 2]], 3, b"3 2 3\n0 2\n1 0\n2 2\n"),
         (np.zeros((2, 0)), 7, b"2 0 7\n\n\n"),
         (np.zeros((0, 3)), 7, b"0 3 7\n"),

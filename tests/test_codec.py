@@ -801,9 +801,10 @@ def test_share_file_round_trip(tmp_path, field257):
 @pytest.mark.parametrize(
     "share,expected",
     [
-        (
+        pytest.param(
             (60, 2**31 - 2, [[0, 2**31 - 2]], [[2**31 - 2], [0]], 2**31 - 1),
             b"60 2147483646 1 2 2 1\n         0 2147483646\n2147483646\n         0\n",
+            id="p31-grid",
         ),
         ((1, 2, [[2, 0, 1]], [[0], [2], [1]], 3), b"1 2 1 3 3 1\n2 0 1\n0\n2\n1\n"),
         ((3, 5, np.zeros((2, 0)), [[1, 2, 3]], 7), b"3 5 2 0 1 3\n\n\n1 2 3\n"),
