@@ -28,7 +28,20 @@ class BlockMatrix:
 
     def __post_init__(self):
         # a copy, so the caller's array is never frozen or aliased
-        arr = np.array(self.field.residues(self.data))
+        self._freeze(np.array(self.field.residues(self.data)))
+
+    @classmethod
+    def adopt(cls, data: np.ndarray, grid: tuple[int, int], field: PrimeField) -> BlockMatrix:
+        """A BlockMatrix over ``data`` itself, frozen in place instead of
+        copied: for an int64 array in [0, p) that its maker has just built and
+        will neither write to nor hand out again."""
+        block = cls.__new__(cls)
+        object.__setattr__(block, "grid", grid)
+        object.__setattr__(block, "field", field)
+        block._freeze(data)
+        return block
+
+    def _freeze(self, arr: np.ndarray) -> None:
         gr, gc = self.grid
         if arr.ndim != 2:
             raise ConfigurationError("matrix data must be two-dimensional")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import partition, read_matrix, write_matrix
+from .blocks import BlockMatrix, read_matrix, write_matrix
 from .cluster_sim import FixedSet, LatencyModel, RandomSubset, run
 from .codec import augment, build_plan, code_geometry, naive_secure_threshold
 from .errors import BudgetExceeded, ConfigurationError, SgpdError
@@ -216,12 +216,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     plan = build_plan(
         merged["t"], merged["s"], merged["d"], merged["pc"], merged["workers"], field
     )
+    # A and B are this command's own arrays, read or drawn in [0, p): their
+    # block matrices take them over without a copy, and once A* and B* hold
+    # them they are dropped
     pair = augment(
-        partition(a_arr, (merged["t"], merged["s"]), field),
-        partition(b_arr, (merged["s"], merged["d"]), field),
+        BlockMatrix.adopt(a_arr, (merged["t"], merged["s"]), field),
+        BlockMatrix.adopt(b_arr, (merged["s"], merged["d"]), field),
         merged["pc"],
         rng,
     )
+    del a_arr, b_arr
     model = _build_model(merged)
     report = run(plan, pair, model, merged["trial"], merged["trace_dir"])
     lines = _header("run", merged)

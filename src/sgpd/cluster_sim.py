@@ -3,8 +3,10 @@
 Time is simulated, never slept: a straggler model assigns each worker a
 completion time (infinity marks a permanent failure), the run encodes the
 shares of the earliest recovery_threshold finishers only, computes, decodes
-and checks the output against the directly computed product.  Identical seeds
-give byte-identical reports.
+and checks the output against the directly computed product.  The responders
+travel as stacks, from ``codec.share_stacks`` through one batched
+``PrimeField.matmul`` to ``codec.interpolate``, and each stack is released
+once its last reader is done.  Identical seeds give byte-identical reports.
 
 LatencyModel trial ``trial`` of seed ``seed`` draws from
 ``np.random.default_rng((0x1A7E, seed, trial))``: P exponential delays, then
@@ -31,7 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from .blocks import BlockMatrix
-from .codec import AugmentedPair, EncodingPlan, decode, encode, worker_compute, write_share
+from .codec import (
+    AugmentedPair,
+    CodedShare,
+    EncodingPlan,
+    interpolate,
+    share_stacks,
+    write_share,
+)
 from .errors import ConfigurationError, SingularSystemError
 
 
@@ -177,29 +186,41 @@ def run(
 ) -> RunReport:
     """Collect the earliest finishers, encode and compute their shares,
     decode, verify.  Only the shares the decoder reads are encoded, or every
-    worker's share when ``trace_dir`` is given, since the trace writes them all."""
+    worker's share when ``trace_dir`` is given, since the trace writes them all.
+
+    The responders travel as stacks: one ``share_stacks`` call, one batched
+    product of the a-share and b-share stacks, which are released once the
+    products exist, and ``interpolate`` on the product stack in place, its
+    entries in completion order.  ``decode(plan, [worker_compute(s) for s in
+    encode(plan, pair, ids)])`` gives the same product one worker at a time."""
     plan.check_pair(pair)  # a mismatched pair is refused before the model is consulted
     times = model.completion_times(plan.n_workers, trial)
     order = _completion_order(times)
     p_r = plan.recovery_threshold
     used = order[:p_r] if len(order) >= p_r else []
-    if trace_dir is None:
-        shares = encode(plan, pair, [w + 1 for w in used]) if used else []
-    else:
-        shares = encode(plan, pair)
+    ids = [w + 1 for w in used]
+    if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-        for share in shares:
-            write_share(trace_dir / f"worker_{share.worker_id:04d}.share", share)
-        shares = [shares[w] for w in used]
-    results = [worker_compute(share, float(times[w])) for share, w in zip(shares, used)]
-    decoded, cause = None, f"NotEnoughResults: have {len(order)}, need {p_r}"
+        workers = range(1, plan.n_workers + 1)
+        shares = share_stacks(plan, pair, workers)
+        for w, a_share, b_share in zip(workers, *shares):
+            share = CodedShare(w, plan.evaluation_points[w - 1], a_share, b_share, plan.field)
+            write_share(trace_dir / f"worker_{w:04d}.share", share)
+        shares = [stack[used] for stack in shares]
+    elif used:
+        shares = share_stacks(plan, pair, ids)
+    decoded, cause, load = None, f"NotEnoughResults: have {len(order)}, need {p_r}", 0
     if used:
+        products = plan.field.matmul(*shares)
+        shares = None  # the products were the shares' last reader
+        load = products.size
         try:
-            decoded = decode(plan, results)
+            decoded = interpolate(plan, ids, products)
         except SingularSystemError as exc:
             cause = f"SingularSystemError: {exc}"
         else:
+            products = None  # interpolate was its last reader
             ok = np.array_equal(decoded.data, plan.field.matmul(pair.original_a, pair.original_b))
             cause = "" if ok else "decoded output failed verification"
     shown = used or order  # the responders read, or every finisher of a short run
@@ -208,7 +229,7 @@ def run(
         responders=tuple(w + 1 for w in shown),
         points=tuple(plan.evaluation_points[w] for w in shown),
         wall_clock=float(times[used[-1]]) if used else math.inf,
-        measured_load=sum(r.product.size for r in results),
+        measured_load=load,
         checksum="" if decoded is None else _checksum(decoded),
         cause=cause,
         decoded=decoded,

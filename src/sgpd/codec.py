@@ -7,7 +7,9 @@ from A* and G(z) built from B*, and returns the product F(z_p)G(z_p).  The
 exponent maps are chosen so that every output block C_{i,l} of C = AB
 appears as one clean coefficient of F(z)G(z): solve for the product
 polynomial's coefficients from any recovery_threshold evaluations, read the
-extraction exponents, done.
+extraction exponents, done.  Both steps work on stacks, one entry per
+worker: ``share_stacks`` and ``interpolate``, which ``cluster_sim.run``
+calls; ``encode`` and ``decode`` are their per-worker forms, with the checks.
 
 recovery_threshold is always derived from the construction: the number of
 distinct exponents in the live sumset {a + b} over live (non-masked) blocks,
@@ -254,7 +256,7 @@ def _pad(m: BlockMatrix, live: np.ndarray, rng: np.random.Generator) -> BlockMat
     strip = out[rows:, :] if out.shape[0] > rows else out[:, cols:]
     strip[...] = m.field.random_array(strip.shape, rng)
     out.reshape(live.shape[0], br, live.shape[1], bc).swapaxes(1, 2)[~live] = 0
-    return BlockMatrix(out, live.shape, m.field)
+    return BlockMatrix.adopt(out, live.shape, m.field)
 
 
 def augment(
@@ -392,35 +394,44 @@ class WorkerResult:
     completion_time: float = 0.0
 
 
-def _block_stack(m: BlockMatrix) -> np.ndarray:
-    """Blocks flattened to rows, in row-major grid order."""
+def _live_rows(m: BlockMatrix, live: np.ndarray) -> np.ndarray:
+    """The live blocks of m flattened to rows, in row-major grid order."""
     gr, gc = m.grid
     br, bc = m.block_shape
+    blocks = m.data.reshape(gr, br, gc, bc).transpose(0, 2, 1, 3)[live]
+    return blocks.reshape(len(blocks), br * bc)
+
+
+def share_stacks(plan: EncodingPlan, pair: AugmentedPair, workers) -> tuple:
+    """The a-share and b-share stacks of the listed 1-based worker ids: arrays
+    of shape (len(workers), *block shape) whose entry i is worker workers[i]'s
+    share, both polynomials evaluated at its point.  Only live blocks enter
+    the sums; the dead ones are zero.  ``pair`` must already have passed
+    ``plan.check_pair``."""
+    emap, lay = plan.exponent_map, plan.layout
+    if any(not 1 <= w <= plan.n_workers for w in workers):
+        raise ConfigurationError(f"worker ids {workers} must lie in the pool 1..{plan.n_workers}")
+    points = [plan.evaluation_points[w - 1] for w in workers]
+    v_a = plan.field.power_table(points, emap.a_exponents[lay.a_live])
+    v_b = plan.field.power_table(points, emap.b_exponents[lay.b_live])
+    shares_a = plan.field.matmul(v_a, _live_rows(pair.a_star, lay.a_live))
+    shares_b = plan.field.matmul(v_b, _live_rows(pair.b_star, lay.b_live))
+    n = len(points)
     return (
-        m.data.reshape(gr, br, gc, bc).transpose(0, 2, 1, 3).reshape(gr * gc, br * bc)
+        shares_a.reshape(n, *pair.a_star.block_shape),
+        shares_b.reshape(n, *pair.b_star.block_shape),
     )
 
 
 def encode(plan: EncodingPlan, pair: AugmentedPair, workers=None) -> list:
     """One CodedShare per listed 1-based worker id, in list order (all P in
-    worker order when ``workers`` is None): both polynomials evaluated at the
-    worker's point.  Only live blocks enter the sums; the dead ones are zero."""
-    emap, lay = plan.exponent_map, plan.layout
+    worker order when ``workers`` is None): the entries of ``share_stacks``."""
     plan.check_pair(pair)
     ids = range(1, plan.n_workers + 1) if workers is None else [int(w) for w in workers]
-    if any(not 1 <= w <= plan.n_workers for w in ids):
-        raise ConfigurationError(f"worker ids {ids} must lie in the pool 1..{plan.n_workers}")
-    points = [plan.evaluation_points[w - 1] for w in ids]
-    a_rows = _block_stack(pair.a_star)[lay.a_live.ravel()]
-    b_rows = _block_stack(pair.b_star)[lay.b_live.ravel()]
-    v_a = plan.field.power_table(points, emap.a_exponents[lay.a_live])
-    v_b = plan.field.power_table(points, emap.b_exponents[lay.b_live])
-    shares_a = plan.field.matmul(v_a, a_rows)
-    shares_b = plan.field.matmul(v_b, b_rows)
-    ab, bb = pair.a_star.block_shape, pair.b_star.block_shape
+    shares_a, shares_b = share_stacks(plan, pair, ids)
     return [
-        CodedShare(w, z, shares_a[i].reshape(ab), shares_b[i].reshape(bb), plan.field)
-        for i, (w, z) in enumerate(zip(ids, points))
+        CodedShare(w, plan.evaluation_points[w - 1], a_share, b_share, plan.field)
+        for w, a_share, b_share in zip(ids, shares_a, shares_b)
     ]
 
 
@@ -433,18 +444,36 @@ def worker_compute(share: CodedShare, completion_time: float = 0.0) -> WorkerRes
     return WorkerResult(share.worker_id, share.point, product, completion_time)
 
 
+def interpolate(plan: EncodingPlan, workers, products: np.ndarray) -> BlockMatrix:
+    """C from a (recovery_threshold, rows, cols) stack of worker products
+    whose entry i is the product of worker workers[i]: distinct 1-based ids
+    in any order.  The system is the generalized Vandermonde matrix
+    V[i, e] = x_i**e over the support, and only the rows of V**-1 at the
+    extraction exponents are formed, by one ``PrimeField.solve`` of V^T; they
+    multiply the stack, read in place as (recovery_threshold, entries).  V can
+    be singular mod p for a sparse support; then SingularSystemError is
+    raised, never a wrong product."""
+    ext = plan.exponent_map.extraction
+    t, d = ext.shape
+    n, br, bc = products.shape
+    points = [plan.evaluation_points[w - 1] for w in workers]
+    vandermonde = plan.field.power_table(points, plan.support)
+    picks = np.zeros((n, t * d), dtype=np.int64)  # unit columns at the extraction rows
+    picks[np.searchsorted(plan.support, ext.ravel()), np.arange(t * d)] = 1
+    weights = plan.field.solve(vandermonde.T, picks).T
+    coeffs = plan.field.matmul(weights, products.reshape(n, br * bc))
+    out = coeffs.reshape(t, d, br, bc).transpose(0, 2, 1, 3).reshape(t * br, d * bc)
+    return BlockMatrix.adopt(out, (t, d), plan.field)
+
+
 def decode(plan: EncodingPlan, results) -> BlockMatrix:
     """Solve for the product polynomial's coefficients on its live support
-    and read the extraction coefficients.
+    and read the extraction coefficients (see ``interpolate``).
 
     Each result is evaluated at the plan's point for its worker id, which
     must lie in 1..P and agree with the point the result carries.  Exactly
     recovery_threshold results are consumed; any surplus is dropped
-    deterministically, keeping the lowest worker ids.  The system is the
-    generalized Vandermonde matrix V[i, e] = x_i**e over the support, and
-    only the rows of V**-1 at the extraction exponents are formed, by one
-    ``PrimeField.solve`` of V^T.  V can be singular mod p for a sparse
-    support; then SingularSystemError is raised, never a wrong product.
+    deterministically, keeping the lowest worker ids.
     """
     by_id: dict = {}
     for r in results:
@@ -464,21 +493,11 @@ def decode(plan: EncodingPlan, results) -> BlockMatrix:
     if len(by_id) < p_r:
         raise NotEnoughResults(len(by_id), p_r)
     chosen = [by_id[w] for w in sorted(by_id)][:p_r]
-    points = [int(plan.evaluation_points[r.worker_id - 1]) for r in chosen]
     shapes = {r.product.shape for r in chosen}
     if len(shapes) != 1:
         raise ConfigurationError(f"results disagree on product shape: {sorted(shapes)}")
-    ext = plan.exponent_map.extraction
-    t, d = ext.shape
-    vandermonde = plan.field.power_table(points, plan.support)
-    picks = np.zeros((p_r, t * d), dtype=np.int64)  # unit columns at the extraction rows
-    picks[np.searchsorted(plan.support, ext.ravel()), np.arange(t * d)] = 1
-    weights = plan.field.solve(vandermonde.T, picks).T
-    values = np.stack([int64_array(r.product).reshape(-1) for r in chosen])
-    br, bc = chosen[0].product.shape
-    coeffs = plan.field.matmul(weights, values)
-    out = coeffs.reshape(t, d, br, bc).transpose(0, 2, 1, 3).reshape(t * br, d * bc)
-    return BlockMatrix(out, (t, d), plan.field)
+    products = np.stack([int64_array(r.product) for r in chosen])
+    return interpolate(plan, [r.worker_id for r in chosen], products)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,15 @@ float buffers) with K*A1*h <= 2**52 and (h + 1)*2**L + K*A0*h <= 2**51 - 1
   < 1/(2p), and (x + 1/2)/p lies at least 1/(2p) from every integer, so the
   floor is floor(x/p).  Slices are summed in int64 and reduced.
 
-Each slice runs one tile of at most 512 output columns at a time, reusing
-the same float buffers, so the float temporaries grow with the rows of a
-product but not with its columns.
+``matmul`` multiplies two 2-D arrays or two equal-length stacks,
+(n, m, k) @ (n, k, c), entry by entry; a 2-D product is a stack of one, so
+there is one kernel.  Each slice runs in steps: a step takes a run of stack
+entries and one tile of at most 512 output columns, reusing the same float
+buffers, so the float temporaries grow with the rows of a product but not
+with its columns or its stack.  A run is as many entries as keep the step's
+buffers within 2**15 floats (256 KB), and at least one: one 64 x 64 product
+at p = 2**31 - 1, where longer runs made ``run()`` no faster and raised the
+memory a request holds.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .errors import ConfigurationError, SingularSystemError
 MAX_MODULUS = 2**31
 
 _TILE = 512  # output columns per tile
+_STEP = 2**15  # floats in one step's buffers, for as many stack entries as fit
 
 _MR_BASES = (2, 3, 5, 7, 11)  # deterministic for n < 3_215_031_751
 
@@ -96,6 +103,7 @@ class PrimeField:
         a1, a0 = (h >> shift) + 1, 1 << (shift - 1)
         fits = 2**52 // (a1 * h), (2**51 - 1 - ((h + 1) << shift)) // (a0 * h)
         self._slice = min(*fits, 2**10)  # 2**10 bounds one slice's float buffers
+        self._floats = float(p), float(h), 1.0 / p, 2.0**shift  # p, h, 1/p, 2**L
 
     # -- array operations ----------------------------------------------------
 
@@ -111,52 +119,79 @@ class PrimeField:
         return rng.integers(0, self.p, size=shape, dtype=np.int64)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact (a @ b) mod p of two 2-D integer arrays through float64 BLAS,
-        summed over slices of the inner dimension (see the module docstring).
-        The result is a new int64 array; a and b are only read."""
-        a, b, width = self.residues(a), self.residues(b), self._slice
-        out = self._tiled_matmul(a[:, :width], b[:width])
-        for lo in range(width, a.shape[1], width):
-            out += self._tiled_matmul(a[:, lo : lo + width], b[lo : lo + width])
+        """Exact (a @ b) mod p through float64 BLAS, summed over slices of the
+        inner dimension (see the module docstring), for two 2-D integer arrays
+        or two equal-length stacks, (n, m, k) @ (n, k, c), multiplied entry by
+        entry.  Any other pair of shapes raises ``ConfigurationError``.  The
+        result is a new int64 array; a and b are only read."""
+        a, b = self.residues(a), self.residues(b)
+        flat = a.ndim == b.ndim == 2
+        if not (flat or a.ndim == b.ndim == 3 and len(a) == len(b)) or a.shape[-1] != b.shape[-2]:
+            raise ConfigurationError(
+                f"cannot multiply {a.shape} by {b.shape}: need two 2-D arrays or two "
+                "equal-length stacks of matrices, with agreeing inner dimensions"
+            )
+        if flat:  # a 2-D product is a stack of one
+            a, b = a[None], b[None]
+        width = self._slice
+        out = self._stacked_matmul(a[..., :width], b[:, :width])
+        for lo in range(width, a.shape[2], width):
+            out += self._stacked_matmul(a[..., lo : lo + width], b[:, lo : lo + width])
             out %= self.p
-        return out
+        return out[0] if flat else out
 
-    def _tiled_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(a @ b) mod p for entries in [0, p) and an inner dimension <= K(p):
-        A is balanced and split once, as [a1; a0], so one dgemm against each
-        balanced tile of B gives s1 and s0."""
-        p, h, inv, scale = float(self.p), float(self.p // 2), 1.0 / self.p, 2.0**self._shift
-        (m, k), n = a.shape, b.shape[1]
-        out = np.empty((m, n), dtype=np.int64)
-        a10 = np.empty((2 * m, k))
-        a1, a0 = a10[:m], a10[m:]
-        np.copyto(a0, a, casting="unsafe")
-        a0 -= np.greater(a0, h, out=a1) * p  # balanced
-        np.rint(np.multiply(a0, 1.0 / scale, out=a1), out=a1)
-        a0 -= a1 * scale
-        width = min(_TILE, n)
-        b_buf, high_buf = np.empty((k, width)), np.empty((k, width))
-        s_buf, quot_buf = np.empty((2 * m, width)), np.empty((m, width))
-        for c in range(0, n, _TILE):
-            w = min(_TILE, n - c)
-            bt, high, s, quot = b_buf[:, :w], high_buf[:, :w], s_buf[:, :w], quot_buf[:, :w]
-            np.copyto(bt, b[:, c : c + w], casting="unsafe")
-            np.greater(bt, h, out=high)
-            high *= p
-            bt -= high  # balanced
-            np.matmul(a10, bt, out=s)
-            s1, s0 = s[:m], s[m:]
-            np.multiply(s1, inv, out=quot)  # fold s1: |r1| <= h + 1
-            np.rint(quot, out=quot)
-            quot *= p
-            s1 -= quot
-            s1 *= scale
-            s1 += s0  # x, |x| < 2**51
-            np.add(s1, 0.5, out=quot)  # the exact last step, into [0, p)
-            quot *= inv
-            np.floor(quot, out=quot)
-            quot *= p
-            np.subtract(s1, quot, out=out[:, c : c + w], casting="unsafe")
+    def _stacked_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(a @ b) mod p for stacks of entries in [0, p) and an inner dimension
+        <= K(p).  Each step takes a run of stack entries and a tile of output
+        columns: the run's A is balanced and split once, as [a1; a0], so one
+        dgemm per entry against each balanced tile of B gives s1 and s0."""
+        p, h, inv, scale = self._floats
+        (n, m, k), c = a.shape, b.shape[2]
+        out = np.empty((n, m, c), dtype=np.int64)
+        if not out.size:
+            return out
+        width, run = min(_TILE, c), n
+        if n > 1:  # as many entries per step as keep its buffers within _STEP floats
+            run = min(n, _STEP // (2 * m * k + 2 * k * width + 3 * m * width) or 1)
+        a10 = np.empty((run, 2 * m, k))
+        b_buf, high_buf = np.empty((run, k, width)), np.empty((run, k, width))
+        s_buf, quot_buf = np.empty((run, 2 * m, width)), np.empty((run, m, width))
+        for e in range(0, n, run):
+            a_run, b_run, out_run = (
+                (a, b, out) if run == n else (a[e : e + run], b[e : e + run], out[e : e + run])
+            )
+            if len(a_run) < run:  # the last run is shorter
+                run = len(a_run)
+                a10, b_buf, high_buf, s_buf, quot_buf = (
+                    buf[:run] for buf in (a10, b_buf, high_buf, s_buf, quot_buf)
+                )
+            a1, a0 = a10[:, :m], a10[:, m:]
+            np.copyto(a0, a_run, casting="unsafe")
+            a0 -= np.greater(a0, h, out=a1) * p  # balanced
+            np.rint(np.multiply(a0, 1.0 / scale, out=a1), out=a1)
+            a0 -= a1 * scale
+            for c0 in range(0, c, _TILE):
+                bt, high, s, quot = b_buf, high_buf, s_buf, quot_buf
+                w = min(_TILE, c - c0)
+                if w < width:  # the last tile is narrower
+                    bt, high, s, quot = bt[..., :w], high[..., :w], s[..., :w], quot[..., :w]
+                np.copyto(bt, b_run[..., c0 : c0 + w], casting="unsafe")
+                np.greater(bt, h, out=high)
+                high *= p
+                bt -= high  # balanced
+                np.matmul(a10, bt, out=s)
+                s1, s0 = s[:, :m], s[:, m:]
+                np.multiply(s1, inv, out=quot)  # fold s1: |r1| <= h + 1
+                np.rint(quot, out=quot)
+                quot *= p
+                s1 -= quot
+                s1 *= scale
+                s1 += s0  # x, |x| < 2**51
+                np.add(s1, 0.5, out=quot)  # the exact last step, into [0, p)
+                quot *= inv
+                np.floor(quot, out=quot)
+                quot *= p
+                np.subtract(s1, quot, out=out_run[..., c0 : c0 + w], casting="unsafe")
         return out
 
     def power_table(self, points, exponents) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Straggler models and the end-to-end simulated run."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -12,14 +13,17 @@ from sgpd import (
     FieldMismatchError,
     FixedSet,
     LatencyModel,
+    NotEnoughResults,
     PrimeField,
     RandomSubset,
     build_plan,
     cluster_sim,
     codec,
+    decode,
     encode,
     latency_sweep,
     run,
+    worker_compute,
 )
 from sgpd.blocks import read_text_file
 
@@ -302,8 +306,8 @@ RUN_MODELS = [
 
 
 def _record_encodes(monkeypatch) -> list:
-    """Wrap the encode that run() calls: one entry per call, the row counts
-    of the share products it formed."""
+    """Wrap the share_stacks that run() calls: one entry per call, the row
+    counts of the share products it formed."""
     calls = []
     matmul = PrimeField.matmul
 
@@ -312,9 +316,9 @@ def _record_encodes(monkeypatch) -> list:
         calls.append(rows)
         with monkeypatch.context() as m:
             m.setattr(PrimeField, "matmul", lambda f, a, b: rows.append(len(a)) or matmul(f, a, b))
-            return codec.encode(*args)
+            return codec.share_stacks(*args)
 
-    monkeypatch.setattr(cluster_sim, "encode", recording_encode)
+    monkeypatch.setattr(cluster_sim, "share_stacks", recording_encode)
     return calls
 
 
@@ -367,6 +371,56 @@ def test_run_report_is_the_same_with_and_without_a_trace(tmp_path, tall_setup, m
     if plain.decoded is not None:
         assert np.array_equal(plain.decoded.data, traced.decoded.data)
     assert len(list(tmp_path.glob("worker_*.share"))) == plan.n_workers
+
+
+def _assert_run_is_the_per_worker_path(plan, pair, model) -> None:
+    """run() against decode(plan, [worker_compute(s) for s in encode(plan,
+    pair, used)]): the same decoded product, measured_load and report lines."""
+    report = run(plan, pair, model)
+    times = model.completion_times(plan.n_workers)
+    order = sorted(
+        (w for w in range(1, plan.n_workers + 1) if math.isfinite(times[w - 1])),
+        key=lambda w: (times[w - 1], w),
+    )
+    p_r = plan.recovery_threshold
+    used = order[:p_r] if len(order) >= p_r else []
+    results = [worker_compute(share) for share in encode(plan, pair, used)]
+    load = sum(r.product.size for r in results)
+    if used:
+        decoded = decode(plan, results)
+        want = dataclasses.replace(
+            report, success=True, measured_load=load, checksum=cluster_sim._checksum(decoded),
+            cause="", decoded=decoded,
+        )
+        assert np.array_equal(report.decoded.data, decoded.data)
+    else:
+        with pytest.raises(NotEnoughResults):
+            decode(plan, results)
+        cause = f"NotEnoughResults: have {len(order)}, need {p_r}"
+        want = dataclasses.replace(report, success=False, measured_load=0, checksum="", cause=cause)
+        assert report.decoded is None
+    assert report.measured_load == load
+    assert report.responders == tuple(used or order)
+    assert report.lines() == want.lines()
+
+
+@pytest.mark.parametrize(
+    "model", RUN_MODELS, ids=["fixed", "subset", "latency", "fixed-short", "subset-short"]
+)
+def test_run_equals_the_per_worker_path(tall_setup, model):
+    plan, pair, _, _ = tall_setup
+    _assert_run_is_the_per_worker_path(plan, pair, model)
+
+
+def test_run_equals_the_per_worker_path_on_the_wide_cli_code():
+    # (2,4,2,2) with P = 60 and 64 x 64 blocks at p = 2**31 - 1: 26 responders
+    # in seeded completion order, one batched product of their share stacks
+    field = PrimeField(2**31 - 1)
+    rng = np.random.default_rng(26)
+    _, _, pair = make_pair(2, 4, 2, 2, field, rng, bt=64, bs=64, bd=64)
+    plan = build_plan(2, 4, 2, 2, 60, field)
+    responders = [int(w) + 1 for w in rng.permutation(60)[: plan.recovery_threshold]]
+    _assert_run_is_the_per_worker_path(plan, pair, FixedSet(responders))
 
 
 class _RefusingModel:

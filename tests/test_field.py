@@ -1,5 +1,7 @@
 """Exact GF(p) arithmetic: axioms, overflow safety, uniform sampling, elimination."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,11 +158,14 @@ def test_matmul_and_partition_leave_the_callers_arrays_alone():
     a = field.random_array((4, 6), rng)
     b = field.random_array((6, _TILE + 1), rng)
     unreduced = a - field.p
-    saved = [x.copy() for x in (a, b, unreduced)]
+    stack_a = field.random_array((3, 4, 6), rng)
+    stack_b = field.random_array((3, 6, _TILE + 1), rng)
+    saved = [x.copy() for x in (a, b, unreduced, stack_a, stack_b)]
     field.matmul(a, b)
     field.matmul(unreduced, b)
+    field.matmul(stack_a, stack_b)
     block = partition(a, (2, 3), field)
-    for x, before in zip((a, b, unreduced), saved):
+    for x, before in zip((a, b, unreduced, stack_a, stack_b), saved, strict=True):
         assert x.flags.writeable
         assert np.array_equal(x, before)
     a[0, 0] = (a[0, 0] + 1) % field.p
@@ -242,6 +247,74 @@ def test_matmul_at_the_slice_width_with_balanced_extremes(p):
             b = _fill(kind_b, p, (3, k)).T
             got = field.matmul(a, b)
             assert np.array_equal(got, triple_loop_product(a, b, p)), (k, kind_a, kind_b)
+
+
+@pytest.mark.parametrize("p", [2, 257, 65537, 2147483647])
+def test_stacked_matmul_at_the_slice_width_with_extreme_entries(p):
+    # stacks at k = K(p), one full inner slice, and K(p) + 1, which starts a
+    # second, with every entry p - 1 or p // 2 on both sides
+    field = PrimeField(p)
+    for k in (field._slice, field._slice + 1):
+        for value in (p - 1, p // 2):
+            a = np.full((3, 2, k), value, dtype=np.int64)
+            b = np.full((3, k, 3), value, dtype=np.int64)
+            got = field.matmul(a, b)
+            assert got.shape == (3, 2, 3) and got.dtype == np.int64
+            for x, y, z in zip(a, b, got, strict=True):
+                assert np.array_equal(z, triple_loop_product(x, y, p)), (k, value)
+
+
+@pytest.mark.parametrize("p", [257, 2147483647])
+@pytest.mark.parametrize("n,m,k,c", [(7, 64, 5, 64), (3, 8, 3, _TILE + 88), (5, 1, 130, 1)])
+def test_stacked_matmul_matches_each_entry(p, n, m, k, c):
+    # runs of two entries and a shorter last run (7 x 64 x 64), a run of two
+    # then one over two column tiles (8 x 600), and at p = 2**31 - 1 two
+    # inner slices (k = 130): entry i of the result is a[i] @ b[i]
+    field = PrimeField(p)
+    rng = np.random.default_rng([p, n, m, k, c])
+    a = field.random_array((n, m, k), rng)
+    b = field.random_array((n, k, c), rng)
+    got = field.matmul(a, b)
+    assert got.shape == (n, m, c) and got.dtype == np.int64
+    for x, y, z in zip(a, b, got, strict=True):
+        assert np.array_equal(z, triple_loop_product(x, y, p))
+    # a stack of one is the 2-D product
+    assert np.array_equal(field.matmul(a[-1:], b[-1:]), field.matmul(a[-1], b[-1])[None])
+
+
+@pytest.mark.parametrize("p", [257, 2147483647])
+def test_matmul_of_empty_stacks(p):
+    field = PrimeField(p)
+    got = field.matmul(np.zeros((0, 2, 3), dtype=np.int64), np.zeros((0, 3, 4), dtype=np.int64))
+    assert got.dtype == np.int64 and got.shape == (0, 2, 4)
+    got = field.matmul(np.zeros((2, 3, 0), dtype=np.int64), np.zeros((2, 0, 4), dtype=np.int64))
+    assert got.dtype == np.int64 and np.array_equal(got, np.zeros((2, 3, 4), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [
+        ((2, 3), (4, 2)),
+        ((2, 3), (3,)),
+        ((3,), (3, 2)),
+        ((), ()),
+        ((2, 2, 3), (3, 3, 2)),
+        ((2, 2, 3), (2, 4, 2)),
+        ((2, 3), (1, 3, 2)),
+        ((1, 2, 3), (3, 2)),
+        ((1, 1, 2, 3), (1, 1, 3, 2)),
+    ],
+    ids=[
+        "inner", "1-D-right", "1-D-left", "scalars", "stack-lengths", "stacked-inner",
+        "matrix-by-stack", "stack-by-matrix", "4-D",
+    ],
+)
+def test_matmul_refuses_shapes_it_cannot_multiply(field257, a_shape, b_shape):
+    # numpy would broadcast, raise a ValueError or an IndexError; the kernel
+    # takes two 2-D arrays or two equal-length stacks, and names both shapes
+    a, b = np.ones(a_shape, dtype=np.int64), np.ones(b_shape, dtype=np.int64)
+    with pytest.raises(ConfigurationError, match=re.escape(f"cannot multiply {a_shape} by {b_shape}")):
+        field257.matmul(a, b)
 
 
 def test_matmul_slices_the_inner_dimension_past_the_limb_bound():
