@@ -290,18 +290,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep_rows(merged["m"], merged["n"], merged["workers"], merged["pc_list"])
     lines = _header("sweep", merged)
     lines.append(CSV_COLUMNS)
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r["pc"]), str(r["t"]), str(r["s"]), str(r["d"]), r["case"],
-                    str(r["P_R"]), str(r["C_L_over_TD"]),
-                    "" if r["naive_P_R"] is None else str(r["naive_P_R"]),
-                    "true" if r["feasible"] else "false",
-                    "true" if r["frontier"] else "false",
-                ]
-            )
-        )
+    for r in rows:  # None is an empty cell, and a bool reads true or false
+        cells = ["" if r[c] is None else r[c] for c in CSV_COLUMNS.split(",")]
+        lines.append(",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in cells))
     _emit("\n".join(lines) + "\n", merged["out"])
     return EXIT_OK
 

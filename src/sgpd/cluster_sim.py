@@ -39,6 +39,7 @@ from .codec import (
     EncodingPlan,
     interpolate,
     share_stacks,
+    worker_points,
     write_share,
 )
 from .errors import ConfigurationError, SingularSystemError
@@ -204,9 +205,8 @@ def run(
         trace_dir.mkdir(parents=True, exist_ok=True)
         workers = range(1, plan.n_workers + 1)
         shares = share_stacks(plan, pair, workers)
-        for w, a_share, b_share in zip(workers, *shares):
-            share = CodedShare(w, plan.evaluation_points[w - 1], a_share, b_share, plan.field)
-            write_share(trace_dir / f"worker_{w:04d}.share", share)
+        for w, x, *share in zip(workers, worker_points(plan.evaluation_points, workers), *shares):
+            write_share(trace_dir / f"worker_{w:04d}.share", CodedShare(w, x, *share, plan.field))
         shares = [stack[used] for stack in shares]
     elif used:
         shares = share_stacks(plan, pair, ids)
@@ -223,11 +223,11 @@ def run(
             products = None  # interpolate was its last reader
             ok = np.array_equal(decoded.data, plan.field.matmul(pair.original_a, pair.original_b))
             cause = "" if ok else "decoded output failed verification"
-    shown = used or order  # the responders read, or every finisher of a short run
+    shown = [w + 1 for w in used or order]  # the responders read, or every finisher of a short run
     report = RunReport(
         success=not cause,
-        responders=tuple(w + 1 for w in shown),
-        points=tuple(plan.evaluation_points[w] for w in shown),
+        responders=tuple(shown),
+        points=tuple(worker_points(plan.evaluation_points, shown)),
         wall_clock=float(times[used[-1]]) if used else math.inf,
         measured_load=load,
         checksum="" if decoded is None else _checksum(decoded),

@@ -1,7 +1,8 @@
 """Secure generalized PolyDot codes: augmentation, encoding and decoding.
 
 Before encoding, the confidential inputs are augmented with uniformly random
-blocks so that any P_C colluding workers learn nothing.  Each worker then
+blocks, the ones the layout's random masks mark, so that any P_C colluding
+workers learn nothing.  Each worker, its point given by ``worker_points``,
 receives one evaluation of two block-coefficient polynomials, F(z) built
 from A* and G(z) built from B*, and returns the product F(z_p)G(z_p).  The
 exponent maps are chosen so that every output block C_{i,l} of C = AB
@@ -48,7 +49,8 @@ class AugmentationLayout:
     ``a_live`` covers A*'s whole block grid (t* x s_w) and ``b_live`` B*'s
     (s_w x d*); False marks a structurally zero block.  Data blocks sit in
     the top-left t x s and s x d corners and are always live, and exactly
-    P_C appended blocks per side stay random.
+    P_C appended blocks per side stay random: ``a_random`` and ``b_random``,
+    live outside the corners, are the blocks ``augment`` draws.
     """
 
     case: str  # "gpd" | "tall" | "wide"
@@ -60,10 +62,12 @@ class AugmentationLayout:
     width: int  # wide: appended block columns of A / rows of B
     a_live: np.ndarray
     b_live: np.ndarray
+    a_random: np.ndarray
+    b_random: np.ndarray
 
     def __post_init__(self):
-        self.a_live.setflags(write=False)
-        self.b_live.setflags(write=False)
+        for mask in (self.a_live, self.b_live, self.a_random, self.b_random):
+            mask.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -218,7 +222,11 @@ def code_geometry(t: int, s: int, d: int, p_c: int) -> CodeGeometry:
         a, b, ext = _gpd_maps(a_live, b_live, t, d)
         if p_c <= d:
             b[s:][b_live[s:]] = (s + width) * np.arange(1, p_c + 1)
-    layout = AugmentationLayout(case, t, s, d, p_c, delta, width, a_live, b_live)
+    a_random, b_random = a_live.copy(), b_live.copy()
+    a_random[:t, :s] = b_random[:s, :d] = False  # the data corners
+    layout = AugmentationLayout(
+        case, t, s, d, p_c, delta, width, a_live, b_live, a_random, b_random
+    )
     return CodeGeometry(t, s, d, p_c, layout, ExponentMap(a, b, ext))
 
 
@@ -246,24 +254,22 @@ class AugmentedPair:
         return self.b_star.data[: self.layout.s * br, : self.layout.d * bc]
 
 
-def _pad(m: BlockMatrix, live: np.ndarray, rng: np.random.Generator) -> BlockMatrix:
-    """Zero-extend m to the grid of ``live``, fill the appended strip with
-    uniform randomness, then zero every block that is not live."""
-    br, bc = m.block_shape
-    rows, cols = m.shape
-    out = np.zeros((live.shape[0] * br, live.shape[1] * bc), dtype=np.int64)
-    out[:rows, :cols] = m.data
-    strip = out[rows:, :] if out.shape[0] > rows else out[:, cols:]
-    strip[...] = m.field.random_array(strip.shape, rng)
-    out.reshape(live.shape[0], br, live.shape[1], bc).swapaxes(1, 2)[~live] = 0
-    return BlockMatrix.adopt(out, live.shape, m.field)
+def _pad(m: BlockMatrix, random: np.ndarray, rng: np.random.Generator) -> BlockMatrix:
+    """m zero-extended to the grid of ``random``, whose blocks are then drawn
+    uniformly, one (count, *block shape) draw in row-major block order."""
+    (rows, cols), (br, bc) = random.shape, m.block_shape
+    out = np.pad(m.data, ((0, rows * br - m.shape[0]), (0, cols * bc - m.shape[1])))
+    blocks = out.reshape(rows, br, cols, bc).swapaxes(1, 2)  # a view: writes reach out
+    blocks[random] = m.field.random_array((int(random.sum()), br, bc), rng)
+    return BlockMatrix.adopt(out, random.shape, m.field)
 
 
 def augment(
     a: BlockMatrix, b: BlockMatrix, p_c: int, rng: np.random.Generator
 ) -> AugmentedPair:
-    """Pad A and B to the live masks of ``code_geometry(t, s, d, P_C)``,
-    drawing A's strip first.  With P_C = 0 nothing is drawn."""
+    """Pad A and B to the grids of ``code_geometry(t, s, d, P_C)``, drawing
+    only the layout's random blocks: A*'s P_C blocks first, then B*'s, each
+    side in row-major block order.  With P_C = 0 nothing is drawn."""
     if a.field != b.field:
         raise FieldMismatchError("A and B must share one field")
     (t, s), (s2, d) = a.grid, b.grid
@@ -272,7 +278,7 @@ def augment(
             f"inner partitions do not agree: A {a.shape}/{a.grid}, B {b.shape}/{b.grid}"
         )
     layout = code_geometry(t, s, d, p_c).layout
-    return AugmentedPair(layout, _pad(a, layout.a_live, rng), _pad(b, layout.b_live, rng))
+    return AugmentedPair(layout, _pad(a, layout.a_random, rng), _pad(b, layout.b_random, rng))
 
 
 def naive_secure_threshold(t: int, s: int, d: int, p_c: int) -> int:
@@ -294,9 +300,9 @@ def naive_secure_threshold(t: int, s: int, d: int, p_c: int) -> int:
 
 
 def pool_points(n_workers: int, field: PrimeField) -> range:
-    """The one point rule, read by plans, shares, decoding and the secrecy audit:
-    worker w (1-based) evaluates at ``pool_points(P, field)[w - 1]``, today at w,
-    so a field serves P >= 1 workers when p > P.  A range, never an array of P."""
+    """The one point rule, read by plans and the secrecy audit through
+    ``worker_points``: worker w (1-based) evaluates at w today, so a field
+    serves P >= 1 workers when p > P.  A range, never an array of P."""
     if n_workers < 1:
         raise ConfigurationError(f"need at least one worker, got {n_workers}")
     if field.p <= n_workers:
@@ -306,13 +312,21 @@ def pool_points(n_workers: int, field: PrimeField) -> range:
     return range(1, n_workers + 1)
 
 
+def worker_points(pool: range, workers) -> list:
+    """The listed 1-based worker ids' points in a ``pool_points`` range, in order."""
+    bad = next((w for w in workers if not 1 <= w <= len(pool)), None)
+    if bad is not None:
+        raise ConfigurationError(f"worker {bad} is outside the pool 1..{len(pool)}")
+    return [pool[w - 1] for w in workers]
+
+
 @dataclass(frozen=True)
 class EncodingPlan(CodeGeometry):
     """A code geometry bound to a field and a pool of evaluation points."""
 
     field: PrimeField
     n_workers: int
-    evaluation_points: range  # pool_points: worker w (1-based) evaluates at [w - 1]
+    evaluation_points: range  # pool_points, read through worker_points
 
     def check_pair(self, pair: AugmentedPair) -> None:
         """Raise unless ``pair`` was augmented for this plan's field and code."""
@@ -405,13 +419,11 @@ def _live_rows(m: BlockMatrix, live: np.ndarray) -> np.ndarray:
 def share_stacks(plan: EncodingPlan, pair: AugmentedPair, workers) -> tuple:
     """The a-share and b-share stacks of the listed 1-based worker ids: arrays
     of shape (len(workers), *block shape) whose entry i is worker workers[i]'s
-    share, both polynomials evaluated at its point.  Only live blocks enter
-    the sums; the dead ones are zero.  ``pair`` must already have passed
-    ``plan.check_pair``."""
+    share, both polynomials evaluated at its point (``worker_points``, which
+    refuses an id outside the pool).  Only live blocks enter the sums; the
+    dead ones are zero.  ``pair`` must already have passed ``plan.check_pair``."""
     emap, lay = plan.exponent_map, plan.layout
-    if any(not 1 <= w <= plan.n_workers for w in workers):
-        raise ConfigurationError(f"worker ids {workers} must lie in the pool 1..{plan.n_workers}")
-    points = [plan.evaluation_points[w - 1] for w in workers]
+    points = worker_points(plan.evaluation_points, workers)
     v_a = plan.field.power_table(points, emap.a_exponents[lay.a_live])
     v_b = plan.field.power_table(points, emap.b_exponents[lay.b_live])
     shares_a = plan.field.matmul(v_a, _live_rows(pair.a_star, lay.a_live))
@@ -428,11 +440,8 @@ def encode(plan: EncodingPlan, pair: AugmentedPair, workers=None) -> list:
     worker order when ``workers`` is None): the entries of ``share_stacks``."""
     plan.check_pair(pair)
     ids = range(1, plan.n_workers + 1) if workers is None else [int(w) for w in workers]
-    shares_a, shares_b = share_stacks(plan, pair, ids)
-    return [
-        CodedShare(w, plan.evaluation_points[w - 1], a_share, b_share, plan.field)
-        for w, a_share, b_share in zip(ids, shares_a, shares_b)
-    ]
+    points, stacks = worker_points(plan.evaluation_points, ids), share_stacks(plan, pair, ids)
+    return [CodedShare(w, x, *share, plan.field) for w, x, *share in zip(ids, points, *stacks)]
 
 
 def worker_compute(share: CodedShare, completion_time: float = 0.0) -> WorkerResult:
@@ -447,16 +456,16 @@ def worker_compute(share: CodedShare, completion_time: float = 0.0) -> WorkerRes
 def interpolate(plan: EncodingPlan, workers, products: np.ndarray) -> BlockMatrix:
     """C from a (recovery_threshold, rows, cols) stack of worker products
     whose entry i is the product of worker workers[i]: distinct 1-based ids
-    in any order.  The system is the generalized Vandermonde matrix
-    V[i, e] = x_i**e over the support, and only the rows of V**-1 at the
-    extraction exponents are formed, by one ``PrimeField.solve`` of V^T; they
-    multiply the stack, read in place as (recovery_threshold, entries).  V can
-    be singular mod p for a sparse support; then SingularSystemError is
+    of the pool in any order.  The system is the generalized Vandermonde
+    matrix V[i, e] = x_i**e over the support, and only the rows of V**-1 at
+    the extraction exponents are formed, by one ``PrimeField.solve`` of V^T;
+    they multiply the stack, read in place as (recovery_threshold, entries).
+    V can be singular mod p for a sparse support; then SingularSystemError is
     raised, never a wrong product."""
     ext = plan.exponent_map.extraction
     t, d = ext.shape
     n, br, bc = products.shape
-    points = [plan.evaluation_points[w - 1] for w in workers]
+    points = worker_points(plan.evaluation_points, workers)
     vandermonde = plan.field.power_table(points, plan.support)
     picks = np.zeros((n, t * d), dtype=np.int64)  # unit columns at the extraction rows
     picks[np.searchsorted(plan.support, ext.ravel()), np.arange(t * d)] = 1
@@ -476,12 +485,9 @@ def decode(plan: EncodingPlan, results) -> BlockMatrix:
     deterministically, keeping the lowest worker ids.
     """
     by_id: dict = {}
-    for r in results:
-        if not 1 <= r.worker_id <= plan.n_workers:
-            raise ConfigurationError(
-                f"worker {r.worker_id} is outside the pool 1..{plan.n_workers}"
-            )
-        expected = int(plan.evaluation_points[r.worker_id - 1])
+    results = list(results)
+    points = worker_points(plan.evaluation_points, [r.worker_id for r in results])
+    for r, expected in zip(results, points):
         if r.point != expected:
             raise ConfigurationError(
                 f"worker {r.worker_id} carries point {r.point}, but the plan assigns {expected}"
@@ -546,7 +552,7 @@ def exponent_audit(geometry: CodeGeometry) -> ExponentAuditReport:
         at = f"C[{i},{l}] at exponent {targets[g]} receives"
         for u, v in zip(x[mine].tolist(), y[mine].tolist()):
             (ai, aj), (bk, bl) = a_blocks[u], b_blocks[v]
-            a_data, b_data = ai < t and aj < s, bk < s and bl < d  # data fill the top-left corners
+            a_data, b_data = not lay.a_random[ai, aj], not lay.b_random[bk, bl]  # live, so data
             pair = f"a[{ai},{aj}] x b[{bk},{bl}]"
             if not (a_data and b_data):
                 sides = " x ".join("data" if side else "random" for side in (a_data, b_data))

@@ -135,17 +135,17 @@ class AuditVerdict:
 
 def _rank_columns(instance: AuditInstance) -> tuple:
     """What each coalition's ranks read, once per audit: the pool's points and,
-    per side, the live exponents, random first, how many are random and one
-    block's entries.  Under the negative control no column is random."""
+    per side, the live exponents, random first (the layout's random masks),
+    how many are random and one block's entries.  Under the negative control
+    no column is random."""
     geo, (ea, eb, _) = instance.geometry, instance.entry_sizes()
     sides = []
-    for exps, live, corner, entries in (
-        (geo.exponent_map.a_exponents, geo.layout.a_live, np.s_[: geo.t, : geo.s], ea),
-        (geo.exponent_map.b_exponents, geo.layout.b_live, np.s_[: geo.s, : geo.d], eb),
+    for exps, live, random, entries in (
+        (geo.exponent_map.a_exponents, geo.layout.a_live, geo.layout.a_random, ea),
+        (geo.exponent_map.b_exponents, geo.layout.b_live, geo.layout.b_random, eb),
     ):
-        random = live & (not instance.negative_control)
-        random[corner] = False  # the data corner, always live
-        sides.append((np.concatenate([exps[random], exps[corner].ravel()]), random.sum(), entries))
+        kept = random & (not instance.negative_control)
+        sides.append((np.concatenate([exps[kept], exps[live & ~random]]), kept.sum(), entries))
     return codec.pool_points(instance.n_workers, instance.field), sides
 
 
@@ -153,7 +153,7 @@ def _ranks(instance: AuditInstance, subset, columns=None) -> tuple[int, int]:
     """(rank[M_r], rank[M_r | M_d]) of the coalition's view at block level,
     from ``_rank_columns(instance)``, which an audit passes once."""
     pool, sides = columns or _rank_columns(instance)
-    points = [pool[w - 1] for w in subset]
+    points = codec.worker_points(pool, subset)
     rank_r = rank = 0
     for exps, n_random, entries in sides:
         table = instance.field.power_table(points, exps)

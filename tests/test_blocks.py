@@ -1,5 +1,6 @@
 """Block partitioning, random augmentation layouts, matrix file round-trips."""
 
+import copy
 import re
 from unittest import mock
 
@@ -181,12 +182,15 @@ def test_augment_case_dispatch(field257):
     assert augment(wide_a, wide_b, 1, rng).layout.case == "wide"
 
 
+# every regime: gpd, tall (full and partial bands), one-band and two-band
+# wide (sparse and GPD exponents on B)
+AUGMENT_REGIMES = [(2, 3, 2, 0), (3, 2, 2, 2), (3, 2, 2, 3), (2, 3, 1, 2),
+                   (1, 2, 3, 4), (2, 2, 2, 2), (3, 3, 2, 4)]
+
+
 def test_augment_pads_to_the_masks_of_the_code_geometry(field257):
-    # every regime: gpd, tall (full and partial bands), one-band and two-band
-    # wide (sparse and GPD exponents on B)
     rng = np.random.default_rng(12)
-    for t, s, d, p_c in [(2, 3, 2, 0), (3, 2, 2, 2), (3, 2, 2, 3), (2, 3, 1, 2),
-                         (1, 2, 3, 4), (2, 2, 2, 2), (3, 3, 2, 4)]:
+    for t, s, d, p_c in AUGMENT_REGIMES:
         pair = make_pair(t, s, d, p_c, field257, rng)[2]
         lay = code_geometry(t, s, d, p_c).layout
         assert (pair.layout.case, pair.layout.delta, pair.layout.width) == (
@@ -194,6 +198,29 @@ def test_augment_pads_to_the_masks_of_the_code_geometry(field257):
         )
         assert np.array_equal(pair.layout.a_live, lay.a_live)
         assert np.array_equal(pair.layout.b_live, lay.b_live)
+
+
+def test_augment_draws_only_the_live_random_blocks(field257):
+    # one draw of A*'s P_C random blocks, then one of B*'s, laid out in
+    # row-major block order; every other appended block stays zero, and the
+    # gpd case leaves the generator untouched
+    for t, s, d, p_c in AUGMENT_REGIMES:
+        rng = np.random.default_rng(14)
+        a = partition(field257.random_array((2 * t, 3 * s), rng), (t, s), field257)
+        b = partition(field257.random_array((3 * s, 2 * d), rng), (s, d), field257)
+        twin, untouched = copy.deepcopy(rng), rng.bit_generator.state
+        pair = augment(a, b, p_c, rng)
+        draws = [field257.random_array((p_c, 2, 3), twin), field257.random_array((p_c, 3, 2), twin)]
+        assert rng.bit_generator.state == twin.bit_generator.state, (t, s, d, p_c)
+        assert (rng.bit_generator.state == untouched) == (p_c == 0)
+        for star, live, data, drawn in ((pair.a_star, pair.layout.a_live, a, draws[0]),
+                                        (pair.b_star, pair.layout.b_live, b, draws[1])):
+            corner = np.zeros(live.shape, bool)
+            corner[: data.grid[0], : data.grid[1]] = True
+            at = np.argwhere(live & ~corner)  # row-major
+            assert len(at) == p_c
+            assert np.array_equal(np.reshape([block(star, i, j) for i, j in at], drawn.shape), drawn)
+            assert all(not block(star, i, j).any() for i, j in np.argwhere(~live))
 
 
 def test_augment_rejects_field_mismatch(field257, field5):

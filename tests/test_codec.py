@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,7 @@ from sgpd import (
     write_share,
 )
 from sgpd.blocks import read_text_file
-from sgpd.codec import CodedShare, WorkerResult
+from sgpd.codec import CodedShare, WorkerResult, interpolate, share_stacks
 
 from conftest import (
     closed_form_thresholds,
@@ -107,6 +108,17 @@ def test_regime_table_is_pinned():
             h.update(repr(arr.shape).encode())
             h.update(arr.astype(np.int64).tobytes())
     assert h.hexdigest() == REGIME_TABLE_SHA256
+
+
+def test_random_masks_are_the_live_blocks_outside_the_data_corners():
+    for t, s, d, p_c in itertools.product(range(1, 6), range(1, 6), range(1, 6), range(7)):
+        lay = code_geometry(t, s, d, p_c).layout
+        for live, random, rows, cols in ((lay.a_live, lay.a_random, t, s),
+                                         (lay.b_live, lay.b_random, s, d)):
+            corner = np.zeros(live.shape, bool)
+            corner[:rows, :cols] = True
+            assert np.array_equal(random, live & ~corner), (t, s, d, p_c)
+            assert random.sum() == p_c and not random.flags.writeable
 
 
 def test_case_labels():
@@ -519,6 +531,24 @@ def test_decode_rejects_worker_outside_pool(field257):
     results[0] = dataclasses.replace(results[0], worker_id=99)
     with pytest.raises(ConfigurationError, match="worker 99"):
         decode(plan, results)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 21])
+def test_stacked_cores_refuse_a_worker_outside_the_pool(field257, bad):
+    # (2,2,2,1) with P = 20: 0 and -3 would index the pool from its end and
+    # decode a wrong product, 21 would run past it
+    rng = np.random.default_rng(76)
+    a, b, pair = make_pair(2, 2, 2, 1, field257, rng, bt=2, bs=2, bd=2)
+    plan = build_plan(2, 2, 2, 1, 20, field257)
+    ids = list(range(1, plan.recovery_threshold + 1))
+    products = field257.matmul(*share_stacks(plan, pair, ids))
+    assert np.array_equal(interpolate(plan, ids, products).data, triple_loop_product(a, b, 257))
+    ids[3] = bad
+    message = re.escape(f"worker {bad} is outside the pool 1..20")
+    with pytest.raises(ConfigurationError, match=message):
+        share_stacks(plan, pair, ids)
+    with pytest.raises(ConfigurationError, match=message):
+        interpolate(plan, ids, products)
 
 
 # ---------------------------------------------------------------------------
