@@ -4,13 +4,15 @@ For each possible colluding subset of a micro instance over GF(5) the audit
 checks that the coalition's view, M_d x_d + M_r x_r with uniform randomness
 x_r, has the same distribution for every data value x_d: that holds exactly
 when rank[M_r] = rank[M_r | M_d].  The audit takes both ranks at block
-level, on the encoder's power tables over the coalition's points, and scales
-them by the entries of one block; each subset line reports them as
-``rank_random`` and ``rank_view``.  The verdict covers every assignment of
-the data and randomness, yet costs one rank pair per coalition, so the audit
-is capped by the coalitions times the entries of one rank pair, not by the
-assignments.  Zeroing the randomness (the
-negative control) drops ``rank_random`` to 0 and must break this.
+level: once per side it builds the encoder's power table over the whole
+pool, random columns first, and each coalition runs one elimination on its
+rows of it, whose pivots among the random columns give rank[M_r] and all of
+whose pivots give rank[M_r | M_d], scaled by the entries of one block.  Each
+subset line reports them as ``rank_random`` and ``rank_view``.  The verdict
+covers every assignment of the data and randomness, yet costs one
+elimination per side and coalition, so the audit is capped by the coalitions
+times their rank entries, not by the assignments.  Zeroing the randomness
+(the negative control) drops ``rank_random`` to 0 and must break this.
 """
 
 from sgpd import AuditInstance, PrimeField, audit_all_subsets, report_lines

@@ -85,9 +85,7 @@ class RandomSubset:
     def completion_times(self, n_workers: int, trial: int = 0) -> np.ndarray:
         _check_trial(trial)
         if self.count > n_workers:
-            raise ConfigurationError(
-                f"cannot pick {self.count} responders from {n_workers} workers"
-            )
+            raise ConfigurationError(f"cannot pick {self.count} responders from {n_workers} workers")
         rng = np.random.default_rng((0x5EED, self.seed, trial))
         chosen = rng.permutation(n_workers)[: self.count]
         times = np.full(n_workers, math.inf)
@@ -173,9 +171,9 @@ def _checksum(matrix: BlockMatrix) -> str:
 
 
 def _completion_order(times: np.ndarray):
-    """Finished worker ids, earliest first; ties broken by worker id."""
-    finite = [w for w in range(len(times)) if math.isfinite(times[w])]
-    return sorted(finite, key=lambda w: (times[w], w))
+    """Finished worker ids w (1-based, at times[w - 1]), earliest first; ties broken by id."""
+    finite = [w for w in range(1, len(times) + 1) if math.isfinite(times[w - 1])]
+    return sorted(finite, key=lambda w: (times[w - 1], w))
 
 
 def run(
@@ -198,8 +196,8 @@ def run(
     times = model.completion_times(plan.n_workers, trial)
     order = _completion_order(times)
     p_r = plan.recovery_threshold
-    used = order[:p_r] if len(order) >= p_r else []
-    ids = [w + 1 for w in used]
+    ids = order[:p_r] if len(order) >= p_r else []
+    rows = [w - 1 for w in ids]  # the responders' places in times and in the share stacks
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
@@ -207,11 +205,11 @@ def run(
         shares = share_stacks(plan, pair, workers)
         for w, x, *share in zip(workers, worker_points(plan.evaluation_points, workers), *shares):
             write_share(trace_dir / f"worker_{w:04d}.share", CodedShare(w, x, *share, plan.field))
-        shares = [stack[used] for stack in shares]
-    elif used:
+        shares = [stack[rows] for stack in shares]
+    elif ids:
         shares = share_stacks(plan, pair, ids)
     decoded, cause, load = None, f"NotEnoughResults: have {len(order)}, need {p_r}", 0
-    if used:
+    if ids:
         products = plan.field.matmul(*shares)
         shares = None  # the products were the shares' last reader
         load = products.size
@@ -223,12 +221,12 @@ def run(
             products = None  # interpolate was its last reader
             ok = np.array_equal(decoded.data, plan.field.matmul(pair.original_a, pair.original_b))
             cause = "" if ok else "decoded output failed verification"
-    shown = [w + 1 for w in used or order]  # the responders read, or every finisher of a short run
+    shown = ids or order  # the responders read, or every finisher of a short run
     report = RunReport(
         success=not cause,
         responders=tuple(shown),
         points=tuple(worker_points(plan.evaluation_points, shown)),
-        wall_clock=float(times[used[-1]]) if used else math.inf,
+        wall_clock=float(times[rows[-1]]) if ids else math.inf,
         measured_load=load,
         checksum="" if decoded is None else _checksum(decoded),
         cause=cause,
@@ -276,9 +274,7 @@ def latency_sweep(plan: EncodingPlan, model: LatencyModel, trials: int) -> Laten
     LatencyModel is accepted: the other models give the same rank times on
     every trial, so sweeping them measures nothing."""
     if not isinstance(model, LatencyModel):
-        raise ConfigurationError(
-            f"latency_sweep needs a LatencyModel, got {type(model).__name__}"
-        )
+        raise ConfigurationError(f"latency_sweep needs a LatencyModel, got {type(model).__name__}")
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ConfigurationError(f"trials must be an int >= 1, got {trials!r}")
     p_r = plan.recovery_threshold

@@ -31,7 +31,7 @@ class SingularSystemError(SgpdError):
 class BudgetExceeded(SgpdError):
     """A secrecy audit's coalitions would rank more entries than its cap allows.
 
-    The cap charges each coalition ``size``, the entries of its rank pair.
+    The cap charges each coalition ``size``, the entries of its view matrices.
     ``coalitions`` is the exact count up to about 30 digits.  Past that it is
     None, and ``exponent``, floor(log10) of the count, names it in the
     message as "about 10^exponent"."""

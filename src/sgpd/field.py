@@ -157,9 +157,7 @@ class PrimeField:
         b_buf, high_buf = np.empty((run, k, width)), np.empty((run, k, width))
         s_buf, quot_buf = np.empty((run, 2 * m, width)), np.empty((run, m, width))
         for e in range(0, n, run):
-            a_run, b_run, out_run = (
-                (a, b, out) if run == n else (a[e : e + run], b[e : e + run], out[e : e + run])
-            )
+            a_run, b_run, out_run = a[e : e + run], b[e : e + run], out[e : e + run]
             if len(a_run) < run:  # the last run is shorter
                 run = len(a_run)
                 a10, b_buf, high_buf, s_buf, quot_buf = (
@@ -196,33 +194,35 @@ class PrimeField:
 
     def power_table(self, points, exponents) -> np.ndarray:
         """Matrix [w, k] = points[w] ** exponents[k] mod p, for exponents >= 0
-        (a negative one raises ``ConfigurationError``): the powers 0..max of
-        all points, one numpy step per power, then the requested columns."""
+        (a negative one raises ``ConfigurationError``): one row of powers of
+        all points, one numpy step per power, copied out where requested."""
         points = int64_array(points).reshape(-1) % self.p
         exponents = np.asarray(exponents, dtype=np.int64).reshape(-1)
         if (exponents < 0).any():
             raise ConfigurationError(f"exponents must be >= 0, got {int(exponents.min())}")
-        top = int(exponents.max()) if exponents.size else 0
-        table = np.empty((top + 1, points.size), dtype=np.int64)
-        table[0] = 1 % self.p
-        for e in range(1, top + 1):
-            np.remainder(table[e - 1] * points, self.p, out=table[e])
-        return table[exponents].T
+        table, exps = np.empty((exponents.size, points.size), np.int64), exponents.tolist()
+        power, product, e = np.ones_like(points), np.empty_like(points), 0  # power = points**e
+        for k in sorted(range(len(exps)), key=exps.__getitem__):
+            for _ in range(e, exps[k]):
+                np.remainder(np.multiply(power, points, out=product), self.p, out=power)
+            e = exps[k]
+            table[k] = power
+        return table.T
 
     # -- elimination -----------------------------------------------------------
 
-    def _row_reduce(self, matrix, pivot_cols: int) -> tuple[np.ndarray, int]:
+    def _row_reduce(self, matrix, pivot_cols: int) -> tuple[np.ndarray, list]:
         """Gauss-Jordan elimination in int64: the reduced row echelon form of
-        matrix, with pivots sought in its first pivot_cols columns, and the
-        rank found there.  Pivots are inverted by pow(x, -1, p) in Python ints.
-        Entries stay in [0, p) with p <= 2**31 between steps, so each update
-        r - f * pivot lies above -2**62 before it is reduced.  A pivot row is
-        zero left of its pivot, so a step touches only the columns from it on."""
+        matrix, with pivots sought in its first pivot_cols columns, and their
+        columns, ascending.  Pivots are inverted by pow(x, -1, p) in Python
+        ints.  Entries stay in [0, p) with p <= 2**31 between steps, so each
+        update r - f * pivot lies above -2**62 before it is reduced.  A pivot
+        row is zero left of its pivot: a step touches the columns from it on."""
         p = self.p
         rows = int64_array(matrix) % p  # a fresh copy, eliminated in place
-        rank = 0
+        pivots = []
         for col in range(pivot_cols):
-            if rank == rows.shape[0]:
+            if (rank := len(pivots)) == rows.shape[0]:
                 break
             if not rows[rank, col]:
                 nonzero = np.flatnonzero(rows[rank:, col])
@@ -234,11 +234,13 @@ class PrimeField:
             tail -= tail[:, :1] * pivot
             tail %= p
             tail[rank] = pivot
-            rank += 1
-        return rows, rank
+            pivots.append(col)
+        return rows, pivots
 
-    def rank(self, matrix) -> int:
-        """Rank of a 2-D matrix over GF(p)."""
+    def pivot_columns(self, matrix) -> list:
+        """The ascending pivot columns of a 2-D matrix over GF(p), as many as
+        its rank.  A column is a pivot exactly when it lies outside the span
+        of those to its left, so the pivots below k are matrix[:, :k]'s."""
         matrix = np.asarray(matrix)
         return self._row_reduce(matrix, matrix.shape[1])[1]
 
@@ -250,8 +252,8 @@ class PrimeField:
         n = a.shape[0]
         if a.shape != (n, n) or b.ndim != 2 or b.shape[0] != n:
             raise ConfigurationError(f"cannot solve a {a.shape} system for a {b.shape} right side")
-        reduced, rank = self._row_reduce(np.hstack([a, b]), n)
-        if rank < n:
+        reduced, pivots = self._row_reduce(np.hstack([a, b]), n)
+        if (rank := len(pivots)) < n:
             raise SingularSystemError(f"{n}x{n} system is singular mod {self.p} (rank {rank})")
         return reduced[:, n:]
 

@@ -1,17 +1,15 @@
-"""Exact secrecy verification, one rank comparison per coalition.
+"""Exact secrecy verification, one elimination per coalition and side.
 
 Privacy here is exact, not statistical: the shares seen by any P_C colluding
 workers must have the same distribution whatever (A, B) is.  Their view is
 linear over GF(p), M_d x_d + M_r x_r, with x_d the data entries and x_r the
 live random entries, uniform and independent.  Given the data it is uniform
 on the coset M_d x_d + colspan(M_r), so it is independent of the data exactly
-when rank[M_r] = rank[M_r | M_d], which ``PrimeField.rank`` decides.  Each
-coalition's verdict reports both ranks, ``rank_random`` and ``rank_view``.
-The verdict covers all p**(data + live random entries) assignments; the
-tests enumerate them by brute force as an oracle.  The audit's cost is one
-rank pair per coalition, whose matrices have P_C rows and a column per live
-block, so ``MAX_AUDIT_SIZE`` caps the coalition count, C(P, P_C), times
-that size, and nothing else.
+when rank[M_r] = rank[M_r | M_d], a verdict's ``rank_random`` and
+``rank_view``.  It covers all p**(data + live random entries) assignments,
+which the tests enumerate by brute force as an oracle, and costs one
+elimination per side, of P_C rows and a column per live block, so
+``MAX_AUDIT_SIZE`` caps the coalition count, C(P, P_C), times that size.
 
 Structurally zero random blocks carry no entropy and are left out of M_r, so
 the audit tests whether the masking leaves enough live randomness.  The
@@ -24,7 +22,10 @@ kron(V, I_e): V is ``PrimeField.power_table`` over the colluders' points and
 the block exponents, e the entries of one block.  So rank[M_r] is
 e_a rank[V_r^A] + e_b rank[V_r^B], rank[M_r | M_d] likewise with
 [V_r | V_d] on each side, and no matrix with a column per entry is built.
-The tests keep that entry-level map as an oracle.
+Each side's V is built once per audit for the whole pool, random columns
+first, and a coalition eliminates its rows once: the pivots among the random
+columns count rank[V_r], all of them rank[V_r | V_d].  The tests keep the
+entry-level map as an oracle.
 """
 
 from __future__ import annotations
@@ -133,32 +134,33 @@ class AuditVerdict:
         return instance.field.p ** (n_data + n_random)
 
 
-def _rank_columns(instance: AuditInstance) -> tuple:
-    """What each coalition's ranks read, once per audit: the pool's points and,
-    per side, the live exponents, random first (the layout's random masks),
-    how many are random and one block's entries.  Under the negative control
-    no column is random."""
+def _rank_tables(instance: AuditInstance) -> list:
+    """What each coalition's ranks read, once per audit, per side: the power
+    table of the whole pool over the live exponents, random first (the
+    layout's random masks), how many of its columns are random and one
+    block's entries.  Under the negative control no column is random."""
     geo, (ea, eb, _) = instance.geometry, instance.entry_sizes()
+    pool = codec.pool_points(instance.n_workers, instance.field)
     sides = []
     for exps, live, random, entries in (
         (geo.exponent_map.a_exponents, geo.layout.a_live, geo.layout.a_random, ea),
         (geo.exponent_map.b_exponents, geo.layout.b_live, geo.layout.b_random, eb),
     ):
         kept = random & (not instance.negative_control)
-        sides.append((np.concatenate([exps[kept], exps[live & ~random]]), kept.sum(), entries))
-    return codec.pool_points(instance.n_workers, instance.field), sides
+        table = instance.field.power_table(pool, np.concatenate([exps[kept], exps[live & ~random]]))
+        sides.append((table, int(kept.sum()), entries))
+    return sides
 
 
-def _ranks(instance: AuditInstance, subset, columns=None) -> tuple[int, int]:
+def _ranks(instance: AuditInstance, subset, sides) -> tuple[int, int]:
     """(rank[M_r], rank[M_r | M_d]) of the coalition's view at block level,
-    from ``_rank_columns(instance)``, which an audit passes once."""
-    pool, sides = columns or _rank_columns(instance)
-    points = codec.worker_points(pool, subset)
+    from one elimination of its rows of each table of ``_rank_tables``."""
+    rows = codec.worker_points(range(instance.n_workers), subset)
     rank_r = rank = 0
-    for exps, n_random, entries in sides:
-        table = instance.field.power_table(points, exps)
-        rank_r += entries * instance.field.rank(table[:, :n_random])
-        rank += entries * instance.field.rank(table)
+    for table, n_random, entries in sides:
+        pivots = instance.field.pivot_columns(table[rows])
+        rank_r += entries * sum(c < n_random for c in pivots)
+        rank += entries * len(pivots)
     return rank_r, rank
 
 
@@ -185,11 +187,11 @@ def audit_all_subsets(instance: AuditInstance) -> AuditVerdict:
     ``MAX_AUDIT_SIZE`` is refused before any rank is taken; a negative control
     is charged as its instance, so it is refused alike."""
     _check_audit_size(instance.n_workers, instance.p_c, instance.rank_size)
-    columns = _rank_columns(instance)
+    sides = _rank_tables(instance)
     return AuditVerdict(
         instance,
         tuple(
-            SubsetVerdict(subset, *_ranks(instance, subset, columns))
+            SubsetVerdict(subset, *_ranks(instance, subset, sides))
             for subset in combinations(range(1, instance.n_workers + 1), instance.p_c)
         ),
     )

@@ -12,7 +12,7 @@ Kronecker product and the column per data or random entry), which
 The brute-force enumeration counts every assignment through that matrix,
 and its ranks must equal the audit's block-level ones.
 The token-by-token parser is the oracle for the byte-level file reader.
-A Python-int Gauss-Jordan is the oracle for ``PrimeField.rank`` and
+A Python-int Gauss-Jordan is the oracle for ``PrimeField.pivot_columns`` and
 ``solve``, and the Lagrange basis for the decoder's solve on a support
 0..n-1; a Python set of live sums for the recovery threshold.
 The per-target loop is the oracle for the counting exponent audit.  The
@@ -332,7 +332,7 @@ def reference_read_text_file(path, header_len: int, dims: slice, modulus: int | 
 def python_gauss_jordan(matrix, p: int, pivot_cols: int | None = None):
     """Reduced row echelon form over GF(p) in Python integers, with pivots
     sought in the first pivot_cols columns (all by default), and the rank:
-    the oracle for ``PrimeField.rank`` and ``PrimeField.solve``."""
+    the oracle for ``PrimeField.pivot_columns`` and ``PrimeField.solve``."""
     rows = [[int(x) % p for x in row] for row in np.asarray(matrix).tolist()]
     n_cols = len(rows[0]) if rows else 0
     rank = 0

@@ -109,6 +109,14 @@ def test_latency_constant_delays_order_by_worker_id(tall_setup):
     assert report.wall_clock == 3.5
 
 
+def test_completion_order_gives_1_based_ids_ties_broken_by_id():
+    # worker w finishes at times[w - 1]; workers 2 and 5 tie at 1.0 and
+    # worker 3 never finishes
+    times = np.array([2.0, 1.0, np.inf, 0.5, 1.0, 2.0])
+    assert cluster_sim._completion_order(times) == [4, 2, 5, 1, 6]
+    assert cluster_sim._completion_order(np.full(3, np.inf)) == []
+
+
 def test_measured_load_counts_used_results_only(tall_setup, field257):
     plan, pair, _, _ = tall_setup
     report = run(plan, pair, FixedSet(list(range(1, 31))))

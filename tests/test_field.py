@@ -1,6 +1,7 @@
 """Exact GF(p) arithmetic: axioms, overflow safety, uniform sampling, elimination."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,22 @@ def test_power_table_matches_pow(p):
     assert field.power_table([], exponents).shape == (0, len(exponents))
 
 
+def test_power_table_holds_no_more_than_its_result():
+    # two columns of 10,000 points at exponents 0 and 1000: a table of every
+    # power up to 1000 would hold 80 MB, the result holds 160 KB
+    field = PrimeField(2**31 - 1)
+    points = range(1, 10001)
+    tracemalloc.start()
+    try:
+        got = field.power_table(points, [1000, 0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[:, 1].tolist() == [1] * 10000
+    assert got[[0, 1, 9999], 0].tolist() == [pow(z, 1000, field.p) for z in (1, 2, 10000)]
+    assert peak < 10**6, peak
+
+
 @pytest.mark.parametrize("exponents", [[2, 3, -1], [-1], [0, -7, 4]])
 def test_power_table_refuses_negative_exponents(field257, exponents):
     # a negative exponent would index the table from its end: x**-1 read as
@@ -383,7 +400,7 @@ def test_sample_uniform_chi_square(field5):
 
 
 # ---------------------------------------------------------------------------
-# elimination: rank and solve against a Python-int Gauss-Jordan
+# elimination: pivot columns and solve against a Python-int Gauss-Jordan
 # ---------------------------------------------------------------------------
 
 
@@ -402,10 +419,33 @@ def test_rank_matches_python_gauss_jordan(p):
             matrix = _low_rank(field, rng, n, m, r)
             if r == min(n, m):
                 matrix = field.random_array((n, m), rng)  # full rank unless p is tiny
-            assert field.rank(matrix) == python_gauss_jordan(matrix, p)[1], (n, m, r)
+            assert len(field.pivot_columns(matrix)) == python_gauss_jordan(matrix, p)[1], (n, m, r)
     # unreduced int64 entries are taken mod p
     matrix = field.random_array((6, 6), rng) - 3 * p
-    assert field.rank(matrix) == python_gauss_jordan(matrix, p)[1]
+    assert len(field.pivot_columns(matrix)) == python_gauss_jordan(matrix, p)[1]
+
+
+@pytest.mark.parametrize("p", [2, 257, 2147483647])
+def test_pivots_below_k_are_the_pivots_of_the_first_k_columns(p):
+    # a column is a pivot exactly when it lies outside the span of the
+    # columns to its left, so one elimination gives the rank of every
+    # leading block: random, rank-deficient and zero-column matrices
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1013)
+    matrices = [field.random_array(shape, rng) for shape in [(3, 5), (5, 3), (6, 6)]]
+    matrices += [_low_rank(field, rng, n, m, r) for n, m, r in [(6, 8, 3), (8, 6, 2), (5, 5, 0)]]
+    zeroed = field.random_array((5, 7), rng)
+    zeroed[:, [0, 3, 6]] = 0
+    repeated = field.random_array((6, 5), rng)
+    repeated[:, 3] = repeated[:, 1] * 2 % p
+    matrices += [zeroed, repeated, np.zeros((4, 0), np.int64), np.zeros((0, 4), np.int64)]
+    for matrix in matrices:
+        pivots = field.pivot_columns(matrix)
+        assert pivots == sorted(set(pivots)) and len(pivots) == python_gauss_jordan(matrix, p)[1]
+        for k in range(matrix.shape[1] + 1):
+            assert [c for c in pivots if c < k] == field.pivot_columns(matrix[:, :k]), k
+    assert not {0, 3, 6} & set(field.pivot_columns(zeroed))
+    assert 3 not in field.pivot_columns(repeated)
 
 
 @pytest.mark.parametrize("p", [2, 3, 257, 2147483647])

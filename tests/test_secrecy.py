@@ -33,7 +33,7 @@ from sgpd import (
     worker_compute,
 )
 from sgpd.codec import ExponentMap
-from sgpd.secrecy_audit import _check_audit_size, _ranks
+from sgpd.secrecy_audit import _check_audit_size, _rank_tables, _ranks
 
 from conftest import (
     block,
@@ -80,7 +80,7 @@ def test_micro_wide_is_secure():
 def test_smaller_coalitions_also_learn_nothing():
     inst = AuditInstance(2, 1, 1, 2, 3, PrimeField(5), 2, 1, 1)
     for subset in [(1, 3), (2,)]:  # the second is below the collusion bound
-        rank, full_rank = _ranks(inst, subset)
+        rank, full_rank = _ranks(inst, subset, _rank_tables(inst))
         assert rank == full_rank, subset
 
 
@@ -121,7 +121,7 @@ def test_coalition_cap_is_decided_exactly(n, k):
 
 def test_cap_charges_each_coalition_by_its_rank_size(monkeypatch):
     # 200 coalitions of 199 workers are few, but each ranks 199 x 400 entries
-    # (about 0.1 s a coalition): refused before any rank is taken, while one
+    # (about 0.06 s a coalition): refused before any rank is taken, while one
     # coalition of all 200 workers (80,400 entries) is audited
     def no_rank(*_):
         raise AssertionError("a rank was taken")
@@ -187,7 +187,7 @@ def test_observed_support_matches_collusion_dimension():
     # two colluding workers observe 4 symbols; the randomness alone spans all
     # of them, so the observed support is p^4
     inst = AuditInstance(2, 1, 1, 2, 3, PrimeField(5), 2, 1, 1)
-    assert _ranks(inst, (1, 2)) == (4, 4)
+    assert _ranks(inst, (1, 2), _rank_tables(inst)) == (4, 4)
 
 
 @pytest.mark.parametrize(
@@ -269,7 +269,7 @@ def test_rank_audit_matches_enumeration_below_collusion_level():
     for size in range(inst.p_c + 1):  # the empty coalition included
         for subset in itertools.combinations(range(1, 4), size):
             want = enumerated_subset_verdict(inst, subset)
-            verdict = SubsetVerdict(subset, *_ranks(inst, subset))
+            verdict = SubsetVerdict(subset, *_ranks(inst, subset, _rank_tables(inst)))
             assert verdict_fields(verdict) == want, subset
 
 
@@ -288,15 +288,67 @@ def test_block_ranks_match_the_entry_level_matrix():
                 inst = AuditInstance(
                     t, s, d, p_c, workers, PrimeField(p), 2 * t, 3 * s, d, negative
                 )
-                n_data = inst.entry_sizes()[2]
+                n_data, tables = inst.entry_sizes()[2], _rank_tables(inst)
                 for subset in itertools.combinations(range(1, workers + 1), p_c):
                     matrix = observation_matrix(inst, subset)
-                    rank_r = inst.field.rank(matrix[:, n_data:])
-                    expected = (rank_r, inst.field.rank(matrix))
-                    assert _ranks(inst, subset) == expected, (inst, subset)
+                    rank_r = len(inst.field.pivot_columns(matrix[:, n_data:]))
+                    expected = (rank_r, len(inst.field.pivot_columns(matrix)))
+                    assert _ranks(inst, subset, tables) == expected, (inst, subset)
                     pairs += 1
                     insecure += not negative and expected[0] != expected[1]
     assert pairs == 1134 and insecure > 0
+
+
+def _two_elimination_ranks(inst, subset):
+    """The ranks as two eliminations per side take them, on a power table
+    over the coalition's own points: rank[V_r] from the random columns alone,
+    rank[V_r | V_d] from all of them."""
+    geo, (ea, eb, _) = inst.geometry, inst.entry_sizes()
+    points = codec.worker_points(codec.pool_points(inst.n_workers, inst.field), subset)
+    rank_r = rank = 0
+    for exps, live, random, entries in (
+        (geo.exponent_map.a_exponents, geo.layout.a_live, geo.layout.a_random, ea),
+        (geo.exponent_map.b_exponents, geo.layout.b_live, geo.layout.b_random, eb),
+    ):
+        kept = random & (not inst.negative_control)
+        table = inst.field.power_table(points, np.concatenate([exps[kept], exps[live & ~random]]))
+        rank_r += entries * len(inst.field.pivot_columns(table[:, : kept.sum()]))
+        rank += entries * len(inst.field.pivot_columns(table))
+    return rank_r, rank
+
+
+def test_one_elimination_per_side_gives_both_ranks():
+    # every coalition of t, s, d, P_C <= 3 with pools of P_C..P_C + 3 workers:
+    # the pivots of one elimination of the pool table's coalition rows give
+    # what two eliminations of the coalition's own table give
+    coalitions = leaking = 0
+    for t, s, d, p_c in itertools.product(range(1, 4), repeat=4):
+        for workers, p, negative in itertools.product(
+            range(p_c, p_c + 4), (257, 65537), (False, True)
+        ):
+            inst = AuditInstance(t, s, d, p_c, workers, PrimeField(p), 2 * t, 3 * s, d, negative)
+            tables = _rank_tables(inst)
+            for subset in itertools.combinations(range(1, workers + 1), p_c):
+                expected = _two_elimination_ranks(inst, subset)
+                assert _ranks(inst, subset, tables) == expected, (inst, subset)
+                coalitions += 1
+                leaking += expected[0] != expected[1]
+    assert coalitions == 7020 and leaking > 0
+
+
+def test_pool_tables_keep_a_large_pool_audit_small():
+    # 11,764 coalitions of one worker at 34 rank entries each, just under the
+    # cap: the audit holds one pool table of 11,764 x 17 entries per side and
+    # no table of every power up to the top exponent (about 300 of them)
+    inst = AuditInstance(16, 1, 16, 1, 11764, PrimeField(2**31 - 1), 16, 1, 16)
+    tracemalloc.start()
+    try:
+        verdict = audit_all_subsets(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.secure and len(verdict.subsets) == 11764
+    assert peak < 6 * 10**6, peak
 
 
 @pytest.mark.parametrize("p", [2, 7, 65537, 2**31 - 1])
@@ -310,7 +362,7 @@ def test_rank_of_a_known_factorisation(p):
         left = np.vstack([np.eye(r, dtype=np.int64), field.random_array((n - r, r), rng)])
         right = np.hstack([np.eye(r, dtype=np.int64), field.random_array((r, m - r), rng)])
         matrix = field.matmul(left, right)[rng.permutation(n)][:, rng.permutation(m)]
-        assert field.rank(matrix) == r, (n, m, r)
+        assert len(field.pivot_columns(matrix)) == r, (n, m, r)
 
 
 def test_wide_cli_plan_is_secure_at_block_level():
@@ -322,10 +374,11 @@ def test_wide_cli_plan_is_secure_at_block_level():
         inst = AuditInstance(
             2, 4, 2, 2, 60, PrimeField(2**31 - 1), 128, 256, 128, negative
         )
+        tables = _rank_tables(inst)
         verdicts = [
             rank == full_rank
             for rank, full_rank in (
-                _ranks(inst, subset) for subset in itertools.combinations(range(1, 61), 2)
+                _ranks(inst, subset, tables) for subset in itertools.combinations(range(1, 61), 2)
             )
         ]
         assert verdicts == [not negative] * comb(60, 2) and len(verdicts) == 1770
@@ -352,8 +405,8 @@ def test_sparse_placement_keeps_every_coalition_the_gpd_map_kept():
             sparse = geo.exponent_map.b_exponents[random]
             dense = gpd_b_map(geo)[random]
             for subset in itertools.combinations(points, p_c):
-                kept = field.rank(field.power_table(subset, sparse))
-                was = field.rank(field.power_table(subset, dense))
+                kept = len(field.pivot_columns(field.power_table(subset, sparse)))
+                was = len(field.pivot_columns(field.power_table(subset, dense)))
                 assert kept >= was, (t, s, d, p_c, subset)
                 gained += kept > was
     assert gained > 0
@@ -366,7 +419,7 @@ def test_above_the_bound_the_gpd_placement_keeps_small_fields_secure():
     inst = AuditInstance(2, 2, 2, 3, 256, PrimeField(257), 2, 2, 2)
     coalitions = [(1, 2, 256), (2, 128, 129)]
     for subset in coalitions:
-        rank, full_rank = _ranks(inst, subset)
+        rank, full_rank = _ranks(inst, subset, _rank_tables(inst))
         assert rank == full_rank, subset
     geo, random = inst.geometry, inst.geometry.layout.b_live.copy()
     random[:2] = False
@@ -375,7 +428,7 @@ def test_above_the_bound_the_gpd_placement_keeps_small_fields_secure():
     emap = ExponentMap(geo.exponent_map.a_exponents, b, geo.exponent_map.extraction)
     object.__setattr__(inst, "geometry", dataclasses.replace(geo, exponent_map=emap))
     for subset in coalitions:
-        rank, full_rank = _ranks(inst, subset)
+        rank, full_rank = _ranks(inst, subset, _rank_tables(inst))
         assert rank < full_rank, subset
 
 
@@ -395,8 +448,8 @@ def test_plan_shares_decode_and_audit_read_one_point_rule(monkeypatch):
     n_data, coalitions = inst.entry_sizes()[2], 0
     for subset in itertools.combinations(range(1, 20), 2):
         matrix = observation_matrix(inst, subset)
-        expected = (field.rank(matrix[:, n_data:]), field.rank(matrix))
-        assert _ranks(inst, subset) == expected, subset
+        expected = (len(field.pivot_columns(matrix[:, n_data:])), len(field.pivot_columns(matrix)))
+        assert _ranks(inst, subset, _rank_tables(inst)) == expected, subset
         coalitions += 1
     assert coalitions == 171
     plan = build_plan(2, 2, 2, 2, 19, field)
