@@ -61,10 +61,8 @@ class FixedSet:
     def completion_times(self, n_workers: int, trial: int = 0) -> np.ndarray:
         _check_trial(trial)  # the same trial indices as the seeded models
         times = np.full(n_workers, math.inf)
-        for rank, w in enumerate(self.responders):
-            if not 1 <= w <= n_workers:
-                raise ConfigurationError(f"responder id {w} outside pool 1..{n_workers}")
-            times[w - 1] = float(rank + 1)
+        rows = worker_points(range(n_workers), self.responders)  # 0-based, checked
+        times[rows] = np.arange(1, len(rows) + 1)
         return times
 
     def describe(self) -> dict:

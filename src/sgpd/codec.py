@@ -10,7 +10,7 @@ appears as one clean coefficient of F(z)G(z): solve for the product
 polynomial's coefficients from any recovery_threshold evaluations, read the
 extraction exponents, done.  Both steps work on stacks, one entry per
 worker: ``share_stacks`` and ``interpolate``, which ``cluster_sim.run``
-calls; ``encode`` and ``decode`` are their per-worker forms, with the checks.
+calls; ``encode`` and ``decode`` are their per-worker forms.
 
 recovery_threshold is always derived from the construction: the number of
 distinct exponents in the live sumset {a + b} over live (non-masked) blocks,
@@ -368,11 +368,6 @@ def build_plan(
         raise ConfigurationError(
             f"recovery threshold is {p_r} but only {n_workers} workers are available"
         )
-    if p_c >= 1 and p_r < 2 * p_c:
-        raise ConfigurationError(
-            f"recovery threshold {p_r} is below 2*P_C={2 * p_c}; the secrecy "
-            "argument needs at least that many product coefficients"
-        )
     # x**(p-1) = 1 for every point, so exponents equal mod p - 1 give equal columns of V
     if np.unique(plan.support % (field.p - 1)).size < p_r:
         raise ConfigurationError(
@@ -445,65 +440,60 @@ def encode(plan: EncodingPlan, pair: AugmentedPair, workers=None) -> list:
 
 
 def worker_compute(share: CodedShare, completion_time: float = 0.0) -> WorkerResult:
-    if share.a_share.shape[1] != share.b_share.shape[0]:
-        raise ConfigurationError(
-            f"share inner dimensions disagree: {share.a_share.shape} x {share.b_share.shape}"
-        )
     product = share.field.matmul(share.a_share, share.b_share)
     return WorkerResult(share.worker_id, share.point, product, completion_time)
 
 
 def interpolate(plan: EncodingPlan, workers, products: np.ndarray) -> BlockMatrix:
-    """C from a (recovery_threshold, rows, cols) stack of worker products
-    whose entry i is the product of worker workers[i]: distinct 1-based ids
-    of the pool in any order.  The system is the generalized Vandermonde
-    matrix V[i, e] = x_i**e over the support, and only the rows of V**-1 at
-    the extraction exponents are formed, by one ``PrimeField.solve`` of V^T;
-    they multiply the stack, read in place as (recovery_threshold, entries).
-    V can be singular mod p for a sparse support; then SingularSystemError is
-    raised, never a wrong product."""
+    """C from the first recovery_threshold entries of a (len(workers), rows,
+    cols) stack whose entry i is the product of worker workers[i].  The one
+    check of a responder set: ids in the pool (``worker_points``), distinct,
+    at least recovery_threshold of them, one product each; else a named error.
+    The system is the generalized Vandermonde matrix V[i, e] = x_i**e over
+    the support, and only the rows of V**-1 at the extraction exponents are
+    formed, by one ``PrimeField.solve`` of V^T; they multiply the stack, read
+    in place.  V can be singular mod p for a sparse support; then
+    SingularSystemError is raised, never a wrong product."""
+    workers, p_r = list(workers), plan.recovery_threshold
+    points = worker_points(plan.evaluation_points, workers)[:p_r]
+    if len(set(workers)) < len(workers):
+        dup = next(w for i, w in enumerate(workers) if w in workers[:i])
+        raise ConfigurationError(f"duplicate result for worker {dup}")
+    if len(workers) < p_r:
+        raise NotEnoughResults(len(workers), p_r)
+    if products.ndim != 3 or len(products) != len(workers):
+        raise ConfigurationError(
+            f"products must be a ({len(workers)}, rows, cols) stack, got shape {products.shape}"
+        )
     ext = plan.exponent_map.extraction
     t, d = ext.shape
-    n, br, bc = products.shape
-    points = worker_points(plan.evaluation_points, workers)
+    _, br, bc = products.shape
     vandermonde = plan.field.power_table(points, plan.support)
-    picks = np.zeros((n, t * d), dtype=np.int64)  # unit columns at the extraction rows
+    picks = np.zeros((p_r, t * d), dtype=np.int64)  # unit columns at the extraction rows
     picks[np.searchsorted(plan.support, ext.ravel()), np.arange(t * d)] = 1
     weights = plan.field.solve(vandermonde.T, picks).T
-    coeffs = plan.field.matmul(weights, products.reshape(n, br * bc))
+    coeffs = plan.field.matmul(weights, products[:p_r].reshape(p_r, br * bc))
     out = coeffs.reshape(t, d, br, bc).transpose(0, 2, 1, 3).reshape(t * br, d * bc)
     return BlockMatrix.adopt(out, (t, d), plan.field)
 
 
 def decode(plan: EncodingPlan, results) -> BlockMatrix:
-    """Solve for the product polynomial's coefficients on its live support
-    and read the extraction coefficients (see ``interpolate``).
-
-    Each result is evaluated at the plan's point for its worker id, which
-    must lie in 1..P and agree with the point the result carries.  Exactly
-    recovery_threshold results are consumed; any surplus is dropped
-    deterministically, keeping the lowest worker ids.
-    """
-    by_id: dict = {}
+    """C from the first recovery_threshold results given: their products,
+    stacked as integers, go to ``interpolate``, which checks the responder
+    set.  Each result must carry the plan's point for its worker id, and all
+    products must share one shape."""
     results = list(results)
-    points = worker_points(plan.evaluation_points, [r.worker_id for r in results])
-    for r, expected in zip(results, points):
+    workers = [r.worker_id for r in results]
+    for r, expected in zip(results, worker_points(plan.evaluation_points, workers)):
         if r.point != expected:
             raise ConfigurationError(
                 f"worker {r.worker_id} carries point {r.point}, but the plan assigns {expected}"
             )
-        if r.worker_id in by_id:
-            raise ConfigurationError(f"duplicate result for worker {r.worker_id}")
-        by_id[r.worker_id] = r
-    p_r = plan.recovery_threshold
-    if len(by_id) < p_r:
-        raise NotEnoughResults(len(by_id), p_r)
-    chosen = [by_id[w] for w in sorted(by_id)][:p_r]
-    shapes = {r.product.shape for r in chosen}
-    if len(shapes) != 1:
+    shapes = {np.shape(r.product) for r in results}
+    if len(shapes) > 1:
         raise ConfigurationError(f"results disagree on product shape: {sorted(shapes)}")
-    products = np.stack([int64_array(r.product) for r in chosen])
-    return interpolate(plan, [r.worker_id for r in chosen], products)
+    products = np.array([int64_array(r.product) for r in results], dtype=np.int64)
+    return interpolate(plan, workers, products)
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,14 @@ def test_augment_rejects_field_mismatch(field257, field5):
         augment(a, b, 1, rng)
 
 
+def test_augment_rejects_inner_partitions_that_disagree(field257):
+    rng = np.random.default_rng(10)
+    a = partition(np.zeros((2, 4), dtype=np.int64), (1, 2), field257)
+    b = partition(np.zeros((4, 2), dtype=np.int64), (4, 1), field257)
+    with pytest.raises(ConfigurationError, match="inner partitions do not agree"):
+        augment(a, b, 1, rng)
+
+
 @given(
     st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
     st.integers(0, 4), st.integers(0, 2**31),

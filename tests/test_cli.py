@@ -138,6 +138,21 @@ def test_run_accepts_values_that_match_the_files(tmp_path, capsys):
     assert "success=True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "b_shape,b_modulus,message",
+    [((2, 4), 103, "input moduli differ: 101 vs 103"),
+     ((3, 4), 101, "inner dimensions disagree: A is (4, 2), B is (3, 4)")],
+    ids=["moduli", "inner"],
+)
+def test_run_refuses_input_files_that_disagree(tmp_path, capsys, b_shape, b_modulus, message):
+    argv = _write_4x2_and_2x4(tmp_path)
+    write_matrix(tmp_path / "b.mat", np.ones(b_shape, np.int64), b_modulus)
+    assert run_cli("run", "--t", "2", "--s", "1", "--d", "2", "--P", "6", *argv) == 2
+    captured = capsys.readouterr()
+    assert "success=" not in captured.out
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_run_refuses_an_unknown_model(tmp_path, capsys, source):
     argv = ["run", "--t", "2", "--s", "1", "--d", "1", "--P", "4", "--T", "2", "--S", "1",
@@ -244,6 +259,31 @@ def test_config_file_and_override(tmp_path, capsys):
     assert run_cli("audit", "--config", str(cfg), "--modulus", "3", "--P", "2") == 0
     text = capsys.readouterr().out
     assert "# modulus=3" in text and "# workers=2" in text
+
+
+@pytest.mark.parametrize(
+    "line,code,message",
+    [("negative_control=false", 0, "verdict=SECURE"),
+     ("negative_control=maybe", 2, "config key 'negative_control': not a boolean: 'maybe'"),
+     ("t=two", 2, "config key 't': invalid literal for int()")],
+    ids=["switch-off", "bad-switch", "bad-int"],
+)
+def test_audit_config_values_are_converted(tmp_path, capsys, line, code, message):
+    cfg = tmp_path / "audit.cfg"
+    cfg.write_text(f"t=2\ns=1\nd=1\npc=1\nworkers=4\nT=2\nS=1\nD=1\nmodulus=5\n{line}\n")
+    assert run_cli("audit", "--config", str(cfg)) == code
+    captured = capsys.readouterr()
+    assert message in (captured.out if code == 0 else captured.err)
+
+
+def test_audit_out_holds_what_it_prints(tmp_path, capsys):
+    out = tmp_path / "audit.txt"
+    assert run_cli(
+        "audit", "--t", "2", "--s", "1", "--d", "1", "--pc", "1", "--P", "4",
+        "--T", "2", "--S", "1", "--D", "1", "--modulus", "5", "--out", str(out),
+    ) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith("verdict=SECURE\n") and out.read_text() == printed
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):

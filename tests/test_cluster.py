@@ -141,6 +141,10 @@ def test_latency_model_validation():
                 model.completion_times(3, trial=trial)
     with pytest.raises(ConfigurationError, match="seed"):
         RandomSubset(3, seed=-1)
+    with pytest.raises(ConfigurationError, match="responder count must be >= 0, got -1"):
+        RandomSubset(-1)
+    with pytest.raises(ConfigurationError, match="cannot pick 4 responders from 3 workers"):
+        RandomSubset(4).completion_times(3)
 
 
 def test_model_descriptions():

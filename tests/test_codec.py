@@ -416,6 +416,15 @@ def test_decode_with_surplus_results(field257):
     results = [worker_compute(sh) for sh in encode(plan, pair)]
     got = decode(plan, results)  # all 25, threshold is 15
     assert np.array_equal(got.data, triple_loop_product(a_arr, b_arr, 257))
+    # the first 15 given are decoded, not the lowest ids: a wrong product
+    # from worker 1, given last, is never read
+    spare = results[0]
+    tampered = results[:0:-1] + [dataclasses.replace(spare, product=(spare.product + 1) % 257)]
+    assert np.array_equal(decode(plan, tampered).data, got.data)
+    # but every result given must share the product shape
+    tampered[-1] = dataclasses.replace(spare, product=np.zeros((9, 9), np.int64))
+    with pytest.raises(ConfigurationError, match="disagree on product shape"):
+        decode(plan, tampered)
 
 
 @pytest.mark.parametrize("p", [29, 257])
@@ -551,6 +560,53 @@ def test_stacked_cores_refuse_a_worker_outside_the_pool(field257, bad):
         interpolate(plan, ids, products)
 
 
+@pytest.mark.parametrize("case", ["2-D stack", "stack too long", "duplicate", "one short"])
+def test_interpolate_refuses_a_malformed_responder_set(field257, case):
+    # every rule about a responder set is interpolate's, and each breach
+    # raises a named error before any solve, never numpy's or a singular one
+    rng = np.random.default_rng(78)
+    _, _, pair = make_pair(2, 2, 2, 1, field257, rng, bt=2, bs=2, bd=2)
+    plan = build_plan(2, 2, 2, 1, 20, field257)
+    p_r = plan.recovery_threshold
+    ids = list(range(1, p_r + 2))
+    products = field257.matmul(*share_stacks(plan, pair, ids))
+    stack_error = f"products must be a ({p_r}, rows, cols) stack, got shape "
+    workers, stack, error, message = {
+        "2-D stack": (ids[:p_r], products[:p_r, 0], ConfigurationError, f"{stack_error}({p_r}, 2)"),
+        "stack too long": (
+            ids[:p_r], products, ConfigurationError, f"{stack_error}({p_r + 1}, 2, 2)"
+        ),
+        "duplicate": (
+            [*ids[: p_r - 1], 3], products[:p_r], ConfigurationError,
+            "duplicate result for worker 3",
+        ),
+        "one short": (
+            ids[: p_r - 1], products[: p_r - 1], NotEnoughResults,
+            f"decoding needs {p_r} worker results, got {p_r - 1}",
+        ),
+    }[case]
+    with pytest.raises(error, match=re.escape(message)):
+        interpolate(plan, workers, stack)
+
+
+def test_interpolate_decodes_the_first_threshold_entries(field257):
+    # a set one longer than the threshold decodes its first P_R entries: the
+    # spare is never read, so a wrong product there changes nothing
+    rng = np.random.default_rng(79)
+    a, b, pair = make_pair(2, 2, 2, 1, field257, rng, bt=2, bs=2, bd=2)
+    plan = build_plan(2, 2, 2, 1, 20, field257)
+    ids = list(range(20, 19 - plan.recovery_threshold, -1))
+    products = field257.matmul(*share_stacks(plan, pair, ids))
+    products[-1] = (products[-1] + 1) % 257
+    assert np.array_equal(interpolate(plan, ids, products).data, triple_loop_product(a, b, 257))
+
+
+def test_worker_compute_refuses_shares_whose_inner_dimensions_disagree(field257):
+    share = CodedShare(1, 1, np.zeros((2, 3), np.int64), np.zeros((2, 2), np.int64), field257)
+    with pytest.raises(ConfigurationError, match=re.escape("cannot multiply (2, 3) by (2, 2)")):
+        worker_compute(share)
+
+
 # ---------------------------------------------------------------------------
 # plan validation
 # ---------------------------------------------------------------------------
@@ -571,7 +627,30 @@ def test_build_plan_needs_enough_points(field5):
     # default points are 1..P and must be distinct nonzero mod p
     with pytest.raises(ConfigurationError):
         build_plan(2, 1, 1, 0, 5, field5)
+    with pytest.raises(ConfigurationError, match="need at least one worker, got 0"):
+        build_plan(1, 1, 1, 0, 0, field5)
     assert list(build_plan(2, 1, 1, 0, 4, field5).evaluation_points) == [1, 2, 3, 4]
+
+
+def test_recovery_threshold_is_above_twice_the_collusion_level():
+    # each side's P_C + data live exponents are distinct, and two sets of
+    # integers have |A + B| >= |A| + |B| - 1, so P_R >= t s + s d + 2 P_C - 1,
+    # above 2 P_C: build_plan needs no refusal of P_R < 2 P_C
+    at_bound = 0
+    for t, s, d, p_c in itertools.product(range(1, 7), range(1, 7), range(1, 7), range(9)):
+        geo = code_geometry(t, s, d, p_c)
+        lay, bound = geo.layout, t * s + s * d + 2 * p_c - 1
+        assert (lay.a_live.sum(), lay.b_live.sum()) == (t * s + p_c, s * d + p_c)
+        assert geo.recovery_threshold >= bound, (t, s, d, p_c)
+        at_bound += geo.recovery_threshold == bound
+    assert at_bound == 114
+
+
+@pytest.mark.parametrize("name", ["t", "s", "d"])
+def test_code_geometry_refuses_an_empty_grid(name):
+    dims = {"t": 2, "s": 2, "d": 2, name: 0}
+    with pytest.raises(ConfigurationError, match=f"{name} must be >= 1, got 0"):
+        code_geometry(dims["t"], dims["s"], dims["d"], 1)
 
 
 def test_plan_star_dimensions(field257):

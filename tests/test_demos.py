@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against the library in ``src``."""
+"""Every demo script, and the README's quickstart, runs against the library in ``src``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,11 @@ def test_demo_runs(demo):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_runs():
+    # the first python block of README.md is the encode / worker_compute /
+    # decode example; it asserts its own product
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    exec(compile(block, "README.md quickstart", "exec"), {})

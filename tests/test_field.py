@@ -1,5 +1,6 @@
 """Exact GF(p) arithmetic: axioms, overflow safety, uniform sampling, elimination."""
 
+import math
 import re
 import tracemalloc
 
@@ -31,9 +32,26 @@ def test_is_prime_known_values():
         assert not is_prime(n)
 
 
+def test_is_prime_matches_a_sieve():
+    # 169 = 13**2, 221 = 13 * 17 and 247 = 13 * 19 are the first composites
+    # with no factor up to 11, so the first to reach the Miller-Rabin rounds
+    n = 2 * 10**5
+    sieve = np.ones(n, bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    assert [is_prime(k) for k in range(n)] == sieve.tolist()
+    composites = np.flatnonzero(~sieve)[2:].tolist()  # past 0 and 1
+    unscreened = [k for k in composites if all(k % b for b in (2, 3, 5, 7, 11))]
+    assert unscreened[:3] == [169, 221, 247] and len(unscreened) == 23_579
+    assert not is_prime(2047)  # 23 * 89, a strong pseudoprime to base 2
+
+
 def test_field_rejects_composite_modulus():
-    with pytest.raises(ConfigurationError):
-        PrimeField(561)
+    for modulus in (561, 221):  # 221 = 13 * 17 passes the trial divisions
+        with pytest.raises(ConfigurationError, match=f"modulus must be prime, got {modulus}"):
+            PrimeField(modulus)
 
 
 def test_field_rejects_oversized_modulus():

@@ -173,6 +173,8 @@ def test_instance_validation():
         AuditInstance(2, 1, 1, 1, 4, PrimeField(5), 3, 1, 1)  # t does not divide T
     with pytest.raises(ConfigurationError):
         AuditInstance(2, 1, 1, 0, 4, PrimeField(5), 2, 1, 1)  # nothing to audit
+    with pytest.raises(ConfigurationError, match="collusion level 5 exceeds the pool size 4"):
+        AuditInstance(2, 1, 1, 5, 4, PrimeField(5), 2, 1, 1)
 
 
 def test_report_lines_shape(micro_tall):
