@@ -2,7 +2,7 @@
 
 Multiplies a 6x4 by a 4x6 matrix over GF(257) with a 3x2 / 2x2 block split,
 tolerating 2 colluding workers, on a pool of 30 simulated workers of which
-only the fastest 25 are used.
+only the fastest 24 (the recovery threshold) are used.
 """
 
 import numpy as np

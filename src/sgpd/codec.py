@@ -12,13 +12,24 @@ extraction exponents, done.  Both steps work on stacks, one entry per
 worker: ``share_stacks`` and ``interpolate``, which ``cluster_sim.run``
 calls; ``encode`` and ``decode`` are their per-worker forms.
 
+A secure code has two candidate maps over the same masks: the paper's,
+regime by regime, and the run map, which keeps the data on plain GPD over
+(t, s, d) and gives each side's P_C random blocks the consecutive exponents
+R, R + 1, ..., R + P_C - 1, R = t s d (GASP_big of arXiv:1812.09962 when
+s = 1).  Every sum that meets a random block is then at least R, above every
+extraction exponent, and a coalition's random map on either side is
+diag(x**R) times a Vandermonde matrix, so the run map keeps its secret over
+every field.  ``code_geometry`` keeps the map with the smaller live support,
+and the runs on a tie; a plan over a small field keeps the other map where
+only that one's support is distinct mod p - 1.
+
 recovery_threshold is always derived from the construction: the number of
 distinct exponents in the live sumset {a + b} over live (non-masked) blocks,
 the support of F*G.  It is the degree plus one wherever that sumset has no
 gap.  Decoding solves the generalized Vandermonde system on the support,
 which for a sparse support can be singular mod p for some responder sets.
-Closed-form expressions exist for most regimes; the tests cross-check them
-against the construction.
+Both maps' support sizes have closed forms, which choose the map before
+any array is built; the tests cross-check them against the construction.
 """
 
 from __future__ import annotations
@@ -143,34 +154,38 @@ def _first_live(n: int, rows: int, cols: int) -> np.ndarray:
     return (np.arange(rows * cols) < n).reshape(rows, cols)
 
 
-def _gpd_maps(a_live: np.ndarray, b_live: np.ndarray, t: int, d: int):
-    """Plain GPD exponents over the grids of the masks, where A* has t* x s_w
-    blocks: a(i, j) = s_w i + j and b(k, l) = (s_w - 1 - k) + t* s_w l.
-    Within an output column band the b offsets run in reverse, so block pairs
-    with matching inner index j = k stack on one exponent, and C_{i,l} is
-    read at s_w (i + 1) - 1 + t* s_w l."""
-    rows, width = a_live.shape
-    band = rows * width * np.arange(b_live.shape[1])
-    k = np.arange(width)[:, None]
-    a = width * np.arange(rows)[:, None] + np.arange(width)
-    ext = width * np.arange(1, t + 1)[:, None] - 1 + band[:d]
-    return a, (width - 1 - k) + band, ext
+def _gpd_maps(rows: int, width: int, cols: int, t: int, d: int):
+    """Plain GPD exponents over a rows x width grid of A* blocks and a width x
+    cols grid of B* blocks: a(i, j) = width i + j and b(k, l) = (width - 1 -
+    k) + rows width l.  Within an output column band the b offsets run in
+    reverse, so block pairs with matching inner index j = k stack on one
+    exponent, and C_{i,l} is read at a(i, width - 1) + b(width - 1, l) =
+    width (i + 1) - 1 + rows width l."""
+    a = np.arange(rows * width).reshape(rows, width)
+    b = np.add.outer(np.arange(width - 1, -1, -1), rows * width * np.arange(cols))
+    return a, b, np.add.outer(a[:t, -1], b[-1, :d])
 
 
-def code_geometry(t: int, s: int, d: int, p_c: int) -> CodeGeometry:
-    """The live masks and exponent maps of (t, s, d, P_C), written together
-    regime by regime (0-based indices): where the random blocks go and which
-    exponents they carry are one design, each keeping random products off
-    the extraction coefficients."""
+def _regime(t: int, s: int, d: int, p_c: int):
+    """The paper's design for (t, s, d, P_C), regime by regime (0-based
+    indices): the live masks, and the exponent map the paper gives them, one
+    design that keeps random products off the extraction coefficients.
+    Returns the layout, the size of the paper map's live support in closed
+    form, and a function building that map's (a, b, extraction) arrays, so
+    that a code keeping the run map never builds them."""
     for name, v in (("t", t), ("s", s), ("d", d)):
         if v < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {v}")
     if p_c < 0:
         raise ConfigurationError(f"collusion tolerance must be >= 0, got {p_c}")
     delta = width = 0
-    if p_c == 0:  # non-secure: nothing appended, plain GPD
+    if p_c == 0:  # non-secure: nothing appended, plain GPD, sums 0 .. t s d + s - 2
         case, a_live, b_live = "gpd", np.ones((t, s), bool), np.ones((s, d), bool)
-        a, b, ext = _gpd_maps(a_live, b_live, t, d)
+        threshold = t * s * d + s - 1
+
+        def maps():
+            return _gpd_maps(t, s, d, t, d)
+
     elif s < t:
         # secure-tall: delta = ceil(P_C/s) random block rows under A, so A* has
         # t* = t + delta block rows, and as many random block columns right of
@@ -178,27 +193,39 @@ def code_geometry(t: int, s: int, d: int, p_c: int) -> CodeGeometry:
         # exponent down: the rightmost blocks of A's last appended row, the
         # topmost of B's last column.  B's data bands keep the stride t* s, and
         # its appended columns are parked above every extraction exponent, at
-        # t* s d + s(l-d+1) - k - 1.
+        # t* s d + s(l-d+1) - k - 1.  A's live exponents are 0 .. t s + P_C - 1,
+        # B's random ones t* s d + [0, P_C - 1]: the sums fill one interval
         case, delta = "tall", ceil(p_c / s)
         a_live, b_live = np.ones((t + delta, s), bool), np.ones((s, d + delta), bool)
         a_live[t:, :] = _first_live(p_c, delta, s)
         b_live[:, d:] = _first_live(p_c, delta, s).T[::-1]
-        a, b, ext = _gpd_maps(a_live, b_live, t, d)
-        b[:, d:] = (s - 1 - np.arange(s)[:, None]) + (t + delta) * s * d + s * np.arange(delta)
+        threshold = (t + delta) * s * d + t * s + 2 * p_c - 1
+
+        def maps():
+            a, b, ext = _gpd_maps(t + delta, s, d + delta, t, d)
+            b[:, d:] = (s - 1 - np.arange(s)[:, None]) + (t + delta) * s * d + s * np.arange(delta)
+            return a, b, ext
+
     elif min(t, d) == 1:
         # secure-wide, one band: P_C random columns right of A and rows under
         # B, s_w = s + P_C, live only in A's last block row and B's last block
         # column.  A keeps the GPD map; B's data rows keep the offsets s-1-k of
         # GPD over s, its random rows ascend, b(k >= s, l) = t s_w l + k, and C
         # is read at the data alignment s_w i + s-1 + t s_w l: the live random
-        # strips' products land past every data exponent they could meet
+        # strips' products land past every data exponent they could meet.  The
+        # sums fill one interval, 0 .. t d s_w + s_w - 2
         case, width = "wide", p_c
-        a_live, b_live = np.ones((t, s + width), bool), np.ones((s + width, d), bool)
+        s_w = s + width
+        a_live, b_live = np.ones((t, s_w), bool), np.ones((s_w, d), bool)
         a_live[: t - 1, s:] = b_live[s:, : d - 1] = False
-        a = _gpd_maps(a_live, b_live, t, d)[0]
-        k, band = np.arange(s + width)[:, None], t * (s + width) * np.arange(d)
-        b = np.where(k < s, s - 1 - k, k) + band
-        ext = (s + width) * np.arange(t)[:, None] + (s - 1) + band
+        threshold = t * d * s_w + s_w - 1
+
+        def maps():
+            a = _gpd_maps(t, s_w, d, t, d)[0]
+            k, band = np.arange(s_w)[:, None], t * s_w * np.arange(d)
+            ext = s_w * np.arange(t)[:, None] + (s - 1) + band
+            return a, np.where(k < s, s - 1 - k, k) + band, ext
+
     else:
         # secure-wide, two bands (min(t, d) >= 2): plain GPD over s_w = s +
         # ceil(P_C/t) + ceil(P_C/d).  A is random in its first ceil(P_C/t)
@@ -215,19 +242,119 @@ def code_geometry(t: int, s: int, d: int, p_c: int) -> CodeGeometry:
         # colluders the same randomness on B) where the GPD placement does not
         delta_a, delta_b = ceil(p_c / t), ceil(p_c / d)
         case, width = "wide", delta_a + delta_b
-        a_live, b_live = np.ones((t, s + width), bool), np.ones((s + width, d), bool)
+        s_w = s + width
+        a_live, b_live = np.ones((t, s_w), bool), np.ones((s_w, d), bool)
         a_live[:, s:], b_live[s:, :] = False, False
         a_live[:, s : s + delta_a] = _first_live(p_c, t, delta_a)
         b_live[s + delta_a :, :] = _first_live(p_c, d, delta_b).T[::-1]
-        a, b, ext = _gpd_maps(a_live, b_live, t, d)
-        if p_c <= d:
-            b[s:][b_live[s:]] = (s + width) * np.arange(1, p_c + 1)
+        threshold = _two_band_threshold(t, s, d, p_c, delta_a, delta_b)
+
+        def maps():
+            a, b, ext = _gpd_maps(t, s_w, d, t, d)
+            if p_c <= d:
+                b[s:][b_live[s:]] = s_w * np.arange(1, p_c + 1)
+            return a, b, ext
+
     a_random, b_random = a_live.copy(), b_live.copy()
     a_random[:t, :s] = b_random[:s, :d] = False  # the data corners
     layout = AugmentationLayout(
         case, t, s, d, p_c, delta, width, a_live, b_live, a_random, b_random
     )
-    return CodeGeometry(t, s, d, p_c, layout, ExponentMap(a, b, ext))
+    return layout, threshold, maps
+
+
+def _two_band_threshold(t: int, s: int, d: int, p_c: int, delta_a: int, delta_b: int) -> int:
+    """The size of the paper's two-band live support, cell by cell.  Cut the
+    exponents into cells of s_w: A's row i is s_w i + [0, s + c_i - 1], with
+    c_i its live random blocks, and B's data in column band l are t s_w l +
+    [s_w - s, s_w - 1].  So for m = i + t l (each m < t d once) their sums
+    fill the top s of cell m and a bottom of s + c_i - 1 in cell m + 1.  B's
+    random blocks only lengthen bottoms: at t s_w l + [0, r_l - 1] they give
+    cell m a bottom of s + c_i + r_l - 1; sparse, at s_w (l + 1), they put
+    row i's s + c_i at the bottom of cell i + l + 1, where the longest comes
+    from row max(0, m - P_C), since c falls with i.  A bottom meets its
+    cell's top past delta_a + delta_b."""
+    spill = [s - 1 + min(max(p_c - delta_a * i, 0), delta_a) for i in range(t)]
+    bottom = [0, *spill * d]  # bottom[m]: how far cell m - 1 spills into cell m
+    if p_c > d:
+        for l in range(-(-p_c // delta_b)):  # the bands with live random blocks
+            r = min(p_c - delta_b * l, delta_b)
+            for i in range(t):
+                bottom[t * l + i] = max(bottom[t * l + i], spill[i] + r)
+    else:
+        for m in range(1, t + p_c):
+            bottom[m] = max(bottom[m], spill[max(m - p_c, 0)] + 1)
+    cap = delta_a + delta_b
+    return t * d * s + sum(min(b, cap) for b in bottom[:-1]) + bottom[-1]
+
+
+def _run_threshold(t: int, s: int, d: int, p_c: int) -> int:
+    """The size of the run map's live support, P_C >= 1, in closed form.
+    With R = t s d, g = t s and L = s + P_C - 1 it is the union, in order of
+    their starts, of [0, R + g + P_C - 2] (data times data, and A's data
+    times B's run), R + g l + [0, L - 1] for 0 < l < d (A's run times B's
+    column band l) and 2R + [0, 2 P_C - 2] (run times run).  The first band
+    reaches s past the first interval, each later one min(L, g) past the
+    band before it, and the last interval overlaps the last band by
+    max(0, L - g)."""
+    r, g, band = t * s * d, t * s, s + p_c - 1
+    return r + g + s + 3 * p_c - 2 + (d - 2) * band - (d - 1) * max(0, band - g)
+
+
+def _run_maps(layout: AugmentationLayout):
+    """The run map over the layout's grids: the data corners on plain GPD over
+    (t, s, d), so C_{i,l} is read below R = t s d, and each side's P_C random
+    blocks on the run R, R + 1, ..., R + P_C - 1 in row-major order, so every
+    sum that meets a random block is at least R.  A coalition's random map on
+    either side is diag(x**R) times a Vandermonde matrix, invertible for any
+    distinct nonzero points.  Dead blocks carry 0."""
+    t, s, d = layout.t, layout.s, layout.d
+    a_data, b_data, ext = _gpd_maps(t, s, d, t, d)
+    run = np.arange(t * s * d, t * s * d + layout.p_c)
+    maps = []
+    for data, random in ((a_data, layout.a_random), (b_data, layout.b_random)):
+        full = np.zeros(random.shape, np.int64)
+        full[: data.shape[0], : data.shape[1]] = data
+        full[random] = run
+        maps.append(full)
+    return (*maps, ext)
+
+
+def _decodable(geometry: CodeGeometry, field: PrimeField) -> bool:
+    """Whether the support's exponents are distinct mod p - 1: x**(p-1) = 1
+    for every point, so two exponents equal mod p - 1 give equal columns of
+    V and no responder set could decode."""
+    support = geometry.support
+    return support[-1] < field.p - 1 or np.unique(support % (field.p - 1)).size == support.size
+
+
+def code_geometry(
+    t: int, s: int, d: int, p_c: int, field: PrimeField | None = None
+) -> CodeGeometry:
+    """The live masks of (t, s, d, P_C) with one of two exponent maps: the
+    paper's (``_regime``) or, for a secure code, the run map (``_run_maps``).
+    The map with the smaller live support is kept, the runs on a tie; both
+    sizes are closed forms, so only the kept map's arrays are built.  Over a
+    given field a map must also have its support distinct mod p - 1
+    (``_decodable``): the kept map gives way to the other where only that
+    one's is, and where neither is, ``build_plan`` refuses the kept one."""
+    layout, paper_threshold, paper_maps = _regime(t, s, d, p_c)
+    ranked = [(paper_threshold, paper_maps)]
+    if p_c:
+        ranked.insert(0, (_run_threshold(t, s, d, p_c), lambda: _run_maps(layout)))
+        if paper_threshold < ranked[0][0]:
+            ranked.reverse()
+
+    def geometry(maps) -> CodeGeometry:
+        return CodeGeometry(t, s, d, p_c, layout, ExponentMap(*maps()))
+
+    if field is not None:
+        for threshold, maps in ranked:
+            if threshold < field.p:  # else more exponents than residues mod p - 1
+                geo = geometry(maps)
+                if _decodable(geo, field):
+                    return geo
+    return geometry(ranked[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +394,10 @@ def _pad(m: BlockMatrix, random: np.ndarray, rng: np.random.Generator) -> BlockM
 def augment(
     a: BlockMatrix, b: BlockMatrix, p_c: int, rng: np.random.Generator
 ) -> AugmentedPair:
-    """Pad A and B to the grids of ``code_geometry(t, s, d, P_C)``, drawing
-    only the layout's random blocks: A*'s P_C blocks first, then B*'s, each
-    side in row-major block order.  With P_C = 0 nothing is drawn."""
+    """Pad A and B to the grids of ``code_geometry(t, s, d, P_C)``, whose
+    masks do not depend on the map it keeps, drawing only the layout's random
+    blocks: A*'s P_C blocks first, then B*'s, each side in row-major block
+    order.  With P_C = 0 nothing is drawn."""
     if a.field != b.field:
         raise FieldMismatchError("A and B must share one field")
     (t, s), (s2, d) = a.grid, b.grid
@@ -277,7 +405,7 @@ def augment(
         raise ConfigurationError(
             f"inner partitions do not agree: A {a.shape}/{a.grid}, B {b.shape}/{b.grid}"
         )
-    layout = code_geometry(t, s, d, p_c).layout
+    layout = _regime(t, s, d, p_c)[0]
     return AugmentedPair(layout, _pad(a, layout.a_random, rng), _pad(b, layout.b_random, rng))
 
 
@@ -352,12 +480,13 @@ def build_plan(
 ) -> EncodingPlan:
     """Validate parameters and assemble the full code description.
 
-    The recovery threshold comes from the exponent maps over live blocks,
-    the points from ``pool_points``.
+    The map is ``code_geometry``'s choice over the field, the recovery
+    threshold its live support's size, the points from ``pool_points``.
     """
-    geo = code_geometry(t, s, d, p_c)
+    geo = code_geometry(t, s, d, p_c, field)
     points = pool_points(n_workers, field)
     plan = EncodingPlan(t, s, d, p_c, geo.layout, geo.exponent_map, field, n_workers, points)
+    vars(plan)["sum_counts"] = geo.sum_counts  # the sumset the choice counted, not a second one
     p_r = plan.recovery_threshold
     if p_c >= n_workers and p_c > 0:
         raise ConfigurationError(
@@ -368,8 +497,7 @@ def build_plan(
         raise ConfigurationError(
             f"recovery threshold is {p_r} but only {n_workers} workers are available"
         )
-    # x**(p-1) = 1 for every point, so exponents equal mod p - 1 give equal columns of V
-    if np.unique(plan.support % (field.p - 1)).size < p_r:
+    if not _decodable(plan, field):
         raise ConfigurationError(
             f"the support spans exponents equal mod {field.p - 1}: no responder "
             f"set could decode over GF({field.p})"

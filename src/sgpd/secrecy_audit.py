@@ -93,8 +93,10 @@ class AuditInstance:
 
     @cached_property
     def geometry(self) -> codec.CodeGeometry:
-        """Grows with P_C, so ``audit_all_subsets`` builds it after the cap."""
-        return codec.code_geometry(self.t, self.s, self.d, self.p_c)
+        """The code a plan over this field would use, so that the audit and
+        ``build_plan`` agree.  Grows with P_C, so ``audit_all_subsets`` builds
+        it after the cap."""
+        return codec.code_geometry(self.t, self.s, self.d, self.p_c, self.field)
 
     def entry_sizes(self) -> tuple[int, int, int]:
         """(entries per A block, entries per B block, data entries of A and B)."""

@@ -5,9 +5,12 @@ products by explicit integer triple loops, shares by symbolic polynomial
 evaluation built straight from the exponent maps, and the product polynomial
 by term-by-term convolution.  None of them call the code paths under test.
 The closed-form thresholds are an independent oracle for the construction's
-recovery threshold.  The secrecy audit takes its ranks on block-level power
-tables; the oracle builds the entry-level observation matrix instead (the
-Kronecker product and the column per data or random entry), which
+recovery threshold: the paper's forms, and the run map's, counted as the
+union of its d + 3 intervals in a Python set; ``paper_support`` and
+``run_map`` rebuild each map's support and live exponents from scratch.
+The secrecy audit takes its ranks on block-level power tables; the oracle
+builds the entry-level observation matrix instead (the Kronecker product
+and the column per data or random entry), which
 ``test_observation_matrix_is_the_encoders_map`` checks against ``encode``.
 The brute-force enumeration counts every assignment through that matrix,
 and its ranks must equal the audit's block-level ones.
@@ -40,6 +43,7 @@ from sgpd import (
     PrimeField,
     SubsetVerdict,
     augment,
+    code_geometry,
     codec,
     partition,
 )
@@ -168,17 +172,84 @@ def gpd_b_map(geometry) -> np.ndarray:
     return (width - 1 - k) + rows * width * l
 
 
+def run_threshold(t: int, s: int, d: int, p_c: int) -> int:
+    """The live support size of the run map (data on plain GPD over (t, s, d),
+    each side's P_C random blocks on R .. R + P_C - 1, R = t s d): data times
+    data fill [0, R + s - 2], A's data times B's run R + [0, t s + P_C - 2],
+    A's run times B's column band l R + t s l + [0, s + P_C - 2], and run
+    times run 2R + [0, 2 P_C - 2]."""
+    r = t * s * d
+    intervals = [
+        (0, r + s - 2),
+        (r, r + t * s + p_c - 2),
+        *((r + t * s * l, r + t * s * l + s + p_c - 2) for l in range(d)),
+        (2 * r, 2 * r + 2 * p_c - 2),
+    ]
+    return len(set().union(*(range(lo, hi + 1) for lo, hi in intervals)))
+
+
+def run_map(geometry) -> tuple:
+    """The run map's live exponents for a geometry's masks, block by block in
+    row-major order, and its extraction spots: data blocks on plain GPD over
+    (t, s, d), a(i, j) = s i + j and b(k, l) = s - 1 - k + t s l, each side's
+    random blocks on R, R + 1, ... in row-major order, R = t s d, and C_{i,l}
+    read at s (i + 1) - 1 + t s l."""
+    lay = geometry.layout
+    t, s, d = lay.t, lay.s, lay.d
+    r = t * s * d
+    a, b = [], []
+    for exps, live, data in (
+        (a, lay.a_live, lambda i, j: s * i + j if i < t and j < s else None),
+        (b, lay.b_live, lambda k, l: s - 1 - k + t * s * l if k < s and l < d else None),
+    ):
+        run = r
+        for i, j in zip(*np.nonzero(live)):
+            e = data(int(i), int(j))
+            if e is None:
+                e, run = run, run + 1
+            exps.append(e)
+    ext = [[s * (i + 1) - 1 + t * s * l for l in range(d)] for i in range(t)]
+    return a, b, ext
+
+
+def paper_support(t: int, s: int, d: int, p_c: int) -> list:
+    """The live support of the paper's map, which every code used before the
+    run map: 0 .. P_R - 1 by the paper's closed forms, except for two-band
+    codes, whose support is counted here from plain GPD over s_w
+    (``gpd_b_map``), with B's random blocks on s_w, 2 s_w, ..., P_C s_w when
+    P_C <= d."""
+    forms = closed_form_thresholds(t, s, d, p_c)
+    for key in ("unsecured", "tall"):
+        if key in forms:
+            return list(range(forms[key]))
+    if min(t, d) == 1:
+        return list(range(forms["wide_general"]))
+    geometry = code_geometry(t, s, d, p_c)  # its masks are the paper's
+    lay = geometry.layout
+    rows, width = lay.a_live.shape
+    a = width * np.arange(rows)[:, None] + np.arange(width)
+    b = gpd_b_map(geometry)
+    if p_c <= d:
+        b[lay.b_random] = width * np.arange(1, p_c + 1)
+    return sorted({x + y for x in a[lay.a_live].tolist() for y in b[lay.b_live].tolist()})
+
+
 def closed_form_thresholds(t: int, s: int, d: int, p_c: int) -> dict:
     """Closed-form threshold expressions for cross-checking a construction.
 
-    Keys ending in ``_variant`` are alternative printed forms of the same
-    quantity that disagree with the construction for some parameters; they
-    feed the report that acceptance criterion 2 writes and are never asserted.
+    ``runs`` is the run map's, beside the paper's forms; ``two_band_dense``
+    is the degree plus one of the paper's two-band map, A's top exponent
+    s_w (t - 1) + s - 1 + c (c its last row's live random blocks) plus B's
+    t s_w (d - 1) + s_w - 1.  Keys ending in ``_variant`` are alternative
+    printed forms of the same quantity that disagree with the construction
+    for some parameters; they feed the report that acceptance criterion 2
+    writes and are never asserted.
     """
     out: dict = {}
     if p_c == 0:
         out["unsecured"] = t * s * d + s - 1
         return out
+    out["runs"] = run_threshold(t, s, d, p_c)
     if s < t:
         delta = ceil(p_c / s)
         t_star, d_star = t + delta, d + delta
@@ -196,6 +267,10 @@ def closed_form_thresholds(t: int, s: int, d: int, p_c: int) -> dict:
         delta_w = ceil(p_c / min(t, d))
         s_star = s + delta_w
         out["wide_general"] = t * d * s_star + s_star - 1
+        if min(t, d) >= 2:
+            delta_a, delta_b = ceil(p_c / t), ceil(p_c / d)
+            s_w, c = s + delta_a + delta_b, max(0, p_c - (t - 1) * delta_a)
+            out["two_band_dense"] = t * d * s_w + s + c - 1
         if t == d:
             out["wide_special"] = s_star * (t * t + 1) - 3
             out["wide_special_applies_div_s"] = delta_w * s > p_c

@@ -15,7 +15,7 @@ from sgpd import PrimeField, code_geometry, read_matrix, write_matrix
 from sgpd.codec import CodeGeometry
 from sgpd.cli import main
 
-from conftest import distinct_live_sums, triple_loop_product
+from conftest import closed_form_thresholds, distinct_live_sums, triple_loop_product
 
 
 def run_cli(*argv):
@@ -32,7 +32,7 @@ def test_run_writes_verified_product(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "case=secure-tall" in text
-    assert "recovery_threshold=25" in text
+    assert "recovery_threshold=24" in text  # the run map's; the paper's map needs 25
     assert "success=True" in text
     assert "# command=run" in text
     decoded, modulus = read_matrix(out)
@@ -168,13 +168,18 @@ def test_run_refuses_an_unknown_model(tmp_path, capsys, source):
     assert "unknown model 'nope' (expected fixed|subset|latency)" in captured.err
 
 def test_run_decode_failure_exits_one(capsys):
+    # (3,2,2,2) keeps the run map, whose support 0..20, 24..26 has a gap: these
+    # 24 responders, as many as the threshold, give a singular system mod 257
+    responders = [*range(1, 9), 11, 12, 13, 15, 16, 17, *range(19, 25), 26, 27, 29, 30]
     code = run_cli(
         "run", "--t", "3", "--s", "2", "--d", "2", "--pc", "2", "--P", "30",
         "--T", "6", "--S", "4", "--D", "6",
-        "--model", "fixed", "--responders", ",".join(map(str, range(1, 25))),
+        "--model", "fixed", "--responders", ",".join(map(str, responders)),
     )
     assert code == 1
-    assert "success=False" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "recovery_threshold=24" in out and len(responders) == 24
+    assert "success=False" in out and "cause=SingularSystemError: " in out
 
 
 def test_run_missing_parameters_exit_two(capsys):
@@ -562,8 +567,12 @@ def test_sweep_golden_values(tmp_path):
         "0,4,1,4,non-secure,16,1,16,true,true",
         "1,1,4,1,secure-wide,9,9,,true,true",
         "1,2,2,2,secure-wide,15,15/4,,true,true",
-        "1,4,1,4,secure-tall,25,25/16,25,true,true",
+        "1,4,1,4,secure-tall,24,3/2,25,true,true",
     ]
+    # the tall row keeps the run map: 24 against the paper's 25, which is
+    # also this row's naive_P_R
+    forms = closed_form_thresholds(4, 1, 4, 1)
+    assert (forms["runs"], forms["tall"], forms["naive_tall"]) == (24, 25, 25)
     # the two-band row counts the distinct live sums, by brute force too
     assert distinct_live_sums(code_geometry(2, 2, 2, 1)) == 15
 

@@ -29,12 +29,17 @@ from sgpd.blocks import read_text_file
 
 from conftest import (
     binomial_at_least,
+    closed_form_thresholds,
     default_rng_completion_times,
     kth_completion_cdf,
     looped_latency_sweep,
     make_pair,
     triple_loop_product,
 )
+
+
+# (3,2,2,2) keeps the run map: 24 results, where the paper's tall map needs 25
+TALL_P_R = min(closed_form_thresholds(3, 2, 2, 2)[key] for key in ("tall", "runs"))
 
 
 @pytest.fixture
@@ -47,20 +52,21 @@ def tall_setup(field257):
 
 def test_fixed_set_success_at_threshold(tall_setup, field257):
     plan, pair, a_arr, b_arr = tall_setup
-    report = run(plan, pair, FixedSet(list(range(1, 26))))
+    assert plan.recovery_threshold == TALL_P_R == 24
+    report = run(plan, pair, FixedSet(list(range(1, 25))))
     assert report.success
-    assert report.responders == tuple(range(1, 26))
-    assert report.wall_clock == 25.0  # listed responders finish at ranks 1..25
+    assert report.responders == tuple(range(1, 25))
+    assert report.wall_clock == 24.0  # listed responders finish at ranks 1..24
     assert np.array_equal(report.decoded.data, triple_loop_product(a_arr, b_arr, 257))
 
 
 def test_fixed_set_below_threshold_fails_gracefully(tall_setup):
     plan, pair, _, _ = tall_setup
-    report = run(plan, pair, FixedSet(list(range(1, 25))))
+    report = run(plan, pair, FixedSet(list(range(1, TALL_P_R))))
     assert not report.success
     assert report.decoded is None
     assert report.wall_clock == float("inf")
-    assert "have 24, need 25" in report.cause
+    assert "have 23, need 24" in report.cause
     assert "success=False" in report.lines()[0]
 
 
@@ -88,7 +94,7 @@ def test_random_subset_runs_and_reproduces(tall_setup):
 def test_random_subset_below_threshold(tall_setup):
     plan, pair, _, _ = tall_setup
     report = run(plan, pair, RandomSubset(20, seed=1))
-    assert not report.success and "need 25" in report.cause
+    assert not report.success and f"need {TALL_P_R}" in report.cause
 
 
 def test_latency_model_run_is_deterministic(tall_setup):
@@ -105,7 +111,7 @@ def test_latency_constant_delays_order_by_worker_id(tall_setup):
     plan, pair, _, _ = tall_setup
     report = run(plan, pair, LatencyModel(shift=3.5, rate=float("inf"), seed=0))
     assert report.success
-    assert report.responders == tuple(range(1, 26))  # ties broken by id
+    assert report.responders == tuple(range(1, TALL_P_R + 1))  # ties broken by id
     assert report.wall_clock == 3.5
 
 
@@ -122,7 +128,7 @@ def test_measured_load_counts_used_results_only(tall_setup, field257):
     report = run(plan, pair, FixedSet(list(range(1, 31))))
     # each used result is a 1x1 block grid times (bt x bd) elements
     per_worker = (pair.a_star.block_shape[0]) * (pair.b_star.block_shape[1])
-    assert report.measured_load == 25 * per_worker
+    assert report.measured_load == TALL_P_R * per_worker
 
 
 def test_latency_model_validation():
@@ -173,8 +179,8 @@ def test_latency_sweep_statistics(field257):
     assert summary.trials == 400 and summary.failed_trials == 0
     assert summary.times.shape == (400,)
     stderr = np.std(summary.times, ddof=1) / 20.0
-    # analytic mean of the 25th of 30 shifted-exponential order statistics
-    analytic = 2.0 + 0.25 * sum(1.0 / j for j in range(6, 31))
+    # analytic mean of the P_R-th of 30 shifted-exponential order statistics
+    analytic = 2.0 + 0.25 * sum(1.0 / j for j in range(31 - TALL_P_R, 31))
     assert abs(summary.mean - analytic) < 5 * stderr + 1e-9
 
 
@@ -195,7 +201,7 @@ def test_latency_sweep_all_failures(field257):
 def test_latency_sweep_monotone_in_threshold(field257):
     # same pool and delay law: a larger threshold waits longer on average
     small = build_plan(2, 2, 2, 0, 30, field257)   # threshold 9
-    large = build_plan(3, 2, 2, 2, 30, field257)   # threshold 25
+    large = build_plan(3, 2, 2, 2, 30, field257)   # threshold 24
     model = LatencyModel(1.0, 1.0, 0.0, seed=8)
     s_small = latency_sweep(small, model, trials=300)
     s_large = latency_sweep(large, model, trials=300)
@@ -223,15 +229,15 @@ KS_CRITICAL = 1.95  # sqrt(n) * D at the 0.1% level
 @pytest.mark.parametrize("failure_prob", [0.0, 0.2])
 @pytest.mark.parametrize("rate", [1.0, 4.0])
 def test_latency_sweep_follows_the_exact_law(field257, failure_prob, rate):
-    # the 25th of 30 completion times, against its exact CDF given recovery,
+    # the P_R-th of 30 completion times, against its exact CDF given recovery,
     # and the failed trials against their binomial mean and deviation
     plan = build_plan(3, 2, 2, 2, 30, field257)
     model = LatencyModel(1.5, rate, failure_prob, seed=43)
     trials = 20_000
     summary = latency_sweep(plan, model, trials)
-    d = _ks_distance(summary.times, lambda t: kth_completion_cdf(t, 30, 25, model))
+    d = _ks_distance(summary.times, lambda t: kth_completion_cdf(t, 30, TALL_P_R, model))
     assert math.sqrt(summary.times.size) * d < KS_CRITICAL, d
-    fail = 1.0 - binomial_at_least(30, 1.0 - failure_prob, 25)
+    fail = 1.0 - binomial_at_least(30, 1.0 - failure_prob, TALL_P_R)
     sd = math.sqrt(trials * fail * (1.0 - fail))
     assert abs(summary.failed_trials - trials * fail) <= 4 * sd + 1e-9
 
@@ -249,7 +255,7 @@ def test_latency_sweep_matches_default_rng_oracle(field257, failure_prob, rate, 
     want = looped_latency_sweep(plan, model, trials)
     assert got.times.dtype == want.times.dtype
     assert got.trials == want.trials == trials
-    fail = 1.0 - binomial_at_least(30, 1.0 - failure_prob, 25)
+    fail = 1.0 - binomial_at_least(30, 1.0 - failure_prob, TALL_P_R)
     sd = math.sqrt(2 * trials * fail * (1.0 - fail))  # of the difference
     assert abs(got.failed_trials - want.failed_trials) <= 4 * sd + 1e-9
     n, m = got.times.size, want.times.size
@@ -312,7 +318,7 @@ RUN_MODELS = [
     FixedSet(range(30, 5, -1)),
     RandomSubset(27, seed=5),
     LatencyModel(1.0, 2.0, 0.1, seed=3),
-    FixedSet(range(1, 25)),  # one short of the threshold
+    FixedSet(range(1, TALL_P_R)),  # one short of the threshold
     RandomSubset(3, seed=1),
 ]
 

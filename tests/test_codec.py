@@ -41,7 +41,10 @@ from conftest import (
     lagrange_coefficient_matrix,
     looped_exponent_audit,
     make_pair,
+    paper_support,
     product_coefficients,
+    run_map,
+    run_threshold,
     small_matmul,
     triple_loop_product,
 )
@@ -63,12 +66,27 @@ def test_exponent_map_plain_grid():
 
 
 def test_exponent_map_tall():
-    geo = code_geometry(3, 2, 2, 2)
+    # (3,2,4,2) keeps the paper's tall map, 41 results against 42 for the runs
+    geo = code_geometry(3, 2, 4, 2)
     exps = geo.exponent_map
     assert exps.a_exponents.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
-    assert exps.b_exponents.tolist() == [[1, 9, 17], [0, 8, 16]]
-    assert exps.extraction.tolist() == [[1, 9], [3, 11], [5, 13]]
-    assert geo.recovery_threshold == 25
+    assert exps.b_exponents.tolist() == [[1, 9, 17, 25, 33], [0, 8, 16, 24, 32]]
+    assert exps.extraction.tolist() == [[1, 9, 17, 25], [3, 11, 19, 27], [5, 13, 21, 29]]
+    assert geo.recovery_threshold == 41 == closed_form_thresholds(3, 2, 4, 2)["tall"]
+
+
+def test_exponent_map_runs():
+    # (3,2,2,2) keeps the run map, 24 results against the paper's 25: data on
+    # plain GPD over (3, 2, 2), A's appended row and B's appended column on
+    # R = 12, 13, so the support is 0..20 (data, and A's data times B's run),
+    # then 24..26 (run times run)
+    geo = code_geometry(3, 2, 2, 2)
+    exps = geo.exponent_map
+    assert exps.a_exponents.tolist() == [[0, 1], [2, 3], [4, 5], [12, 13]]
+    assert exps.b_exponents.tolist() == [[1, 7, 12], [0, 6, 13]]
+    assert exps.extraction.tolist() == [[1, 7], [3, 9], [5, 11]]
+    assert geo.support.tolist() == [*range(21), 24, 25, 26]
+    assert geo.recovery_threshold == 24 == closed_form_thresholds(3, 2, 2, 2)["runs"]
 
 
 def test_exponent_map_wide_corner():
@@ -84,7 +102,7 @@ def test_recovery_threshold_examples():
     # frozen reference values, one per regime
     assert code_geometry(2, 1, 2, 0).recovery_threshold == 4
     assert code_geometry(1, 4, 1, 0).recovery_threshold == 7
-    assert code_geometry(3, 2, 2, 2).recovery_threshold == 25
+    assert code_geometry(3, 2, 2, 2).recovery_threshold == 24  # runs; the paper's map gives 25
     assert code_geometry(1, 1, 1, 1).recovery_threshold == 3
     # two-band: B's random blocks sit at 4 and 8, so the live support is
     # {2, ..., 17}, 16 exponents, against a dense degree range of 18
@@ -94,19 +112,30 @@ def test_recovery_threshold_examples():
 
 
 # sha256 of every geometry over t, s, d in 1..5 and P_C in 0..6: the regime
-# table's cases, masks, exponent maps and extraction spots
-REGIME_TABLE_SHA256 = "1cba7f5f23a8e9926815aeece157d62253ad6821f7035924191db919e8ad62a0"
+# table's cases and masks, and the kept exponent maps and extraction spots
+REGIME_TABLE_SHA256 = "94a96f2c20b850a042d7ab11fe5cbc25811c7b1f75ca31e3d308bf4c8ce78635"
 
 
 def test_regime_table_is_pinned():
+    # each kept map is the oracle's: the run map where its support is no
+    # larger than the paper's, else the paper's support
     h = hashlib.sha256()
+    runs = 0
     for t, s, d, p_c in itertools.product(range(1, 6), range(1, 6), range(1, 6), range(7)):
         geo = code_geometry(t, s, d, p_c)
         lay, emap = geo.layout, geo.exponent_map
+        paper = paper_support(t, s, d, p_c)
+        if p_c and run_threshold(t, s, d, p_c) <= len(paper):
+            kept = emap.a_exponents[lay.a_live], emap.b_exponents[lay.b_live], emap.extraction
+            assert tuple(x.tolist() for x in kept) == run_map(geo), (t, s, d, p_c)
+            runs += 1
+        else:
+            assert geo.support.tolist() == paper, (t, s, d, p_c)
         h.update(repr((t, s, d, p_c, lay.case, lay.delta, lay.width)).encode())
         for arr in (lay.a_live, lay.b_live, emap.a_exponents, emap.b_exponents, emap.extraction):
             h.update(repr(arr.shape).encode())
             h.update(arr.astype(np.int64).tobytes())
+    assert runs == 531
     assert h.hexdigest() == REGIME_TABLE_SHA256
 
 
@@ -134,21 +163,27 @@ def test_case_labels():
 
 def test_closed_form_matches_construction_full_band():
     forms = closed_form_thresholds(3, 2, 2, 2)
-    assert forms["tall"] == 25 == code_geometry(3, 2, 2, 2).recovery_threshold
+    assert (forms["tall"], forms["runs"]) == (25, 24)
+    assert code_geometry(3, 2, 2, 2).recovery_threshold == 24
 
 
 def test_closed_form_matches_construction_partial_band():
     forms = closed_form_thresholds(3, 2, 2, 1)
-    assert forms["tall"] == 23 == code_geometry(3, 2, 2, 1).recovery_threshold
+    assert (forms["tall"], forms["runs"]) == (23, 21)
+    assert code_geometry(3, 2, 2, 1).recovery_threshold == 21
     assert "tall_degree_variant" in forms  # recorded alternative, not asserted
 
 
 def test_closed_form_wide_general_single_output_dim():
-    # min(t, d) = 1: the construction realizes t*d*(s+P_C) + (s+P_C) - 1
-    for t, s, d, p_c in [(1, 2, 1, 1), (2, 3, 1, 2), (1, 1, 4, 3), (1, 6, 1, 4)]:
+    # min(t, d) = 1: the paper's map realizes t*d*(s+P_C) + (s+P_C) - 1, and
+    # the code keeps it or the run map, whichever is smaller
+    kept = set()
+    for t, s, d, p_c in [(1, 2, 1, 1), (2, 3, 1, 2), (1, 1, 4, 3), (1, 6, 1, 4), (1, 4, 3, 3)]:
         forms = closed_form_thresholds(t, s, d, p_c)
         geo = code_geometry(t, s, d, p_c)
-        assert geo.recovery_threshold == forms["wide_general"]
+        assert geo.recovery_threshold == min(forms["wide_general"], forms["runs"])
+        kept.add(forms["wide_general"] < forms["runs"])
+    assert kept == {True, False}
 
 
 def test_unsecured_closed_form():
@@ -176,7 +211,9 @@ def test_naive_never_beats_construction():
                     strict += naive > ours
     assert strict > 0  # separation is real, not vacuous
     assert naive_secure_threshold(12, 1, 12, 2) == 196
-    assert code_geometry(12, 1, 12, 2).recovery_threshold == 183
+    forms = closed_form_thresholds(12, 1, 12, 2)
+    assert (forms["tall"], forms["runs"]) == (183, 181)
+    assert code_geometry(12, 1, 12, 2).recovery_threshold == 181
 
 
 def test_threshold_monotone_in_collusion():
@@ -429,19 +466,20 @@ def test_decode_with_surplus_results(field257):
 
 @pytest.mark.parametrize("p", [29, 257])
 def test_decode_every_responder_set_of_a_sparse_code(p):
-    # (2,2,3,1) has the live support {2, ..., 24} less one exponent, so its
-    # generalized Vandermonde system can be singular mod p for some responder
-    # sets: each of the 276 sets of 22 from a pool of 24 decodes exactly or
-    # raises, and never yields a wrong product
+    # (2,2,3,1) keeps the run map, whose live support {0, ..., 17, 20, 21, 24}
+    # has gaps, so its generalized Vandermonde system can be singular mod p
+    # for some responder sets: each of the 253 sets of 21 from a pool of 23
+    # decodes exactly or raises, and never yields a wrong product
     field = PrimeField(p)
     rng = np.random.default_rng(p)
     a_arr, b_arr, pair = make_pair(2, 2, 3, 1, field, rng, bt=2, bs=1, bd=1)
-    plan = build_plan(2, 2, 3, 1, 24, field)
-    assert plan.recovery_threshold == 22 < int(plan.support[-1] - plan.support[0]) + 1
+    plan = build_plan(2, 2, 3, 1, 23, field)
+    assert plan.recovery_threshold == 21 == run_threshold(2, 2, 3, 1)
+    assert plan.support.tolist() == [*range(18), 20, 21, 24]
     results = [worker_compute(sh) for sh in encode(plan, pair)]
     want = triple_loop_product(a_arr, b_arr, p)
     outcomes = {"exact": 0, "singular": 0}
-    for subset in itertools.combinations(results, 22):
+    for subset in itertools.combinations(results, 21):
         try:
             got = decode(plan, list(subset))
         except SingularSystemError:
@@ -453,11 +491,74 @@ def test_decode_every_responder_set_of_a_sparse_code(p):
 
 
 def test_build_plan_refuses_a_support_that_aliases_mod_p_minus_1():
-    # over GF(23), x**22 = 1: (2,2,3,1)'s exponents 2 and 24 give equal
-    # columns for every responder set, so no plan is built
+    # over GF(23), x**22 = 1: exponents 2 and 24 give equal columns for every
+    # responder set, and both of (2,2,3,1)'s maps hold them, so no plan is built
+    assert {2, 24} <= set(paper_support(2, 2, 3, 1))
     with pytest.raises(ConfigurationError, match="equal mod 22"):
         build_plan(2, 2, 3, 1, 22, PrimeField(23))
-    assert build_plan(2, 2, 3, 1, 22, PrimeField(29)).recovery_threshold == 22
+    assert build_plan(2, 2, 3, 1, 22, PrimeField(29)).support.tolist() == [*range(18), 20, 21, 24]
+
+
+@pytest.mark.parametrize("p,fallbacks", [(257, 16), (65537, 0)])
+def test_no_plan_the_paper_map_built_is_refused_or_slower(p, fallbacks):
+    # every code the paper's map alone built at P = P_R (its support below p
+    # and distinct mod p - 1) still builds there, at a threshold no higher,
+    # with a clean exponent audit.  Over GF(257) sixteen of them get there
+    # only by the fallback: the run map's support aliases mod 256, e.g.
+    # (5,5,6,1) tops out at 300, so they keep the paper's map, top 213
+    field = PrimeField(p)
+    built = moved = 0
+    for t, s, d, p_c in itertools.product(range(1, 7), range(1, 7), range(1, 7), range(7)):
+        geo = code_geometry(t, s, d, p_c)
+        assert exponent_audit(geo).clean, (t, s, d, p_c)
+        paper = paper_support(t, s, d, p_c)
+        if len(paper) >= p or len({e % (p - 1) for e in paper}) < len(paper):
+            continue
+        plan = build_plan(t, s, d, p_c, len(paper), field)
+        assert plan.recovery_threshold <= len(paper), (t, s, d, p_c)
+        assert exponent_audit(plan).clean, (t, s, d, p_c)
+        built += 1
+        moved += not np.array_equal(plan.exponent_map.a_exponents, geo.exponent_map.a_exponents)
+    assert (built, moved) == ({257: 1503, 65537: 1512}[p], fallbacks)
+    assert code_geometry(5, 5, 6, 1).support[-1] == 300
+    assert build_plan(5, 5, 6, 1, 212, field).support[-1] == (213 if fallbacks else 300)
+
+
+@pytest.mark.parametrize("p", [257, 65537, 2147483647])
+@pytest.mark.parametrize("t,s,d,p_c", [(3, 2, 2, 2), (1, 1, 4, 3), (2, 2, 2, 3)],
+                         ids=["tall", "one-band", "two-band"])
+def test_run_placed_plans_decode_exactly(p, t, s, d, p_c):
+    # a run-placed code of each regime decodes random responder sets to the
+    # exact product, though the tall one's support 0..20, 24..26 has a gap,
+    # so not every set is sure to decode
+    field = PrimeField(p)
+    rng = np.random.default_rng((p, t, s, d, p_c))
+    p_r = run_threshold(t, s, d, p_c)
+    assert p_r < len(paper_support(t, s, d, p_c))
+    plan = build_plan(t, s, d, p_c, p_r + 6, field)
+    assert plan.recovery_threshold == p_r
+    a_arr, b_arr, pair = make_pair(t, s, d, p_c, field, rng, bt=2, bs=2, bd=3)
+    results = [worker_compute(sh) for sh in encode(plan, pair)]
+    want = triple_loop_product(a_arr, b_arr, p)
+    for _ in range(5):
+        picked = [results[i] for i in rng.permutation(len(results))[:p_r]]
+        assert np.array_equal(decode(plan, picked).data, want)
+
+
+def test_design_audit_plan_decodes_random_responder_sets():
+    # (8,3,8,4) with P = 300 over GF(65537) keeps the run map: 265 results,
+    # where the paper's map needs 271, on a support with gaps
+    field = PrimeField(65537)
+    plan = build_plan(8, 3, 8, 4, 300, field)
+    assert plan.recovery_threshold == 265 == run_threshold(8, 3, 8, 4)
+    assert closed_form_thresholds(8, 3, 8, 4)["tall"] == 271
+    rng = np.random.default_rng(265)
+    a_arr, b_arr, pair = make_pair(8, 3, 8, 4, field, rng)
+    products = field.matmul(*share_stacks(plan, pair, range(1, 301)))
+    want = triple_loop_product(a_arr, b_arr, field.p)
+    for _ in range(50):
+        ids = [int(w) + 1 for w in rng.permutation(300)[:265]]
+        assert np.array_equal(interpolate(plan, ids, products[np.array(ids) - 1]).data, want)
 
 
 @pytest.mark.parametrize("p", [257, 2147483647])
@@ -479,7 +580,7 @@ def test_solve_extraction_rows_match_the_lagrange_basis(p):
             weights = field.solve(field.power_table(xs, geo.support).T, picks).T
             assert np.array_equal(weights, lagrange_coefficient_matrix(field, xs)[ext])
             dense += 1
-    assert dense >= 60
+    assert dense == 59  # 69 before the run map put gaps in 10 of them
 
 
 def test_decode_below_threshold_raises(field257):
@@ -488,8 +589,8 @@ def test_decode_below_threshold_raises(field257):
     plan = build_plan(3, 2, 2, 2, 30, field257)
     results = [worker_compute(sh) for sh in encode(plan, pair)]
     with pytest.raises(NotEnoughResults) as info:
-        decode(plan, results[:24])
-    assert info.value.have == 24 and info.value.need == 25
+        decode(plan, results[:23])
+    assert info.value.have == 23 and info.value.need == 24 == run_threshold(3, 2, 2, 2)
 
 
 def test_decode_rejects_duplicate_workers(field257):
@@ -614,8 +715,8 @@ def test_worker_compute_refuses_shares_whose_inner_dimensions_disagree(field257)
 
 def test_build_plan_rejects_small_pool(field257):
     with pytest.raises(ConfigurationError) as info:
-        build_plan(3, 2, 2, 2, 24, field257)
-    assert "25" in str(info.value)
+        build_plan(3, 2, 2, 2, 23, field257)
+    assert "threshold is 24" in str(info.value)
 
 
 def test_build_plan_rejects_collusion_not_below_pool(field5):
@@ -744,15 +845,20 @@ def _dense_two_band_threshold(geo) -> int:
 
 
 def test_sparse_two_band_codes_are_clean_and_lower():
-    # the codes with s >= t, min(t, d) >= 2 and P_C <= d take the sparse
-    # placement; each passes the audit with a lower threshold.  Above the
-    # bound the plain GPD exponents stay
-    gated = above = 0
+    # the two-band codes (s >= t, min(t, d) >= 2) that keep the paper's map
+    # take the sparse placement when P_C <= d; each passes the audit with a
+    # lower threshold.  Above the bound the plain GPD exponents stay.  The
+    # others keep the run map, whose support is no larger
+    gated = above = runs = 0
     for t, s, d in itertools.product(range(2, 7), repeat=3):
         for p_c in range(1, 7):
             if s < t:
                 continue
             geo = code_geometry(t, s, d, p_c)
+            if run_threshold(t, s, d, p_c) <= len(paper_support(t, s, d, p_c)):
+                assert geo.recovery_threshold == run_threshold(t, s, d, p_c), (t, s, d, p_c)
+                runs += 1
+                continue
             if p_c > d:
                 assert np.array_equal(geo.exponent_map.b_exponents, gpd_b_map(geo)), (t, s, d, p_c)
                 above += 1
@@ -766,12 +872,15 @@ def test_sparse_two_band_codes_are_clean_and_lower():
             report = exponent_audit(geo)
             assert report.clean, (t, s, d, p_c, report.collisions[:2])
             dense = _dense_two_band_threshold(geo)
+            assert dense == closed_form_thresholds(t, s, d, p_c)["two_band_dense"]
             assert 2 <= dense - geo.recovery_threshold <= 7, (t, s, d, p_c)
             gated += 1
-    assert (gated, above) == (300, 150)
+    assert (gated, above, runs) == (239, 59, 152)
     sweep_code = code_geometry(4, 4, 4, 11)  # the design-audit sweep's two-band row
     assert exponent_audit(sweep_code).clean
-    assert (_dense_two_band_threshold(sweep_code), sweep_code.recovery_threshold) == (165, 165)
+    dense = closed_form_thresholds(4, 4, 4, 11)["two_band_dense"]
+    assert (dense, sweep_code.recovery_threshold) == (165, 143)
+    assert sweep_code.recovery_threshold == run_threshold(4, 4, 4, 11)
 
 
 def test_exponent_audit_matches_looped_oracle_on_clean_maps():
@@ -968,8 +1077,8 @@ def test_share_file_rejects_negative_dimensions(tmp_path, field257):
 def test_communication_load(field257):
     plan = build_plan(3, 2, 2, 2, 30, field257)
     report = communication_load(plan, 6, 6)
-    # 25 responders, each returning one 2x3 block of the 6x6 product
-    assert report.elements == 25 * 6
+    # 24 responders, each returning one 2x3 block of the 6x6 product
+    assert report.elements == run_threshold(3, 2, 2, 2) * 6 == 24 * 6
     with pytest.raises(ConfigurationError):
         communication_load(plan, 7, 6)
 

@@ -41,6 +41,9 @@ from conftest import (
     gpd_b_map,
     make_pair,
     observation_matrix,
+    paper_support,
+    run_map,
+    run_threshold,
     triple_loop_product,
     verdict_fields,
 )
@@ -399,8 +402,8 @@ def test_sparse_placement_keeps_every_coalition_the_gpd_map_kept():
     gained = 0
     for t, s, d in itertools.product(range(2, 5), repeat=3):
         for p_c in range(2, d + 1):
-            if s < t:
-                continue
+            if s < t or run_threshold(t, s, d, p_c) <= len(paper_support(t, s, d, p_c)):
+                continue  # not two-band, or the code keeps the run map
             geo = code_geometry(t, s, d, p_c)
             random = geo.layout.b_live.copy()
             random[:s] = False
@@ -415,18 +418,20 @@ def test_sparse_placement_keeps_every_coalition_the_gpd_map_kept():
 
 
 def test_above_the_bound_the_gpd_placement_keeps_small_fields_secure():
-    # (2,2,2,3) has P_C > d, so B keeps the GPD exponents.  The multiples of
-    # s_w = 6 would give workers x and 257 - x equal 6th powers, hence the
-    # same randomness on B, and the coalitions below would see B's data
-    inst = AuditInstance(2, 2, 2, 3, 256, PrimeField(257), 2, 2, 2)
-    coalitions = [(1, 2, 256), (2, 128, 129)]
+    # (2,4,2,4) has P_C > d and keeps the paper's map (37 results against 38
+    # for the runs), so B keeps the GPD exponents.  The multiples of s_w = 8
+    # would give workers x and 257 - x equal 8th powers, hence the same
+    # randomness on B, and the coalitions below would see B's data
+    inst = AuditInstance(2, 4, 2, 4, 256, PrimeField(257), 2, 4, 2)
+    geo = inst.geometry
+    assert geo.recovery_threshold == len(paper_support(2, 4, 2, 4)) == 37
+    assert np.array_equal(geo.exponent_map.b_exponents, gpd_b_map(geo))
+    coalitions = [(1, 3, 5, 256), (5, 7, 128, 129)]
     for subset in coalitions:
         rank, full_rank = _ranks(inst, subset, _rank_tables(inst))
         assert rank == full_rank, subset
-    geo, random = inst.geometry, inst.geometry.layout.b_live.copy()
-    random[:2] = False
     b = geo.exponent_map.b_exponents.copy()
-    b[random] = 6 * np.arange(1, 4)
+    b[geo.layout.b_random] = 8 * np.arange(1, 5)
     emap = ExponentMap(geo.exponent_map.a_exponents, b, geo.exponent_map.extraction)
     object.__setattr__(inst, "geometry", dataclasses.replace(geo, exponent_map=emap))
     for subset in coalitions:
@@ -461,3 +466,50 @@ def test_plan_shares_decode_and_audit_read_one_point_rule(monkeypatch):
     assert [sh.point for sh in shares] == [sh.worker_id + 1 for sh in shares]
     product = decode(plan, [worker_compute(sh) for sh in shares])
     assert np.array_equal(product.data, triple_loop_product(a, b, field.p))
+
+
+def test_runs_secure_four_of_the_six_gf257_leaks():
+    # the two-band codes that leaked over GF(257) at P = P_R: four now keep
+    # the run map, whose random map on either side is diag(x**R) times a
+    # Vandermonde matrix, and audit SECURE.  (2,2,2,2) and (2,2,3,2) keep the
+    # paper's map, smaller than the runs', and still leak where two points
+    # share a power (the fix left for per-field points)
+    field = PrimeField(257)
+    secured = [(2, 2, 2, 3, 21), (2, 2, 3, 3, 29), (2, 2, 4, 2, 32), (2, 3, 2, 3, 28)]
+    for t, s, d, p_c, workers in secured:
+        inst = AuditInstance(t, s, d, p_c, workers, field, t, s, d)
+        assert inst.geometry.recovery_threshold == workers == run_threshold(t, s, d, p_c)
+        assert audit_all_subsets(inst).secure, (t, s, d, p_c)
+    for t, s, d, p_c, workers, leaks in [
+        (2, 2, 2, 2, 16, [(1, 16)]),
+        (2, 2, 3, 2, 24, [(1, 16), (15, 17)]),
+    ]:
+        inst = AuditInstance(t, s, d, p_c, workers, field, t, s, d)
+        assert inst.geometry.recovery_threshold == workers == len(paper_support(t, s, d, p_c))
+        assert workers < run_threshold(t, s, d, p_c)
+        assert [v.subset for v in audit_all_subsets(inst).subsets if not v.secure] == leaks
+
+
+def test_run_placed_plans_are_secure_over_a_small_field():
+    # every run-placed code with t, s, d, P_C <= 3 over GF(257), at P = P_R
+    # .. P_R + 3, audits SECURE wherever the coalition cap allows: secrecy
+    # by construction, with no condition on the field
+    field = PrimeField(257)
+    audited = capped = 0
+    for t, s, d, p_c in itertools.product(range(1, 4), repeat=4):
+        p_r = run_threshold(t, s, d, p_c)
+        if p_r > len(paper_support(t, s, d, p_c)):
+            continue  # the code keeps the paper's map
+        for workers in range(p_r, p_r + 4):
+            inst = AuditInstance(t, s, d, p_c, workers, field, t, s, d)
+            emap, lay = inst.geometry.exponent_map, inst.geometry.layout
+            live = emap.a_exponents[lay.a_live].tolist(), emap.b_exponents[lay.b_live].tolist()
+            assert live == run_map(inst.geometry)[:2], (t, s, d, p_c)
+            try:
+                verdict = audit_all_subsets(inst)
+            except BudgetExceeded:
+                capped += 1
+                continue
+            assert verdict.secure, (t, s, d, p_c, workers)
+            audited += 1
+    assert (audited, capped) == (228, 8)
