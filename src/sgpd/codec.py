@@ -237,9 +237,11 @@ def _regime(t: int, s: int, d: int, p_c: int):
         # coalition's random map on B goes from a Vandermonde matrix in
         # x**(t*s_w) to one in x**s_w, invertible wherever it was, and the
         # gaps this leaves in the support lower the threshold.  Above that
-        # bound the GPD exponents stay: there the sparse placement leaks B
-        # over small fields (two points with equal s_w-th powers give two
-        # colluders the same randomness on B) where the GPD placement does not
+        # bound the GPD exponents stay.  Neither placement keeps B secret over
+        # every field: two points with equal s_w-th powers give two colluders
+        # the same sparse randomness, and the GPD exponents leak too, as
+        # (2,4,2,4) does over GF(257) (B's random exponents are 0, 1, 16, 17
+        # and 2**16 = 4**16 = 1) and (4,5,2,4) over GF(65537)
         delta_a, delta_b = ceil(p_c / t), ceil(p_c / d)
         case, width = "wide", delta_a + delta_b
         s_w = s + width

@@ -24,13 +24,11 @@ float buffers) with K*A1*h <= 2**52 and (h + 1)*2**L + K*A0*h <= 2**51 - 1
 
 ``matmul`` multiplies two 2-D arrays or two equal-length stacks,
 (n, m, k) @ (n, k, c), entry by entry; a 2-D product is a stack of one, so
-there is one kernel.  Each slice runs in steps: a step takes a run of stack
-entries and one tile of at most 512 output columns, reusing the same float
-buffers, so the float temporaries grow with the rows of a product but not
-with its columns or its stack.  A run is as many entries as keep the step's
-buffers within 2**15 floats (256 KB), and at least one: one 64 x 64 product
-at p = 2**31 - 1, where longer runs made ``run()`` no faster and raised the
-memory a request holds.
+there is one kernel.  Each slice runs in steps of one stack entry and one
+tile of at most 512 output columns, through one set of 2-D float buffers
+allocated once per slice, and each step writes its tile of the output in
+place: the float temporaries grow with the rows of a product but not with
+its columns or its stack.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .errors import ConfigurationError, SingularSystemError
 MAX_MODULUS = 2**31
 
 _TILE = 512  # output columns per tile
-_STEP = 2**15  # floats in one step's buffers, for as many stack entries as fit
 
 _MR_BASES = (2, 3, 5, 7, 11)  # deterministic for n < 3_215_031_751
 
@@ -142,43 +139,33 @@ class PrimeField:
 
     def _stacked_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(a @ b) mod p for stacks of entries in [0, p) and an inner dimension
-        <= K(p).  Each step takes a run of stack entries and a tile of output
-        columns: the run's A is balanced and split once, as [a1; a0], so one
-        dgemm per entry against each balanced tile of B gives s1 and s0."""
+        <= K(p), written into the output in place.  Each step takes one stack
+        entry and one tile of output columns through one set of 2-D float
+        buffers: the entry's A is balanced and split once, as [a1; a0], so one
+        dgemm against each balanced tile of B gives s1 and s0."""
         p, h, inv, scale = self._floats
         (n, m, k), c = a.shape, b.shape[2]
         out = np.empty((n, m, c), dtype=np.int64)
         if not out.size:
             return out
-        width, run = min(_TILE, c), n
-        if n > 1:  # as many entries per step as keep its buffers within _STEP floats
-            run = min(n, _STEP // (2 * m * k + 2 * k * width + 3 * m * width) or 1)
-        a10 = np.empty((run, 2 * m, k))
-        b_buf, high_buf = np.empty((run, k, width)), np.empty((run, k, width))
-        s_buf, quot_buf = np.empty((run, 2 * m, width)), np.empty((run, m, width))
-        for e in range(0, n, run):
-            a_run, b_run, out_run = a[e : e + run], b[e : e + run], out[e : e + run]
-            if len(a_run) < run:  # the last run is shorter
-                run = len(a_run)
-                a10, b_buf, high_buf, s_buf, quot_buf = (
-                    buf[:run] for buf in (a10, b_buf, high_buf, s_buf, quot_buf)
-                )
-            a1, a0 = a10[:, :m], a10[:, m:]
-            np.copyto(a0, a_run, casting="unsafe")
+        width = min(_TILE, c)
+        a10, s_buf, quot_buf = np.empty((2 * m, k)), np.empty((2 * m, width)), np.empty((m, width))
+        b_buf, high_buf = np.empty((k, width)), np.empty((k, width))
+        a1, a0 = a10[:m], a10[m:]
+        for a_e, b_e, out_e in zip(a, b, out):
+            np.copyto(a0, a_e, casting="unsafe")
             a0 -= np.greater(a0, h, out=a1) * p  # balanced
             np.rint(np.multiply(a0, 1.0 / scale, out=a1), out=a1)
             a0 -= a1 * scale
             for c0 in range(0, c, _TILE):
-                bt, high, s, quot = b_buf, high_buf, s_buf, quot_buf
                 w = min(_TILE, c - c0)
-                if w < width:  # the last tile is narrower
-                    bt, high, s, quot = bt[..., :w], high[..., :w], s[..., :w], quot[..., :w]
-                np.copyto(bt, b_run[..., c0 : c0 + w], casting="unsafe")
+                bt, high, s, quot = b_buf[:, :w], high_buf[:, :w], s_buf[:, :w], quot_buf[:, :w]
+                np.copyto(bt, b_e[:, c0 : c0 + w], casting="unsafe")
                 np.greater(bt, h, out=high)
                 high *= p
                 bt -= high  # balanced
                 np.matmul(a10, bt, out=s)
-                s1, s0 = s[:, :m], s[:, m:]
+                s1, s0 = s[:m], s[m:]
                 np.multiply(s1, inv, out=quot)  # fold s1: |r1| <= h + 1
                 np.rint(quot, out=quot)
                 quot *= p
@@ -189,7 +176,7 @@ class PrimeField:
                 quot *= inv
                 np.floor(quot, out=quot)
                 quot *= p
-                np.subtract(s1, quot, out=out_run[..., c0 : c0 + w], casting="unsafe")
+                np.subtract(s1, quot, out=out_e[:, c0 : c0 + w], casting="unsafe")
         return out
 
     def power_table(self, points, exponents) -> np.ndarray:

@@ -284,11 +284,15 @@ def test_stacked_matmul_at_the_slice_width_with_extreme_entries(p):
 
 
 @pytest.mark.parametrize("p", [257, 2147483647])
-@pytest.mark.parametrize("n,m,k,c", [(7, 64, 5, 64), (3, 8, 3, _TILE + 88), (5, 1, 130, 1)])
+@pytest.mark.parametrize(
+    "n,m,k,c",
+    [(7, 64, 5, 64), (3, 8, 3, _TILE + 88), (5, 1, 130, 1), (3, 5, 130, _TILE + 88)],
+)
 def test_stacked_matmul_matches_each_entry(p, n, m, k, c):
-    # runs of two entries and a shorter last run (7 x 64 x 64), a run of two
-    # then one over two column tiles (8 x 600), and at p = 2**31 - 1 two
-    # inner slices (k = 130): entry i of the result is a[i] @ b[i]
+    # seven entries through one set of buffers (7 x 64 x 64), a full and a
+    # narrow last column tile in each entry (8 x 600), at p = 2**31 - 1 two
+    # inner slices (k = 130), and both at once (5 x 600 over k = 130): entry
+    # i of the result is a[i] @ b[i]
     field = PrimeField(p)
     rng = np.random.default_rng([p, n, m, k, c])
     a = field.random_array((n, m, k), rng)
@@ -299,6 +303,25 @@ def test_stacked_matmul_matches_each_entry(p, n, m, k, c):
         assert np.array_equal(z, triple_loop_product(x, y, p))
     # a stack of one is the 2-D product
     assert np.array_equal(field.matmul(a[-1:], b[-1:]), field.matmul(a[-1], b[-1])[None])
+
+
+def test_stacked_matmul_writes_into_its_output():
+    # 26 x (64 x 64) @ (64 x 64), the responders' products of a 64 x 64 block
+    # code: the buffers of one step hold about 260 KB beside the 851,968-byte
+    # output, so a second output-sized temporary would pass the bound
+    field = PrimeField(2**31 - 1)
+    rng = np.random.default_rng(26)
+    a = field.random_array((26, 64, 64), rng)
+    b = field.random_array((26, 64, 64), rng)
+    tracemalloc.start()
+    try:
+        got = field.matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes == 851_968
+    assert peak < got.nbytes + 300_000, peak
+    assert np.array_equal(got[7], triple_loop_product(a[7], b[7], field.p))
 
 
 @pytest.mark.parametrize("p", [257, 2147483647])

@@ -417,11 +417,12 @@ def test_sparse_placement_keeps_every_coalition_the_gpd_map_kept():
     assert gained > 0
 
 
-def test_above_the_bound_the_gpd_placement_keeps_small_fields_secure():
+def test_above_the_bound_the_gpd_placement_spares_what_the_multiples_leak():
     # (2,4,2,4) has P_C > d and keeps the paper's map (37 results against 38
     # for the runs), so B keeps the GPD exponents.  The multiples of s_w = 8
     # would give workers x and 257 - x equal 8th powers, hence the same
-    # randomness on B, and the coalitions below would see B's data
+    # randomness on B, and the coalitions below would see B's data.  The GPD
+    # exponents leak elsewhere: on {1, 2, 3, 4} (FIRST_COALITION_LEAKS)
     inst = AuditInstance(2, 4, 2, 4, 256, PrimeField(257), 2, 4, 2)
     geo = inst.geometry
     assert geo.recovery_threshold == len(paper_support(2, 4, 2, 4)) == 37
@@ -513,3 +514,53 @@ def test_run_placed_plans_are_secure_over_a_small_field():
             assert verdict.secure, (t, s, d, p_c, workers)
             audited += 1
     assert (audited, capped) == (228, 8)
+
+
+# The plans with t, s, d, P_C <= 6 at P = P_R whose first P_C workers see
+# data, by field, as (t, s, d, P_C, P, rank_random, rank_view)
+FIRST_COALITION_LEAKS = {
+    257: [
+        (2, 4, 2, 4, 37, 7, 8), (2, 4, 5, 5, 81, 9, 10), (2, 4, 6, 5, 97, 9, 10),
+        (2, 4, 6, 6, 98, 11, 12), (2, 5, 4, 4, 67, 7, 8), (2, 5, 5, 4, 83, 7, 8),
+        (2, 5, 6, 4, 99, 7, 8), (3, 5, 4, 4, 97, 7, 8), (3, 5, 5, 4, 121, 7, 8),
+        (3, 5, 5, 5, 122, 9, 10), (3, 5, 6, 4, 145, 7, 8), (3, 5, 6, 5, 146, 9, 10),
+        (3, 5, 6, 6, 147, 11, 12), (4, 5, 2, 4, 69, 6, 8), (4, 5, 3, 4, 101, 6, 8),
+        (4, 5, 5, 5, 161, 9, 10), (4, 5, 6, 5, 193, 9, 10), (4, 5, 6, 6, 193, 11, 12),
+        (4, 6, 4, 4, 132, 6, 8), (4, 6, 5, 4, 164, 6, 8), (4, 6, 6, 4, 196, 6, 8),
+        (5, 5, 2, 4, 84, 7, 8), (5, 5, 3, 5, 125, 9, 10), (5, 5, 6, 6, 241, 11, 12),
+        (5, 6, 4, 4, 163, 6, 8), (5, 6, 5, 4, 203, 6, 8), (5, 6, 5, 5, 204, 8, 10),
+        (5, 6, 6, 4, 243, 6, 8), (5, 6, 6, 5, 244, 8, 10), (6, 6, 4, 4, 195, 6, 8),
+        (6, 6, 5, 4, 243, 6, 8), (6, 6, 5, 5, 243, 8, 10),
+    ],
+    65537: [(4, 5, 2, 4, 69, 7, 8), (4, 5, 3, 4, 101, 7, 8)],
+}
+
+
+@pytest.mark.parametrize("p,built", [(257, 1287), (65537, 1296)])
+def test_first_coalitions_leak_only_where_known(p, built):
+    # every plan with t, s, d, P_C <= 6 that build_plan accepts at P = P_R,
+    # with its coalition {1, ..., P_C} ranked.  Those workers are in every
+    # pool, so a listed code leaks at every P.  Every leak is a two-band
+    # secure-wide code on the paper's map, above P_C = d as well as below:
+    # (2,4,2,4) puts B's random blocks at 0, 1, 16 and 17, and 2**16 = 4**16
+    # = 1 mod 257.  A map change that adds a leak fails here; plans
+    # certified per field (ROADMAP direction 1) empty the lists on purpose
+    field = PrimeField(p)
+    plans, leaks = 0, []
+    for t, s, d, p_c in itertools.product(range(1, 7), repeat=4):
+        workers = code_geometry(t, s, d, p_c, field).recovery_threshold
+        try:
+            plan = build_plan(t, s, d, p_c, workers, field)
+        except ConfigurationError:
+            continue
+        plans += 1
+        inst = AuditInstance(t, s, d, p_c, workers, field, t, s, d)
+        rank_random, rank_view = _ranks(inst, range(1, p_c + 1), _rank_tables(inst))
+        if rank_random < rank_view:
+            lay, emap = plan.layout, plan.exponent_map
+            live = emap.a_exponents[lay.a_live].tolist(), emap.b_exponents[lay.b_live].tolist()
+            assert plan.case == "secure-wide" and min(t, d) >= 2, (t, s, d, p_c)
+            assert live != run_map(plan)[:2], (t, s, d, p_c)
+            leaks.append((t, s, d, p_c, workers, rank_random, rank_view))
+    assert plans == built
+    assert leaks == FIRST_COALITION_LEAKS[p]
